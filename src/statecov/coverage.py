@@ -182,13 +182,19 @@ class CoverageTracker:
         self.num_inputs = 0
 
     def _locate(self, pv: np.ndarray):
-        """Cell/corner/top hits of one probability vector, without committing."""
+        """Hits of one probability vector, without committing.
+
+        Returns (states, cells, below, above, top): the cell hit by each state
+        inside its major region, the corner masks and the top-k states.
+        """
         pv = np.asarray(pv, dtype=np.float64)
         if pv.shape != (self.profile.num_states,):
             raise ValueError(
                 f"probability vector length {pv.shape} does not match profile "
                 f"({self.profile.num_states} states)"
             )
+        if not np.all(np.isfinite(pv)):
+            raise ValueError("probability vector contains NaN or infinite entries")
         k = self.config.k_cells
         eps = self.config.epsilon_degenerate
         width = self.ub - self.lb
@@ -208,27 +214,29 @@ class CoverageTracker:
 
         # stable argsort on -pv breaks probability ties by ascending index
         top = np.argsort(-pv, kind="stable")[: self.config.top_k]
-        return cell_hits, below, above, top
+        (states,) = np.nonzero(cell_hits >= 0)
+        return states, cell_hits[states], below, above, top
+
+    def _delta(self, hits) -> dict:
+        states, cells, below, above, top = hits
+        return {
+            "new_cell": bool(np.any(~self.cells[states, cells])),
+            "new_corner": bool(
+                np.any(~self.corners[below, 0]) or np.any(~self.corners[above, 1])
+            ),
+            "new_top": bool(np.any(~self.top_states[top])),
+        }
 
     def peek_input(self, pv) -> dict:
         """Delta flags this vector would produce, without mutating the tracker."""
-        cell_hits, below, above, top = self._locate(np.asarray(pv))
-        states = np.arange(self.profile.num_states)
-        hit = cell_hits >= 0
-        new_cell = bool(np.any(~self.cells[states[hit], cell_hits[hit]]))
-        new_corner = bool(
-            np.any(~self.corners[below, 0]) or np.any(~self.corners[above, 1])
-        )
-        new_top = bool(np.any(~self.top_states[top]))
-        return {"new_cell": new_cell, "new_corner": new_corner, "new_top": new_top}
+        return self._delta(self._locate(pv))
 
     def add_input(self, pv) -> dict:
         """Fold one probability vector into the tracker; returns delta flags."""
-        delta = self.peek_input(pv)
-        cell_hits, below, above, top = self._locate(np.asarray(pv))
-        states = np.arange(self.profile.num_states)
-        hit = cell_hits >= 0
-        self.cells[states[hit], cell_hits[hit]] = True
+        hits = self._locate(pv)
+        delta = self._delta(hits)
+        states, cells, below, above, top = hits
+        self.cells[states, cells] = True
         self.corners[below, 0] = True
         self.corners[above, 1] = True
         self.top_states[top] = True
@@ -320,21 +328,13 @@ def mad_refine(
         raise ValueError("MAD refinement needs at least 3 samples per state")
     z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     base = profile_from_samples(samples, provenance=provenance)
-    mad_lower = np.empty(samples.shape[1])
-    mad_upper = np.empty(samples.shape[1])
-    for s in range(samples.shape[1]):
-        col = samples[:, s]
-        m = np.median(col)
-        mad = np.median(np.abs(col - m))
-        if mad == 0.0:
-            keep = col == m
-        else:
-            keep = 0.6745 * np.abs(col - m) / mad <= z_cut
-        kept = col[keep]
-        mad_lower[s] = kept.min()
-        mad_upper[s] = kept.max()
-    base.mad_lower = mad_lower
-    base.mad_upper = mad_upper
+    m = np.median(samples, axis=0)
+    dev = np.abs(samples - m)
+    mad = np.median(dev, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = np.where(mad == 0.0, samples == m, 0.6745 * dev / mad <= z_cut)
+    base.mad_lower = np.min(samples, axis=0, where=keep, initial=np.inf)
+    base.mad_upper = np.max(samples, axis=0, where=keep, initial=-np.inf)
     return base
 
 

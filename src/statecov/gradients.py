@@ -79,24 +79,15 @@ def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np
 
 def _angle_score_input_grads(model: QnnModel, x: np.ndarray) -> np.ndarray:
     """Score gradients w.r.t. features via parameter shift on the encoding
-    rotations, chained through the feature-to-angle scaling x -> pi x."""
+    rotations, chained through the feature-to-angle scaling x -> pi x. The
+    2d shifted encodings run through the circuit as one batch."""
     from .qnn import _angle_state_batch
 
-    signs = z_sign_matrix(model.readout_qubits, model.num_qubits)
-    phis = np.pi * x
-    grads = np.empty((model.num_classes, x.size))
-    for i in range(x.size):
-        pp = phis.copy()
-        pp[i] += np.pi / 2.0
-        sp = signs @ (
-            np.abs(apply_circuit_batch(_angle_state_batch(pp[None, :]), model.circuit, model.params)[0]) ** 2
-        )
-        pp[i] = phis[i] - np.pi / 2.0
-        sm = signs @ (
-            np.abs(apply_circuit_batch(_angle_state_batch(pp[None, :]), model.circuit, model.params)[0]) ** 2
-        )
-        grads[:, i] = np.pi * (sp - sm) / 2.0
-    return grads
+    shifts = np.pi / 2.0 * np.eye(x.size)
+    angles = np.concatenate([np.pi * x + shifts, np.pi * x - shifts])
+    out = apply_circuit_batch(_angle_state_batch(angles), model.circuit, model.params)
+    scores = z_sign_matrix(model.readout_qubits, model.num_qubits) @ (np.abs(out.T) ** 2)
+    return np.pi * (scores[:, : x.size] - scores[:, x.size :]) / 2.0
 
 
 def _amplitude_score_input_grads(model: QnnModel, x: np.ndarray) -> np.ndarray:

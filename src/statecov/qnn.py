@@ -150,6 +150,11 @@ class QnnModel:
             raise ValueError("one readout qubit per class is required")
         if len(set(self.readout_qubits)) != len(self.readout_qubits):
             raise ValueError("readout qubits must be distinct")
+        if not all(0 <= r < self.num_qubits for r in self.readout_qubits):
+            raise ValueError(
+                f"readout_qubits {list(self.readout_qubits)} out of range for "
+                f"{self.num_qubits} qubits"
+            )
 
     def with_params(self, params: np.ndarray) -> "QnnModel":
         return QnnModel(

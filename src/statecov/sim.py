@@ -3,6 +3,16 @@
 Basis-state ordering is big-endian: qubit 0 is the most significant bit of
 the basis index. All public operations are pure functions; inputs are never
 modified in place.
+
+apply_circuit_batch compiles a CircuitSpec once into a plan kept on the
+spec. The plan fuses each run of consecutive single-qubit gates on one qubit
+into one 2x2 matrix, rebuilt from the parameters on every call; a two-qubit
+gate ends the runs on its own two qubits only. Gates act in place on a copy
+of the (n, 2^q) batch: a 2x2 matrix mixes the two halves of the
+(n 2^t, 2, 2^(q-1-t)) view along target qubit t, a controlled gate acts on
+the control=1 slice of the (n, 2, ..., 2) view, CNOT swaps that slice's
+target halves and CZ negates one of them. A pass allocates one half-state
+scratch buffer that every gate reuses.
 """
 
 from __future__ import annotations
@@ -154,47 +164,93 @@ class ProbVector:
         return self.shots is None
 
 
-def _rotation_matrix(kind: Gate, theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    if kind in (Gate.RX, Gate.CRX):
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind in (Gate.RY, Gate.CRY):
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    # RZ / CRZ
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
-
-
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_I2 = np.eye(2, dtype=np.complex128)
+_O2 = np.zeros((2, 2), dtype=np.complex128)
+# A rotation by theta is cos(theta/2) I + sin(theta/2) times this matrix.
+_SIN_PART = {
+    kind: np.array(m, dtype=np.complex128)
+    for kinds, m in (
+        ((Gate.RX, Gate.CRX), [[0, -1j], [-1j, 0]]),
+        ((Gate.RY, Gate.CRY), [[0, -1], [1, 0]]),
+        ((Gate.RZ, Gate.CRZ), [[-1j, 0], [0, 1j]]),
+    )
+    for kind in kinds
+}
+_ALL = slice(None)
 
 
-def _gate_matrix(op: GateOp, params: np.ndarray) -> np.ndarray:
-    """2x2 matrix applied to the target (conditioned on the control, if any)."""
-    if op.kind in ROTATION_GATES:
-        return _rotation_matrix(op.kind, float(params[op.param_slot]))
-    if op.kind == Gate.H:
-        return _H
-    if op.kind in (Gate.X, Gate.CNOT):
-        return _X
-    # CZ
-    return np.array([[1, 0], [0, -1]], dtype=np.complex128)
+@dataclass(frozen=True)
+class _Plan:
+    """A CircuitSpec compiled for apply_circuit_batch.
+
+    Matrix row r is const[r] + cos(t) cos_part[r] + sin(t) sin_part[r] with
+    t = params[slots[r]] / 2 (slot num_params reads a zero angle); row 0 is
+    the identity that pads runs. Run j is the product of the rows runs[j, 0],
+    runs[j, 1], ... in gate order. A step is (action, view shape, index of
+    the target=0 half, index of the target=1 half, run); the action is
+    Gate.CNOT, Gate.CZ or None for a 2x2 mix of the halves by a run.
+    """
+
+    slots: np.ndarray
+    const: np.ndarray
+    cos_part: np.ndarray
+    sin_part: np.ndarray
+    runs: np.ndarray
+    steps: tuple
 
 
-def _apply_gate_batch(batch: np.ndarray, op: GateOp, params: np.ndarray, q: int) -> None:
-    """Apply one gate in place to a (n, 2^q) batch of statevectors."""
-    mat = _gate_matrix(op, params)
-    stride = 1 << (q - 1 - op.target)
-    idx = np.arange(batch.shape[1])
-    mask0 = (idx & stride) == 0
-    if op.control is not None:
-        cstride = 1 << (q - 1 - op.control)
-        mask0 &= (idx & cstride) != 0
-    i0 = idx[mask0]
-    i1 = i0 + stride
-    a0 = batch[:, i0]
-    a1 = batch[:, i1]
-    batch[:, i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    batch[:, i1] = mat[1, 0] * a0 + mat[1, 1] * a1
+def _compile(circuit: CircuitSpec) -> _Plan:
+    """Group the gates into fused runs and lay out each step's view."""
+    q = circuit.num_qubits
+    rows = [(circuit.num_params, _I2, _O2, _O2)]
+    runs, steps, pending = [], [], {}
+
+    def row(op):
+        if op.param_slot is None:
+            rows.append((circuit.num_params, _H if op.kind == Gate.H else _X, _O2, _O2))
+        else:
+            rows.append((op.param_slot, _O2, _I2, _SIN_PART[op.kind]))
+        return len(rows) - 1
+
+    def flush(qubit):
+        run = pending.pop(qubit, None)
+        if run:
+            steps.append((None, (-1, 2, 1 << (q - 1 - qubit)), (_ALL, 0), (_ALL, 1), len(runs)))
+            runs.append(run)
+
+    for op in circuit.gates:
+        if op.control is None:
+            pending.setdefault(op.target, []).append(row(op))
+            continue
+        flush(op.control)
+        flush(op.target)
+        # axis 1 is the higher-order qubit of the pair, axis 3 the lower-order one
+        hi, lo = sorted((op.control, op.target))
+        shape = (-1, 2, 1 << (lo - hi - 1), 2, 1 << (q - 1 - lo))
+        i0, i1 = ((_ALL, 1, _ALL, b) if op.control == hi else (_ALL, b, _ALL, 1) for b in (0, 1))
+        if op.kind in (Gate.CNOT, Gate.CZ):
+            steps.append((op.kind, shape, i0, i1, None))
+        else:
+            steps.append((None, shape, i0, i1, len(runs)))
+            runs.append([row(op)])
+    for qubit in sorted(pending):
+        flush(qubit)
+
+    slots, const, cos_part, sin_part = (np.array(col) for col in zip(*rows))
+    width = max(map(len, runs), default=1)
+    runs = np.array([r + [0] * (width - len(r)) for r in runs], dtype=np.int64)
+    return _Plan(slots, const, cos_part, sin_part, runs.reshape(-1, width), tuple(steps))
+
+
+def _compiled(circuit: CircuitSpec) -> _Plan:
+    """The circuit's plan, compiled on first use and kept on the frozen spec."""
+    plan = circuit.__dict__.get("_plan")
+    if plan is None:
+        plan = _compile(circuit)
+        object.__setattr__(circuit, "_plan", plan)
+    return plan
 
 
 def apply_circuit_batch(
@@ -210,13 +266,38 @@ def apply_circuit_batch(
             f"expected {circuit.num_params} parameters, got {params.shape}"
         )
     q = circuit.num_qubits
-    batch = np.array(states, dtype=np.complex128)
+    batch = np.array(states, dtype=np.complex128, order="C")  # reshapes below must be views
     if batch.ndim != 2 or batch.shape[1] != 2**q:
         raise SimulationError(
             f"batch shape {batch.shape} incompatible with {q}-qubit circuit"
         )
-    for op in circuit.gates:
-        _apply_gate_batch(batch, op, params, q)
+    plan = _compiled(circuit)
+    half = 0.5 * np.append(params, 0.0)[plan.slots][:, None, None]
+    mats = plan.const + np.cos(half) * plan.cos_part + np.sin(half) * plan.sin_part
+    fused = mats[plan.runs[:, 0]]
+    for col in plan.runs.T[1:]:
+        fused = mats[col] @ fused
+    coeffs = fused.reshape(-1, 4).tolist()
+
+    scratch = np.empty(batch.size // 2, dtype=np.complex128)
+    for action, shape, i0, i1, run in plan.steps:
+        view = batch.reshape(shape)
+        x0, x1 = view[i0], view[i1]
+        if action is Gate.CZ:
+            np.negative(x1, out=x1)
+            continue
+        tmp = scratch[: x0.size].reshape(x0.shape)
+        if action is Gate.CNOT:
+            np.copyto(tmp, x0)
+            np.copyto(x0, x1)
+            np.copyto(x1, tmp)
+            continue
+        m00, m01, m10, m11 = coeffs[run]
+        np.multiply(x0, m00, out=tmp)
+        tmp += m01 * x1
+        x1 *= m11
+        x1 += m10 * x0
+        np.copyto(x0, tmp)
     return batch
 
 

@@ -266,6 +266,17 @@ class TestTracker:
         with pytest.raises(ValueError):
             tracker.add_input([0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        prof = StateProfile(lower=[0.1, 0.1], upper=[0.9, 0.9])
+        tracker = CoverageTracker(prof, CoverageConfig(k_cells=5))
+        for call in (tracker.peek_input, tracker.add_input):
+            with pytest.raises(ValueError, match="probability vector"):
+                call([0.5, bad])
+        assert tracker.num_inputs == 0
+        assert not tracker.cells.any() and not tracker.corners.any()
+        assert not tracker.top_states.any()
+
     def test_degenerate_state_single_cell(self):
         prof = StateProfile(lower=[0.3, 0.3], upper=[0.3, 0.9])
         tracker = CoverageTracker(prof, CoverageConfig(k_cells=10))

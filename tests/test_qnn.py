@@ -237,6 +237,25 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_out_of_range_readout_qubit_rejected(self, tmp_path):
+        import json
+
+        model = build_model(
+            EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2, seed=0
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["readout_qubits"] = [0, 7]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="readout_qubits"):
+            load_model(path)
+        with pytest.raises(ValueError, match="readout_qubits"):
+            build_model(
+                EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2,
+                readout_qubits=(-1, 0),
+            )
+
     def test_missing_field_names_path(self, tmp_path):
         import json
 

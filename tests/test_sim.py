@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statecov.qnn import ANSATZ_PRESETS, ENTANGLEMENTS, AnsatzSpec, build_ansatz_circuit
 from statecov.sim import (
     CircuitSpec,
     Gate,
     GateOp,
     SimulationError,
     Statevector,
+    _compiled,
     apply_circuit,
+    apply_circuit_batch,
     exact_probabilities,
     fidelity,
     haar_random_state,
@@ -74,6 +77,118 @@ class TestApplyCircuit:
         circ = CircuitSpec(1, (GateOp(Gate.RX, target=0, param_slot=0),), 1)
         with pytest.raises(SimulationError):
             apply_circuit(Statevector.zero(1), circ, [0.1, 0.2])
+
+
+def random_rows(rng, n, q):
+    """n unnormalized complex amplitude rows; the kernel is linear in each row."""
+    return rng.standard_normal((n, 2**q)) + 1j * rng.standard_normal((n, 2**q))
+
+
+class TestCompiledKernel:
+    """Property tests of the compiled kernel against the dense-matrix oracle."""
+
+    @given(
+        q=st.integers(1, 7),
+        n=st.integers(1, 5),
+        num_gates=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_dense_oracle(self, q, n, num_gates, seed):
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates=num_gates)
+        states = random_rows(rng, n, q)
+        out = apply_circuit_batch(states, circuit, params)
+        dense = states @ dense_circuit_matrix(circuit, params).T
+        assert out.shape == (n, 2**q)
+        assert np.max(np.abs(out - dense)) < 1e-10
+
+    @given(q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_long_single_qubit_runs_fuse(self, q, seed):
+        # 30 gates on at most 3 qubits leave runs of consecutive gates on one qubit
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates=30)
+        steps = len(_compiled(circuit).steps)
+        assert steps == 1 if q == 1 else steps <= len(circuit.gates)
+        states = random_rows(rng, 2, q)
+        dense = states @ dense_circuit_matrix(circuit, params).T
+        assert np.max(np.abs(apply_circuit_batch(states, circuit, params) - dense)) < 1e-10
+
+    @given(
+        kind=st.sampled_from([Gate.CRX, Gate.CRY, Gate.CRZ, Gate.CNOT, Gate.CZ]),
+        q=st.integers(2, 6),
+        pair=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),
+        theta=st.floats(-2 * np.pi, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_controlled_gates_either_order(self, kind, q, pair, theta, seed):
+        control, target = pair[0] % q, pair[1] % q
+        if control == target:
+            target = (control + 1) % q
+        slot = 0 if kind in (Gate.CRX, Gate.CRY, Gate.CRZ) else None
+        gates = (
+            GateOp(Gate.H, target=control),
+            GateOp(kind, target=target, control=control, param_slot=slot),
+        )
+        circuit = CircuitSpec(q, gates, 0 if slot is None else 1)
+        params = np.array([] if slot is None else [theta])
+        states = random_rows(np.random.default_rng(seed), 3, q)
+        dense = states @ dense_circuit_matrix(circuit, params).T
+        assert np.max(np.abs(apply_circuit_batch(states, circuit, params) - dense)) < 1e-10
+
+    @pytest.mark.parametrize("preset", ANSATZ_PRESETS)
+    @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+    @given(q=st.integers(1, 6), layers=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_every_ansatz_preset(self, preset, entanglement, q, layers, seed):
+        rng = np.random.default_rng(seed)
+        circuit = build_ansatz_circuit(AnsatzSpec(preset, layers, entanglement), q)
+        params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
+        states = random_rows(rng, 2, q)
+        dense = states @ dense_circuit_matrix(circuit, params).T
+        assert np.max(np.abs(apply_circuit_batch(states, circuit, params) - dense)) < 1e-10
+
+    @pytest.mark.parametrize("entanglement", ENTANGLEMENTS)
+    def test_layer_costs_q_plus_e_applications(self, entanglement):
+        q, layers = 5, 3
+        circuit = build_ansatz_circuit(AnsatzSpec("layered", layers, entanglement), q)
+        entangling = len(circuit.gates) // layers - 3 * q
+        assert len(_compiled(circuit).steps) == layers * (q + entangling)
+
+    @given(
+        q=st.integers(1, 7),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_equals_row_by_row_and_input_unmodified(self, q, n, seed):
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates=20)
+        states = random_rows(rng, n, q)
+        before = states.copy()
+        batched = apply_circuit_batch(states, circuit, params)
+        assert np.array_equal(states, before)
+        fortran = np.asfortranarray(states)
+        assert np.array_equal(apply_circuit_batch(fortran, circuit, params), batched)
+        assert np.array_equal(fortran, before)
+        for i in range(n):
+            row = apply_circuit_batch(states[i : i + 1], circuit, params)[0]
+            assert np.max(np.abs(batched[i] - row)) < 1e-12
+        assert np.array_equal(states, before)
+
+    def test_plan_kept_on_spec_without_changing_equality(self):
+        circuit = build_ansatz_circuit(AnsatzSpec("layered", 1, "linear"), 3)
+        twin = build_ansatz_circuit(AnsatzSpec("layered", 1, "linear"), 3)
+        plan = _compiled(circuit)
+        assert _compiled(circuit) is plan
+        assert circuit == twin and hash(circuit) == hash(twin)
+
+    def test_empty_batch(self):
+        circuit = build_ansatz_circuit(AnsatzSpec("layered", 1, "cyclic"), 3)
+        out = apply_circuit_batch(np.zeros((0, 8)), circuit, np.zeros(circuit.num_params))
+        assert out.shape == (0, 8)
 
 
 class TestGateOpValidation:
