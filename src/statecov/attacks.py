@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gradients import input_grad, score_input_grads
-from .qnn import LabeledDataset, QnnModel, forward
+from .gradients import input_grads
+from .qnn import LabeledDataset, QnnModel, cross_entropy_grad, forward_batch
 
 __all__ = [
     "AttackConfig",
@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 ATTACK_KINDS = ("random", "fgsm", "jsma")
+GRAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,81 @@ class AttackConfig:
             raise ValueError("gamma must be in (0, 1]")
 
 
+def _perturb_rows(xs: np.ndarray, epsilon: float, seeds) -> np.ndarray:
+    """Row i plus U(-eps, eps) noise drawn from seeds[i], clipped back to [0, 1]."""
+    noise = np.array(
+        [np.random.default_rng(s).uniform(-epsilon, epsilon, size=xs.shape[1]) for s in seeds]
+    )
+    return np.clip(xs + noise.reshape(xs.shape), 0.0, 1.0)
+
+
+def _rounding_zeroed(grads: np.ndarray) -> np.ndarray:
+    """grads with entries below GRAD_RTOL of their row's largest set to zero.
+
+    A feature outside the readout qubits' light cone has an exact gradient
+    of zero, which the sweep returns as rounding noise of either sign; it
+    must move neither an FGSM step nor a JSMA choice.
+    """
+    scale = np.abs(grads).max(axis=1, keepdims=True)
+    return np.where(np.abs(grads) > GRAD_RTOL * scale, grads, 0.0)
+
+
+def _fgsm_rows(model: QnnModel, xs: np.ndarray, labels: np.ndarray, epsilon: float) -> np.ndarray:
+    """One sign-gradient step per row: one forward pass and one adjoint sweep."""
+    if epsilon == 0.0:
+        return xs.copy()
+    _, grads = input_grads(model, xs, lambda scores: cross_entropy_grad(scores, labels))
+    return np.clip(xs + epsilon * np.sign(_rounding_zeroed(grads)), 0.0, 1.0)
+
+
+def _jsma_rows(model: QnnModel, xs: np.ndarray, labels: np.ndarray, theta: float, gamma: float):
+    """JSMA on every row at once; each round costs one forward pass and one
+    adjoint sweep over the rows still being attacked."""
+    adv = xs.copy()
+    touched = np.zeros(adv.shape, dtype=bool)
+    rows = np.arange(adv.shape[0])
+    for _ in range(math.ceil(gamma * adv.shape[1])):
+        if not rows.size:
+            break
+        idx, truth = np.arange(rows.size), labels[rows]
+
+        def runner_up_margin(scores):
+            # weights of score[runner-up class] - score[true class]
+            order = np.argsort(scores, axis=1)[:, ::-1]
+            target = np.where(order[:, 0] != truth, order[:, 0], order[:, 1])
+            w = np.zeros_like(scores)
+            w[idx, target] += 1.0
+            w[idx, truth] -= 1.0
+            return w
+
+        scores, saliency = input_grads(model, adv[rows], runner_up_margin)
+        saliency = _rounding_zeroed(saliency)
+        saliency[touched[rows]] = -np.inf
+        best = np.argmax(saliency, axis=1)
+        live = (np.argmax(scores, axis=1) == truth) & (saliency[idx, best] > 0)
+        rows, best = rows[live], best[live]
+        adv[rows, best] = np.minimum(1.0, adv[rows, best] + theta)
+        touched[rows, best] = True
+    return adv
+
+
+def _flipped(model: QnnModel, xs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row, whether the model's argmax class differs from the label."""
+    _, scores = forward_batch(model, xs)
+    return np.argmax(scores, axis=1) != labels
+
+
 def random_perturb(x, epsilon: float, seed: int) -> np.ndarray:
     """x + U(-eps, eps) noise per feature, clipped back to [0, 1]."""
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    noise = rng.uniform(-epsilon, epsilon, size=x.shape)
-    return np.clip(x + noise, 0.0, 1.0)
-
-
-def _predicted(model: QnnModel, x: np.ndarray) -> int:
-    _, scores = forward(model, x)
-    return int(np.argmax(scores))
+    return _perturb_rows(x.reshape(1, -1), epsilon, [seed]).reshape(x.shape)
 
 
 def fgsm(model: QnnModel, x, label: int, epsilon: float):
     """Single-step sign-gradient attack; returns (x', success flag)."""
-    x = np.asarray(x, dtype=np.float64)
-    if epsilon == 0.0:
-        adv = x.copy()
-    else:
-        grad = input_grad(model, x, label)
-        adv = np.clip(x + epsilon * np.sign(grad), 0.0, 1.0)
-    return adv, _predicted(model, adv) != label
+    labels = np.array([label])
+    adv = _fgsm_rows(model, np.asarray(x, dtype=np.float64)[None, :], labels, epsilon)
+    return adv[0], bool(_flipped(model, adv, labels)[0])
 
 
 def jsma(model: QnnModel, x, label: int, theta: float = 1.0, gamma: float = 0.1):
@@ -73,44 +127,25 @@ def jsma(model: QnnModel, x, label: int, theta: float = 1.0, gamma: float = 0.1)
     gradient most favors the runner-up class over the true class, until the
     prediction flips or ceil(gamma * d) features have been modified.
     """
-    x = np.asarray(x, dtype=np.float64)
-    adv = x.copy()
-    budget = math.ceil(gamma * x.size)
-    touched: set = set()
-    while len(touched) < budget:
-        _, scores = forward(model, adv)
-        if int(np.argmax(scores)) != label:
-            break
-        order = np.argsort(scores)[::-1]
-        target = int(order[0]) if int(order[0]) != label else int(order[1])
-        grads = score_input_grads(model, adv)
-        saliency = grads[target] - grads[label]
-        saliency[list(touched)] = -np.inf
-        best = int(np.argmax(saliency))
-        if saliency[best] <= 0:
-            break
-        adv[best] = min(1.0, adv[best] + theta)
-        touched.add(best)
-    return adv, _predicted(model, adv) != label
+    labels = np.array([label])
+    adv = _jsma_rows(model, np.asarray(x, dtype=np.float64)[None, :], labels, theta, gamma)
+    return adv[0], bool(_flipped(model, adv, labels)[0])
 
 
 def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
-    """Attack every row of a dataset; returns (adversarial dataset, asr)."""
-    adv_rows = np.empty_like(data.features)
-    successes = 0
-    for i in range(len(data)):
-        x, label = data.features[i], int(data.labels[i])
-        if config.kind == "random":
-            adv = random_perturb(x, config.epsilon, config.seed + i)
-            ok = _predicted(model, adv) != label
-        elif config.kind == "fgsm":
-            adv, ok = fgsm(model, x, label, config.epsilon)
-        else:
-            adv, ok = jsma(model, x, label, config.theta, config.gamma)
-        adv_rows[i] = adv
-        successes += int(ok)
-    asr = successes / len(data) if len(data) else 0.0
-    return LabeledDataset(adv_rows, data.labels.copy(), data.class_names), asr
+    """Attack every row of a dataset as one batch; returns (adversarial dataset, asr).
+
+    Row i of the random attack draws its noise from seed config.seed + i.
+    """
+    xs, labels = data.features, data.labels
+    if config.kind == "random":
+        adv = _perturb_rows(xs, config.epsilon, config.seed + np.arange(len(data)))
+    elif config.kind == "fgsm":
+        adv = _fgsm_rows(model, xs, labels, config.epsilon)
+    else:
+        adv = _jsma_rows(model, xs, labels, config.theta, config.gamma)
+    asr = float(_flipped(model, adv, labels).mean()) if len(data) else 0.0
+    return LabeledDataset(adv, labels.copy(), data.class_names), asr
 
 
 def save_attack_suite(

@@ -94,6 +94,8 @@ def _load_dataset(path):
         return load_csv(path)
     except FileNotFoundError:
         raise ConfigError(f"dataset not found: {path}")
+    except ValueError as exc:  # malformed file: a usage error, not an internal one
+        raise ConfigError(str(exc))
 
 
 def _load_model_checked(path):
@@ -103,6 +105,8 @@ def _load_model_checked(path):
         return load_model(path)
     except FileNotFoundError:
         raise ConfigError(f"model not found: {path}")
+    except ValueError as exc:  # malformed file: a usage error, not an internal one
+        raise ConfigError(str(exc))
 
 
 def _load_profile_checked(path):
@@ -112,6 +116,8 @@ def _load_profile_checked(path):
         return StateProfile.from_json(path)
     except FileNotFoundError:
         raise ConfigError(f"profile not found: {path}")
+    except ValueError as exc:  # malformed file: a usage error, not an internal one
+        raise ConfigError(str(exc))
 
 
 def cmd_train(args) -> int:

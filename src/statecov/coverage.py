@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .qnn import LabeledDataset, QnnModel, forward_batch
-from .sim import Statevector, sample_probabilities
+from .sim import sample_frequencies
 
 __all__ = [
     "StateProfile",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("raw", "sigma", "mad")
+PROFILE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -60,7 +61,12 @@ class StateProfile:
         for name in ("sigma", "mad_lower", "mad_upper"):
             val = getattr(self, name)
             if val is not None:
-                setattr(self, name, np.asarray(val, dtype=np.float64))
+                val = np.asarray(val, dtype=np.float64)
+                if val.shape != self.lower.shape:
+                    raise ValueError(
+                        f"{name}: expected {self.lower.shape[0]} values, got {val.size}"
+                    )
+                setattr(self, name, val)
         if (self.mad_lower is None) != (self.mad_upper is None):
             raise ValueError("mad bounds must be set together")
         if self.mad_lower is not None:
@@ -75,7 +81,7 @@ class StateProfile:
 
     def to_json(self, path) -> None:
         doc = {
-            "format_version": 1,
+            "format_version": PROFILE_FORMAT_VERSION,
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
             "sigma": None if self.sigma is None else self.sigma.tolist(),
@@ -91,6 +97,12 @@ class StateProfile:
     def from_json(cls, path) -> "StateProfile":
         with open(path) as fh:
             doc = json.load(fh)
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != PROFILE_FORMAT_VERSION:
+            raise ValueError(f"format_version: unsupported profile version {version!r}")
+        for key in ("lower", "upper"):
+            if key not in doc:
+                raise ValueError(f"missing field: {key}")
         return cls(
             lower=doc["lower"],
             upper=doc["upper"],
@@ -282,9 +294,8 @@ def collect_prob_vectors(
         return probs
     base = 0 if seed is None else seed
     sampled = np.empty_like(probs)
-    for i in range(probs.shape[0]):
-        state = Statevector(model.num_qubits, np.sqrt(probs[i]).astype(np.complex128))
-        sampled[i] = sample_probabilities(state, shots, base + i).probs
+    for i, row in enumerate(probs):
+        sampled[i] = sample_frequencies(row, shots, base + i)
     return sampled
 
 

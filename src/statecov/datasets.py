@@ -85,13 +85,26 @@ def load_csv(path) -> LabeledDataset:
             raise ValueError(f"{path}: expected header ending in 'label'")
         feats = []
         labels = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            try:
+                feats.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.asarray(feats), np.asarray(labels))
+    feats = np.asarray(feats)
+    bad = np.argwhere(~((feats >= 0.0) & (feats <= 1.0)))  # NaN fails both tests
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}:{linenos[r]}: column {header[c]}: feature {float(feats[r, c])!r} "
+            "is not a number in [0, 1]"
+        )
+    return LabeledDataset(feats, np.asarray(labels))

@@ -1,5 +1,11 @@
-"""Gradients of circuit outputs: parameter-shift for gate angles, analytic
-and shift-based paths for classical inputs, and a finite-difference oracle."""
+"""Gradients of circuit outputs.
+
+One adjoint engine computes every production gradient: sim.adjoint_sweep
+walks the compiled circuit backwards once after one forward pass, giving the
+gate-angle gradient that qnn.train uses and the costate at the encoded input
+that input_grads chains through the encoder into feature gradients.
+param_shift_grad and finite_diff_grad are independent oracles for tests.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +13,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qnn import QnnModel, encode_batch, softmax, z_sign_matrix
-from .sim import ROTATION_GATES, adjoint_circuit, apply_circuit_batch
+from .qnn import QnnModel, _backprop, cross_entropy_grad, encode_batch, z_sign_matrix
+from .sim import ROTATION_GATES, apply_circuit_batch
 
 __all__ = [
     "GradientError",
     "finite_diff_grad",
     "param_shift_grad",
+    "input_grads",
     "score_input_grads",
     "input_grad",
 ]
@@ -77,64 +84,49 @@ def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np
     return grad
 
 
-def _angle_score_input_grads(model: QnnModel, x: np.ndarray) -> np.ndarray:
-    """Score gradients w.r.t. features via parameter shift on the encoding
-    rotations, chained through the feature-to-angle scaling x -> pi x. The
-    2d shifted encodings run through the circuit as one batch."""
-    from .qnn import _angle_state_batch
+def _pullback(model: QnnModel, xs: np.ndarray, states: np.ndarray, lam0: np.ndarray) -> np.ndarray:
+    """Chain the input costate lam0 = dL/d conj(phi) of each encoded row phi
+    through the encoder, giving dL/dx per row."""
+    n, d = xs.shape
+    lam, phi = lam0.real, states.real  # phi is real, so only Re lam0 reaches x
+    if model.encoder.kind == "angle":
+        # phi is the product of RY(pi x_i)|0> = (cos(pi x_i/2), sin(pi x_i/2)), so
+        # dphi/dx_i = (pi/2) A_i phi with A_i = [[0, -1], [1, 0]] on qubit i and
+        # dL/dx_i = pi <lam0, A_i phi>.
+        grads = np.empty((n, d))
+        for i in range(d):
+            l, p = (a.reshape(n, 1 << i, 2, 1 << (d - 1 - i)) for a in (lam, phi))
+            grads[:, i] = (l[:, :, 1] * p[:, :, 0] - l[:, :, 0] * p[:, :, 1]).sum(axis=(1, 2))
+        return np.pi * grads
+    # phi = v / |v| with v the zero-padded input: dL/dv = 2 (Re lam0 - (phi . Re lam0) phi) / |v|,
+    # which for a score is the Rayleigh-quotient gradient 2 (B v - E v) / |v|^2.
+    norms = np.linalg.norm(xs, axis=1)[:, None]
+    full = 2.0 * (lam - (phi * lam).sum(axis=1, keepdims=True) * phi) / norms
+    return full[:, :d]
 
-    shifts = np.pi / 2.0 * np.eye(x.size)
-    angles = np.concatenate([np.pi * x + shifts, np.pi * x - shifts])
-    out = apply_circuit_batch(_angle_state_batch(angles), model.circuit, model.params)
-    scores = z_sign_matrix(model.readout_qubits, model.num_qubits) @ (np.abs(out.T) ** 2)
-    return np.pi * (scores[:, : x.size] - scores[:, x.size :]) / 2.0
 
-
-def _amplitude_score_input_grads(model: QnnModel, x: np.ndarray) -> np.ndarray:
-    """Analytic score gradients through the normalize-and-embed encoding.
-
-    With v the zero-padded raw input, the score is the Rayleigh quotient
-    E(v) = v^T B v / v^T v with B = Re(U^dag Z_c U); its gradient is
-    2 (B v - E v) / ||v||^2. B v is computed with one forward and one
-    adjoint circuit application per class.
+def input_grads(model: QnnModel, xs: np.ndarray, weigh: Callable) -> tuple:
+    """Class scores of a batch of feature rows and, per row r, the gradient
+    w.r.t. its raw features of sum_c w[r, c] score_c(x_r), where
+    w = weigh(scores) is read off the same forward pass. One forward pass and
+    one adjoint sweep serve the batch. Returns (scores (n, C), grads (n, d)).
     """
-    dim = 2**model.num_qubits
-    v = np.zeros(dim)
-    v[: x.size] = x
-    norm_sq = float(v @ v)
-    if norm_sq == 0.0:
+    xs = np.asarray(xs, dtype=np.float64)
+    if model.encoder.kind == "amplitude" and np.any(~xs.any(axis=1)):
         raise GradientError("input gradient undefined for all-zero amplitude input")
-
-    out = apply_circuit_batch(v[None, :].astype(np.complex128), model.circuit, model.params)[0]
-    signs = z_sign_matrix(model.readout_qubits, model.num_qubits)
-    adj, sign_mask = adjoint_circuit(model.circuit)
-    adj_params = sign_mask * model.params
-
-    grads = np.empty((model.num_classes, x.size))
-    for c in range(model.num_classes):
-        z_out = signs[c] * out
-        a = apply_circuit_batch(z_out[None, :], adj, adj_params)[0]
-        bv = np.real(a)
-        e_c = float(v @ bv) / norm_sq
-        full = 2.0 * (bv - e_c * v) / norm_sq
-        grads[c] = full[: x.size]
-    return grads
+    states = encode_batch(model.encoder, xs, model.num_qubits)
+    scores, _, lam0 = _backprop(model, states, model.params, weigh)
+    return scores, _pullback(model, xs, states, lam0)
 
 
 def score_input_grads(model: QnnModel, x: Sequence[float]) -> np.ndarray:
     """(num_classes, d) Jacobian of class scores w.r.t. raw features."""
-    x = np.asarray(x, dtype=np.float64)
-    if model.encoder.kind == "angle":
-        return _angle_score_input_grads(model, x)
-    return _amplitude_score_input_grads(model, x)
+    c = model.num_classes
+    xs = np.repeat(np.asarray(x, dtype=np.float64)[None, :], c, axis=0)
+    return input_grads(model, xs, lambda scores: np.eye(c))[1]
 
 
 def input_grad(model: QnnModel, x: Sequence[float], label: int) -> np.ndarray:
     """Gradient of the softmax cross-entropy loss w.r.t. raw input features."""
-    x = np.asarray(x, dtype=np.float64)
-    from .qnn import forward
-
-    _, scores = forward(model, x)
-    resid = softmax(scores)
-    resid[label] -= 1.0
-    return resid @ score_input_grads(model, x)
+    xs = np.asarray(x, dtype=np.float64)[None, :]
+    return input_grads(model, xs, lambda scores: cross_entropy_grad(scores, [label]))[1][0]

@@ -19,8 +19,9 @@ from .sim import (
     GateOp,
     ProbVector,
     Statevector,
+    adjoint_sweep,
     apply_circuit_batch,
-    sample_probabilities,
+    sample_frequencies,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "predict",
     "softmax",
     "cross_entropy",
+    "cross_entropy_grad",
     "train",
     "save_model",
     "load_model",
@@ -146,6 +148,17 @@ class QnnModel:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
+        dim = self.encoder.input_dim
+        if self.encoder.kind == "angle" and dim != self.num_qubits:
+            raise ValueError(
+                f"encoder.input_dim {dim} must equal num_qubits {self.num_qubits} "
+                "for angle encoding"
+            )
+        if self.encoder.kind == "amplitude" and dim > 2**self.num_qubits:
+            raise ValueError(
+                f"encoder.input_dim {dim} exceeds 2^num_qubits = {2**self.num_qubits} "
+                "for amplitude encoding"
+            )
         if len(self.readout_qubits) != self.num_classes:
             raise ValueError("one readout qubit per class is required")
         if len(set(self.readout_qubits)) != len(self.readout_qubits):
@@ -178,10 +191,6 @@ def build_model(
     seed: int = 0,
 ) -> QnnModel:
     """Assemble an untrained model with uniformly random initial angles."""
-    if encoder.kind == "angle" and encoder.input_dim != num_qubits:
-        raise ValueError("angle encoding requires input_dim == num_qubits")
-    if encoder.kind == "amplitude" and encoder.input_dim > 2**num_qubits:
-        raise ValueError("amplitude encoding requires input_dim <= 2^q")
     circuit = build_ansatz_circuit(ansatz, num_qubits)
     if readout_qubits is None:
         readout_qubits = tuple(range(num_classes))
@@ -233,7 +242,7 @@ def _angle_state_batch(angles: np.ndarray) -> np.ndarray:
         c = np.cos(angles[:, i] / 2.0)
         s = np.sin(angles[:, i] / 2.0)
         pair = np.stack([c, s], axis=1)
-        states = (states[:, :, None] * pair[:, None, :]).reshape(n, -1)
+        states = (states[:, :, None] * pair[:, None, :]).reshape(n, 2 << i)
     return states.astype(np.complex128)
 
 
@@ -315,8 +324,8 @@ def forward(
     if shots is None:
         pv = ProbVector(probs[0], shots=None)
     else:
-        state = Statevector(model.num_qubits, np.sqrt(probs[0]).astype(np.complex128))
-        pv = sample_probabilities(state, shots, 0 if seed is None else seed)
+        freqs = sample_frequencies(probs[0], shots, 0 if seed is None else seed)
+        pv = ProbVector(freqs, shots=shots)
     scores = scores_from_probs(pv.probs, model.readout_qubits, model.num_qubits)
     return pv, scores
 
@@ -340,6 +349,13 @@ def cross_entropy(scores: np.ndarray, label: int) -> float:
     return float(-np.log(max(p[label], 1e-300)))
 
 
+def cross_entropy_grad(scores: np.ndarray, labels) -> np.ndarray:
+    """Per-row gradient of the cross-entropy w.r.t. the scores: softmax minus one-hot."""
+    resid = softmax(scores)
+    resid[np.arange(resid.shape[0]), labels] -= 1.0
+    return resid
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -360,23 +376,15 @@ def _batch_loss(probs_scores, labels):
     return float(-np.log(np.maximum(p[np.arange(n), labels], 1e-300)).mean())
 
 
-def _param_gradient(model, states, labels, params):
-    """Mean loss gradient over an encoded batch via the parameter-shift rule."""
+def _backprop(model, states, params, weigh) -> tuple:
+    """One forward pass and one adjoint sweep over an encoded batch for
+    sum_rc w[r, c] score_c(row r), with w = weigh(scores) read off the same
+    pass. Returns (scores, d/dparams, the costate at each encoded row)."""
     signs = z_sign_matrix(model.readout_qubits, model.num_qubits)
     out = apply_circuit_batch(states, model.circuit, params)
     scores = (np.abs(out) ** 2) @ signs.T
-    resid = softmax(scores)
-    resid[np.arange(labels.shape[0]), labels] -= 1.0
-    grad = np.empty(params.shape[0])
-    for j in range(params.shape[0]):
-        shifted = params.copy()
-        shifted[j] = params[j] + np.pi / 2.0
-        sp = (np.abs(apply_circuit_batch(states, model.circuit, shifted)) ** 2) @ signs.T
-        shifted[j] = params[j] - np.pi / 2.0
-        sm = (np.abs(apply_circuit_batch(states, model.circuit, shifted)) ** 2) @ signs.T
-        dscores = (sp - sm) / 2.0
-        grad[j] = float((resid * dscores).sum(axis=1).mean())
-    return grad
+    grad, lam0 = adjoint_sweep(out, (weigh(scores) @ signs) * out, model.circuit, params)
+    return scores, grad, lam0
 
 
 def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
@@ -405,7 +413,10 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            grad = _param_gradient(model, states[idx], labels[idx], params)
+            grad = _backprop(
+                model, states[idx], params,
+                lambda scores: cross_entropy_grad(scores, labels[idx]) / idx.size,
+            )[1]
             if config.optimizer == "sgd":
                 params = params - config.learning_rate * grad
             else:

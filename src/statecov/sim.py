@@ -13,6 +13,11 @@ of the (n, 2^q) batch: a 2x2 matrix mixes the two halves of the
 the control=1 slice of the (n, 2, ..., 2) view, CNOT swaps that slice's
 target halves and CZ negates one of them. A pass allocates one half-state
 scratch buffer that every gate reuses.
+
+adjoint_sweep runs the same kernel backwards with each run's conjugate
+transpose (Jones & Gacon 2020, arXiv:2009.02823): one reverse pass over the
+outputs and their costates yields every gate-angle gradient and the costate
+at the circuit input, whatever the number of parameters.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ __all__ = [
     "SimulationError",
     "apply_circuit",
     "apply_circuit_batch",
+    "adjoint_sweep",
     "exact_probabilities",
     "sample_probabilities",
+    "sample_frequencies",
     "fidelity",
     "haar_random_state",
 ]
@@ -253,12 +260,13 @@ def _compiled(circuit: CircuitSpec) -> _Plan:
     return plan
 
 
-def apply_circuit_batch(
-    states: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
-) -> np.ndarray:
-    """Evolve a (n, 2^q) batch of amplitude rows through the circuit.
+def _evolve(states, circuit: CircuitSpec, params, reverse: bool = False, on_run=None) -> tuple:
+    """Run a C-ordered copy of a (n, 2^q) batch through the circuit's plan.
 
-    Linear in each row; rows need not be normalized. Returns a new array.
+    reverse walks the steps backwards with each fused run's conjugate
+    transpose, which undoes a forward pass. on_run(x0, x1, run), if given,
+    sees the two halves of each run's step just before the run acts on them.
+    Returns (the batch, every plan row's 2x2 matrix at these parameters).
     """
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (circuit.num_params,):
@@ -277,10 +285,12 @@ def apply_circuit_batch(
     fused = mats[plan.runs[:, 0]]
     for col in plan.runs.T[1:]:
         fused = mats[col] @ fused
+    if reverse:
+        fused = fused.conj().transpose(0, 2, 1)
     coeffs = fused.reshape(-1, 4).tolist()
 
     scratch = np.empty(batch.size // 2, dtype=np.complex128)
-    for action, shape, i0, i1, run in plan.steps:
+    for action, shape, i0, i1, run in reversed(plan.steps) if reverse else plan.steps:
         view = batch.reshape(shape)
         x0, x1 = view[i0], view[i1]
         if action is Gate.CZ:
@@ -292,13 +302,62 @@ def apply_circuit_batch(
             np.copyto(x0, x1)
             np.copyto(x1, tmp)
             continue
+        if on_run is not None:
+            on_run(x0, x1, run)
         m00, m01, m10, m11 = coeffs[run]
         np.multiply(x0, m00, out=tmp)
         tmp += m01 * x1
         x1 *= m11
         x1 += m10 * x0
         np.copyto(x0, tmp)
-    return batch
+    return batch, mats
+
+
+def apply_circuit_batch(
+    states: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
+) -> np.ndarray:
+    """Evolve a (n, 2^q) batch of amplitude rows through the circuit.
+
+    Linear in each row; rows need not be normalized. Returns a new array.
+    """
+    return _evolve(states, circuit, params)[0]
+
+
+def adjoint_sweep(
+    states: np.ndarray, costates: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
+) -> tuple:
+    """Reverse-mode derivatives of a real function L of the circuit outputs.
+
+    states are the outputs psi of a forward pass and costates the rows
+    lam = dL/d conj(psi), so dL = 2 Re sum(conj(lam) dpsi). One backward walk
+    undoes every step on psi and lam stacked into one batch. Returns
+    (dL/dparams summed over rows, the costate U^dag lam at the circuit input).
+    """
+    if np.shape(costates) != np.shape(states):
+        raise SimulationError(
+            f"costates {np.shape(costates)} do not match states {np.shape(states)}"
+        )
+    plan = _compiled(circuit)
+    corr = np.zeros((len(plan.runs), 2, 2), dtype=np.complex128)
+
+    def record(x0, x1, run):
+        # C_ab = sum conj(lam_a) psi_b at the run's output; psi is the first
+        # half of every view's leading axis
+        h = x0.shape[0] // 2
+        corr[run] = [[np.vdot(la, pb) for pb in (x0[:h], x1[:h])] for la in (x0[h:], x1[h:])]
+
+    batch, mats = _evolve(np.concatenate([states, costates]), circuit, params, True, record)
+    # In a run R_w ... R_1, rotation R_i = cos(t/2) I + sin(t/2) S_i has
+    # dR_i R_i^dag = S_i / 2, so with A = R_w ... R_{i+1} it adds
+    # 2 Re sum_ab (A (S_i / 2) A^dag)_ab C_ab to its slot. Fixed gates and
+    # padding rows have S = 0 and write to the dummy slot num_params.
+    grad = np.zeros(circuit.num_params + 1)
+    after = np.broadcast_to(_I2, corr.shape)
+    for col in plan.runs.T[::-1]:
+        gen = after @ plan.sin_part[col] @ after.conj().transpose(0, 2, 1)
+        grad += np.bincount(plan.slots[col], np.real(gen * corr).sum(axis=(1, 2)), grad.size)
+        after = after @ mats[col]
+    return grad[:-1], batch[len(states) :]
 
 
 def apply_circuit(
@@ -313,39 +372,26 @@ def apply_circuit(
     return Statevector(state.num_qubits, out)
 
 
-def adjoint_circuit(circuit: CircuitSpec) -> tuple:
-    """Return (circuit', sign mask) whose application undoes the original.
-
-    The adjoint reverses gate order and negates rotation angles; all other
-    gate kinds used here are self-inverse. The returned sign vector maps the
-    original parameter array to the one the adjoint expects.
-    """
-    signs = np.ones(circuit.num_params)
-    for op in circuit.gates:
-        if op.param_slot is not None:
-            signs[op.param_slot] = -1.0
-    rev = CircuitSpec(circuit.num_qubits, tuple(reversed(circuit.gates)), circuit.num_params)
-    return rev, signs
-
-
 def exact_probabilities(state: Statevector) -> ProbVector:
     """Born-rule probabilities |amplitude|^2 of each basis state."""
     return ProbVector(np.abs(state.amplitudes) ** 2, shots=None)
 
 
-def sample_probabilities(state: Statevector, shots: int, rng_seed: int) -> ProbVector:
-    """Finite-shot estimate of the measurement distribution.
-
-    Draws a single multinomial sample of the given size; deterministic for a
-    fixed seed.
-    """
+def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarray:
+    """Relative counts of one seeded multinomial draw of the given size from
+    a probability row (normalized first); deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = exact_probabilities(state).probs
-    p = p / p.sum()
-    rng = np.random.default_rng(rng_seed)
-    counts = rng.multinomial(shots, p)
-    return ProbVector(counts / shots, shots=shots)
+    probs = np.asarray(probs, dtype=np.float64)
+    counts = np.random.default_rng(rng_seed).multinomial(shots, probs / probs.sum())
+    return counts / shots
+
+
+def sample_probabilities(state: Statevector, shots: int, rng_seed: int) -> ProbVector:
+    """Finite-shot estimate of the state's measurement distribution."""
+    return ProbVector(
+        sample_frequencies(exact_probabilities(state).probs, shots, rng_seed), shots=shots
+    )
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

@@ -31,15 +31,20 @@ from statecov.qnn import (
     LabeledDataset,
     build_model,
     cross_entropy,
+    encode_batch,
     forward,
     forward_batch,
+    softmax,
+    z_sign_matrix,
 )
 from statecov.sim import (
     CircuitSpec,
     Gate,
     GateOp,
     Statevector,
+    adjoint_sweep,
     apply_circuit,
+    apply_circuit_batch,
     haar_random_state,
 )
 
@@ -176,17 +181,23 @@ def test_criterion_4_simulator_correctness():
 
 
 def test_criterion_5_gradient_check():
+    # three-way agreement: the adjoint sweep (the production path), the
+    # parameter-shift rule and central finite differences
     t0 = time.monotonic()
     rng = np.random.default_rng(50)
-    worst_param = 0.0
+    worst_param = worst_adjoint = 0.0
     for preset in ("layered", "entangling"):
         model = build_model(
             EncoderSpec("angle", 4), AnsatzSpec(preset, 2, "cyclic"), 4, 2, seed=5
         )
+        signs = z_sign_matrix(model.readout_qubits, 4)
         for _ in range(20):
             model = model.with_params(rng.uniform(-np.pi, np.pi, model.params.size))
             x = rng.uniform(0.1, 0.9, 4)
             grad = param_shift_grad(model, x, 0)
+            states = encode_batch(model.encoder, x, 4)
+            out = apply_circuit_batch(states, model.circuit, model.params)
+            adjoint, _ = adjoint_sweep(out, signs[0] * out, model.circuit, model.params)
 
             def expectation(p, model=model, x=x):
                 _, scores = forward(model.with_params(p), x)
@@ -194,8 +205,10 @@ def test_criterion_5_gradient_check():
 
             fd = finite_diff_grad(expectation, model.params, 1e-4)
             worst_param = max(worst_param, float(np.max(np.abs(grad - fd))))
+            worst_param = max(worst_param, float(np.max(np.abs(adjoint - fd))))
+            worst_adjoint = max(worst_adjoint, float(np.max(np.abs(adjoint - grad))))
 
-    worst_input = 0.0
+    worst_input = worst_input_shift = 0.0
     for encoder, q, d in (("angle", 4, 4), ("amplitude", 3, 8)):
         model = build_model(
             EncoderSpec(encoder, d), AnsatzSpec("layered", 2, "linear"), q, 2, seed=6
@@ -210,12 +223,28 @@ def test_criterion_5_gradient_check():
 
             fd = finite_diff_grad(loss, x, 1e-5)
             worst_input = max(worst_input, float(np.max(np.abs(grad - fd))))
+            if encoder == "angle":
+                # RY(pi x) shifted by pi/2 is x shifted by 1/2
+                _, scores = forward(model, x)
+                resid = softmax(scores)
+                resid[1] -= 1.0
+                shift = np.array([
+                    np.pi * (forward(model, x + h)[1] - forward(model, x - h)[1]) / 2.0
+                    for h in 0.5 * np.eye(d)
+                ])
+                worst_input_shift = max(
+                    worst_input_shift, float(np.max(np.abs(grad - shift @ resid)))
+                )
     _verdict(
         5,
         "gradient check",
-        worst_param < 1e-6 and worst_input < 1e-5,
-        f"param-shift vs FD max err {worst_param:.2e} (20 draws x 2 presets); "
-        f"input grad max err {worst_input:.2e}",
+        worst_param < 1e-6
+        and worst_adjoint < 1e-10
+        and worst_input < 1e-5
+        and worst_input_shift < 1e-10,
+        f"param-shift and adjoint vs FD max err {worst_param:.2e}, adjoint vs "
+        f"param-shift {worst_adjoint:.2e} (20 draws x 2 presets); input grad vs FD "
+        f"{worst_input:.2e}, vs angle shift rule {worst_input_shift:.2e}",
         60.0,
         time.monotonic() - t0,
     )

@@ -146,3 +146,44 @@ class TestAttackSuite:
         assert doc["kind"] == "fgsm"
         assert doc["source_digest"] == toy4_train_data.digest()
         assert doc["asr"] == asr
+
+
+class TestBatchedEqualsPerRow:
+    @pytest.mark.parametrize("fixture", ["toy4", "grid6"])
+    def test_fgsm_suite_equals_per_row(self, fixture, request):
+        model = request.getfixturevalue(f"{fixture}_model")
+        data = request.getfixturevalue(f"{fixture}_train_data")
+        eps = 64 / 255
+        adv, asr = attack_suite(model, data, AttackConfig(kind="fgsm", epsilon=eps))
+        rows = [fgsm(model, x, int(y), eps) for x, y in zip(data.features, data.labels)]
+        assert np.array_equal(adv.features, np.array([r[0] for r in rows]))
+        assert asr == np.mean([r[1] for r in rows])
+
+    @pytest.mark.parametrize("fixture", ["toy4", "grid6"])
+    def test_jsma_suite_equals_per_row(self, fixture, request):
+        model = request.getfixturevalue(f"{fixture}_model")
+        data = request.getfixturevalue(f"{fixture}_train_data").subset(np.arange(0, 80, 4))
+        adv, asr = attack_suite(model, data, AttackConfig(kind="jsma", theta=1.0, gamma=0.5))
+        rows = [jsma(model, x, int(y), 1.0, 0.5) for x, y in zip(data.features, data.labels)]
+        assert np.array_equal(adv.features, np.array([r[0] for r in rows]))
+        assert asr == np.mean([r[1] for r in rows])
+
+    def test_random_suite_equals_per_row_seeds(self, toy4_model, toy4_train_data):
+        cfg = AttackConfig(kind="random", epsilon=0.2, seed=11)
+        adv, _ = attack_suite(toy4_model, toy4_train_data, cfg)
+        rows = [random_perturb(x, 0.2, 11 + i) for i, x in enumerate(toy4_train_data.features)]
+        assert np.array_equal(adv.features, np.array(rows))
+
+    @pytest.mark.parametrize("kind", ["random", "fgsm", "jsma"])
+    def test_empty_suite(self, toy4_model, kind):
+        adv, asr = attack_suite(
+            toy4_model, LabeledDataset(np.zeros((0, 4)), np.zeros(0)), AttackConfig(kind=kind)
+        )
+        assert adv.features.shape == (0, 4) and asr == 0.0
+
+    def test_feature_outside_light_cone_left_alone(self, toy4_model, toy4_train_data):
+        # with linear CNOTs 0->1->2->3 qubit 3 never reaches readout qubits 0
+        # and 1, so its exact gradient is zero and no attack step may move it
+        for cfg in (AttackConfig(kind="fgsm"), AttackConfig(kind="jsma", gamma=1.0)):
+            adv, _ = attack_suite(toy4_model, toy4_train_data, cfg)
+            assert np.array_equal(adv.features[:, 3], toy4_train_data.features[:, 3])

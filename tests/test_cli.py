@@ -65,6 +65,13 @@ class TestTrain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_dataset_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,f2,f3,label\n0.1,nan,0.2,0.3,0\n")
+        code = main(["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad.csv:2: column f1" in capsys.readouterr().err
+
     def test_rerun_from_resolved_config_reproduces(self, trained_dir, tmp_path):
         doc = json.loads((trained_dir / "resolved_config.json").read_text())
         doc.pop("command")

@@ -54,6 +54,34 @@ class TestStateProfile:
         assert loaded.provenance == "abc"
 
 
+    def _written(self, tmp_path, drop=None, **changes):
+        import json
+
+        path = tmp_path / "profile.json"
+        StateProfile(
+            lower=[0.1, 0.2], upper=[0.5, 0.6], sigma=[0.01, 0.02],
+            mad_lower=[0.1, 0.2], mad_upper=[0.5, 0.6],
+        ).to_json(path)
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        doc.pop(drop, None)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_from_json_rejects_unknown_format_version(self, tmp_path):
+        with pytest.raises(ValueError, match="format_version"):
+            StateProfile.from_json(self._written(tmp_path, format_version=99))
+
+    def test_from_json_names_missing_field(self, tmp_path):
+        with pytest.raises(ValueError, match="missing field: upper"):
+            StateProfile.from_json(self._written(tmp_path, drop="upper"))
+
+    @pytest.mark.parametrize("field", ["sigma", "mad_lower", "mad_upper"])
+    def test_from_json_rejects_wrong_length(self, tmp_path, field):
+        with pytest.raises(ValueError, match=field):
+            StateProfile.from_json(self._written(tmp_path, **{field: [0.3]}))
+
+
 class TestProfiling:
     def test_min_max_oracle(self):
         rng = np.random.default_rng(1)
@@ -333,3 +361,23 @@ class TestSuiteEvaluation:
         assert np.array_equal(a, b)
         c = collect_prob_vectors(toy4_model, toy4_train_data, shots=1000, seed=6)
         assert not np.array_equal(a, c)
+
+    def test_sampled_vectors_equal_statevector_round_trip(self, toy4_model, toy4_train_data):
+        # the draws match the earlier sqrt -> Statevector -> square path row by
+        # row (seed base + i) on the seeds the shot tests use
+        from statecov.coverage import collect_prob_vectors
+        from statecov.datasets import gaussian_blobs
+        from statecov.qnn import forward_batch
+        from statecov.sim import Statevector, sample_probabilities
+
+        suite = gaussian_blobs(2, 25, 4, spread=0.12, seed=77)
+        for data, shots, seed in [(toy4_train_data, 1000, 5), (toy4_train_data, 1000, 6)] + [
+            (suite, shots, s) for shots in (100, 1_000, 10_000, 100_000) for s in range(3)
+        ]:
+            probs, _ = forward_batch(toy4_model, data.features)
+            old = [
+                sample_probabilities(Statevector(4, np.sqrt(p) + 0j), shots, seed + i).probs
+                for i, p in enumerate(probs)
+            ]
+            new = collect_prob_vectors(toy4_model, data, shots=shots, seed=seed)
+            assert np.array_equal(new, np.array(old))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from statecov.datasets import gaussian_blobs
 from statecov.gradients import (
     GradientError,
     finite_diff_grad,
@@ -11,10 +14,20 @@ from statecov.gradients import (
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
+    QnnModel,
+    TrainConfig,
+    _backprop,
     build_model,
     cross_entropy,
+    cross_entropy_grad,
+    encode_batch,
     forward,
+    forward_batch,
+    train,
 )
+from statecov.sim import Gate, SimulationError, adjoint_sweep, apply_circuit_batch
+
+from conftest import dense_circuit_matrix, random_circuit
 
 
 def _loss_fn(model, x, label):
@@ -155,3 +168,152 @@ class TestInputGrad:
             else:
                 hi = mid
         assert abs(deriv((lo + hi) / 2)) < 1e-6
+
+
+# -- the adjoint sweep against its oracles -----------------------------------
+
+CONTROLLED_ROTATIONS = {Gate.CRX, Gate.CRY, Gate.CRZ}
+# A controlled rotation's generator has eigenvalues {0, +-1/2}, so its score is
+# a trig polynomial in theta/2 and theta and needs the four-term shift rule
+# (Anselmetti et al. 2021); the two-term rule of param_shift_grad is exact for
+# plain rotations only.
+FOUR_TERM = (
+    (np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
+    (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))),
+)
+
+
+def _random_model(rng, q, num_gates):
+    circuit, params = random_circuit(rng, q, num_gates)
+    classes = min(q, 2)
+    return QnnModel(
+        EncoderSpec("angle", q), AnsatzSpec("layered", 1, "linear"), q, circuit, params,
+        tuple(range(classes)), classes,
+    )
+
+
+def _shift_rule_score_grad(model, x, c):
+    """d score_c / d params: param_shift_grad, with the four-term rule on the
+    slots of controlled rotations."""
+    grad = param_shift_grad(model, x, c)
+    for op in model.circuit.gates:
+        if op.kind in CONTROLLED_ROTATIONS:
+            j, total = op.param_slot, 0.0
+            for shift, coeff in FOUR_TERM:
+                for sign in (1.0, -1.0):
+                    p = model.params.copy()
+                    p[j] += sign * shift
+                    _, scores = forward(model.with_params(p), x)
+                    total += sign * coeff * scores[c]
+            grad[j] = total
+    return grad
+
+
+class TestAdjointSweep:
+    @given(
+        q=st.integers(1, 6),
+        n=st.integers(1, 5),
+        num_gates=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_training_gradient_matches_shift_rules(self, q, n, num_gates, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, q, num_gates)
+        xs = rng.uniform(0, 1, (n, q))
+        labels = rng.integers(0, model.num_classes, n)
+        states = encode_batch(model.encoder, xs, q)
+        _, adjoint, _ = _backprop(
+            model, states, model.params, lambda scores: cross_entropy_grad(scores, labels) / n
+        )
+
+        _, scores = forward_batch(model, xs)
+        resid = cross_entropy_grad(scores, labels)
+        oracle = np.zeros(model.params.size)
+        for r in range(n):
+            for c in range(model.num_classes):
+                oracle += resid[r, c] * _shift_rule_score_grad(model, xs[r], c) / n
+        assert np.max(np.abs(adjoint - oracle), initial=0.0) < 1e-10
+
+    @given(
+        q=st.integers(1, 6),
+        n=st.integers(1, 5),
+        num_gates=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_equals_row_by_row(self, q, n, num_gates, seed):
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates)
+        phi = rng.standard_normal((n, 2**q)) + 1j * rng.standard_normal((n, 2**q))
+        out = apply_circuit_batch(phi, circuit, params)
+        lam = rng.standard_normal((n, 2**q)) * out
+        grad, lam0 = adjoint_sweep(out, lam, circuit, params)
+        rows = [adjoint_sweep(out[r : r + 1], lam[r : r + 1], circuit, params) for r in range(n)]
+        assert np.allclose(grad, sum(g for g, _ in rows), rtol=0, atol=1e-12)
+        assert np.allclose(lam0, np.concatenate([l0 for _, l0 in rows]), rtol=0, atol=1e-12)
+
+    def test_costate_pulls_back_to_the_input(self):
+        # lam0 = U^dag lam, checked against the dense circuit matrix
+        rng = np.random.default_rng(11)
+        circuit, params = random_circuit(rng, 4, 30)
+        out = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        lam = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        _, lam0 = adjoint_sweep(out, lam, circuit, params)
+        dense = dense_circuit_matrix(circuit, params)
+        assert np.max(np.abs(lam0 - lam @ dense.conj())) < 1e-12
+
+    def test_inputs_unmodified_and_shapes_checked(self):
+        rng = np.random.default_rng(12)
+        circuit, params = random_circuit(rng, 3, 10)
+        out = rng.standard_normal((2, 8)) + 0j
+        lam = rng.standard_normal((2, 8)) + 0j
+        before = (out.copy(), lam.copy())
+        adjoint_sweep(out, lam, circuit, params)
+        assert np.array_equal(out, before[0]) and np.array_equal(lam, before[1])
+        with pytest.raises(SimulationError, match="costates"):
+            adjoint_sweep(out, lam[:1], circuit, params)
+
+    @given(
+        encoder_kind=st.sampled_from(["angle", "amplitude"]),
+        q=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_score_jacobian_matches_finite_differences(self, encoder_kind, q, seed):
+        rng = np.random.default_rng(seed)
+        d = q if encoder_kind == "angle" else int(rng.integers(1, 2**q + 1))
+        model = build_model(
+            EncoderSpec(encoder_kind, d), AnsatzSpec("entangling", 2, "full"), q,
+            min(q, 2), seed=int(rng.integers(1 << 30)),
+        )
+        x = rng.uniform(0.1, 0.9, d)
+        jac = score_input_grads(model, x)
+        for c in range(model.num_classes):
+            fd = finite_diff_grad(lambda v, c=c: float(forward(model, v)[1][c]), x, 1e-5)
+            assert np.max(np.abs(jac[c] - fd)) < 1e-7
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_train_step_pass_count_independent_of_parameter_count(self, monkeypatch, layers):
+        # one forward pass and one sweep per step, however many parameters:
+        # guards against a per-parameter loop coming back
+        import statecov.qnn as qnn
+
+        calls = {"apply": 0, "sweep": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(qnn, "apply_circuit_batch", counting("apply", qnn.apply_circuit_batch))
+        monkeypatch.setattr(qnn, "adjoint_sweep", counting("sweep", qnn.adjoint_sweep))
+        model = build_model(
+            EncoderSpec("angle", 3), AnsatzSpec("layered", layers, "linear"), 3, 2, seed=0
+        )
+        data = gaussian_blobs(2, 4, 3, seed=0)
+        train(model, data, TrainConfig(epochs=1, batch_size=2, seed=0))
+        # 4 steps of one pass, one loss pass per epoch, one accuracy pass
+        assert calls == {"apply": 4 + 1 + 1, "sweep": 4}

@@ -256,6 +256,24 @@ class TestPersistence:
                 readout_qubits=(-1, 0),
             )
 
+    def test_encoder_invariants_enforced_on_load(self, tmp_path):
+        import json
+
+        model = build_model(
+            EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2, seed=0
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["encoder"]["input_dim"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="encoder.input_dim"):
+            load_model(path)
+        doc["encoder"] = {"kind": "amplitude", "input_dim": 17}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="encoder.input_dim"):
+            load_model(path)
+
     def test_missing_field_names_path(self, tmp_path):
         import json
 
