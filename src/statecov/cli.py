@@ -58,6 +58,24 @@ def _load_file_config(path):
     return doc
 
 
+def _check_file_value(key, value, default, action) -> None:
+    """Reject a config-file value that its flag would not accept."""
+    if value is None and default is None:
+        return
+    if action.const is True:
+        want, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        want, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        want, ok = "a string", isinstance(value, str)
+    if ok and action.choices and value not in action.choices:
+        want, ok = "one of " + ", ".join(action.choices), False
+    if not ok:
+        raise ConfigError(f"config file: {key} must be {want}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Flag > config-file > built-in default, for every known key."""
     file_cfg = _load_file_config(getattr(args, "config", None))
@@ -67,6 +85,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
+            _check_file_value(key, file_cfg[key], default, args.flags[key])
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
@@ -449,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--haar-samples", dest="haar_samples", type=int)
     p.set_defaults(func=cmd_diversity)
 
+    for p in sub.choices.values():  # config-file values are checked against these
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

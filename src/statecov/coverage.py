@@ -8,6 +8,13 @@ Three criteria are tracked over a test suite:
   * KSC: fraction of major-region cells covered (denominator k * |S|),
   * SCC: fraction of corner regions covered (denominator 2 * |S|),
   * TSC: fraction of basis states appearing in some input's top-k.
+
+CoverageTracker is batch-first. locate() places an (n, S) matrix of
+probability vectors in one vectorized pass (cell per state, corner masks,
+stable top-k), commit() sets every bit those hits reach, and add_batch() does
+both, so a whole suite folds in with no per-input loop and with the same bits
+as adding its rows one at a time. add_input() and peek_input() are batches
+of one; opens() asks whether some hits would set a bit of one kind.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import csv
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -176,6 +183,18 @@ def resolve_boundaries(prof: StateProfile, config: CoverageConfig):
     return prof.mad_lower.copy(), prof.mad_upper.copy()
 
 
+class Hits(NamedTuple):
+    """Where each row of a batch of probability vectors lands."""
+
+    cells: np.ndarray  # (n, S) cell index per state, -1 outside the major region
+    below: np.ndarray  # (n, S) lower-corner mask
+    above: np.ndarray  # (n, S) upper-corner mask
+    top: np.ndarray  # (n, S) top-k mask
+
+    def row(self, i: int) -> "Hits":
+        return Hits(*(a[i : i + 1] for a in self))
+
+
 class CoverageTracker:
     """Incremental, monotone record of covered cells, corners and top states.
 
@@ -193,67 +212,91 @@ class CoverageTracker:
         self.top_states = np.zeros(s, dtype=bool)
         self.num_inputs = 0
 
-    def _locate(self, pv: np.ndarray):
-        """Hits of one probability vector, without committing.
+    def locate(self, pvs) -> Hits:
+        """Hits of an (n, S) matrix of probability vectors, without committing.
 
-        Returns (states, cells, below, above, top): the cell hit by each state
-        inside its major region, the corner masks and the top-k states.
+        One vectorized pass: each state inside its major region gets the cell
+        its probability falls in (a state narrower than epsilon_degenerate
+        has the one cell 0, hit only within epsilon of its boundary), the
+        others fall in a corner, and the top-k states are those a stable
+        argsort on -pv puts first: probability ties break by ascending index.
         """
-        pv = np.asarray(pv, dtype=np.float64)
-        if pv.shape != (self.profile.num_states,):
+        pvs = np.asarray(pvs, dtype=np.float64)
+        s = self.profile.num_states
+        if pvs.ndim != 2 or pvs.shape[1] != s:
             raise ValueError(
-                f"probability vector length {pv.shape} does not match profile "
-                f"({self.profile.num_states} states)"
+                f"probability vectors of shape {pvs.shape} do not match profile ({s} states)"
             )
-        if not np.all(np.isfinite(pv)):
-            raise ValueError("probability vector contains NaN or infinite entries")
+        bad = ~np.isfinite(pvs).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"probability vector {int(np.argmax(bad))} contains NaN or infinite entries"
+            )
         k = self.config.k_cells
         eps = self.config.epsilon_degenerate
         width = self.ub - self.lb
 
-        below = pv < self.lb
-        above = pv > self.ub
+        below = pvs < self.lb
+        above = pvs > self.ub
         inside = ~(below | above)
 
-        cell_hits = np.full(pv.shape[0], -1, dtype=np.int64)
+        cells = np.full(pvs.shape, -1, dtype=np.int64)
         degenerate = inside & (width < eps)
-        cell_hits[degenerate & (np.abs(pv - self.lb) <= eps)] = 0
+        cells[degenerate & (np.abs(pvs - self.lb) <= eps)] = 0
         regular = inside & ~degenerate
-        if np.any(regular):
-            w = width[regular] / k
-            idx = np.floor((pv[regular] - self.lb[regular]) / w).astype(np.int64)
-            cell_hits[regular] = np.minimum(idx, k - 1)  # closed right edge
+        with np.errstate(all="ignore"):  # the degenerate states' quotients are unused
+            idx = np.floor((pvs - self.lb) / (width / k))
+        cells[regular] = np.minimum(idx[regular].astype(np.int64), k - 1)  # closed right edge
 
-        # stable argsort on -pv breaks probability ties by ascending index
-        top = np.argsort(-pv, kind="stable")[: self.config.top_k]
-        (states,) = np.nonzero(cell_hits >= 0)
-        return states, cell_hits[states], below, above, top
+        # the top k: every state above the k-th largest probability, then the
+        # lowest-index states tied with it (a partition, not a full sort)
+        k_top = min(self.config.top_k, s)
+        kth = -np.partition(-pvs, k_top - 1, axis=1)[:, [k_top - 1]]
+        higher = pvs > kth
+        ties = pvs == kth
+        top = higher | ties & (np.cumsum(ties, axis=1) <= k_top - higher.sum(axis=1, keepdims=True))
+        return Hits(cells, below, above, top)
 
-    def _delta(self, hits) -> dict:
-        states, cells, below, above, top = hits
-        return {
-            "new_cell": bool(np.any(~self.cells[states, cells])),
-            "new_corner": bool(
-                np.any(~self.corners[below, 0]) or np.any(~self.corners[above, 1])
-            ),
-            "new_top": bool(np.any(~self.top_states[top])),
-        }
+    def opens(self, hits: Hits, flag: str) -> bool:
+        """Whether committing these hits would set a bit of the given kind
+        ("new_cell", "new_corner" or "new_top")."""
+        if flag == "new_cell":
+            rows, states = np.nonzero(hits.cells >= 0)
+            return not self.cells[states, hits.cells[rows, states]].all()
+        if flag == "new_corner":
+            return bool(
+                (hits.below & ~self.corners[:, 0]).any()
+                or (hits.above & ~self.corners[:, 1]).any()
+            )
+        return bool((hits.top & ~self.top_states).any())
+
+    def commit(self, hits: Hits) -> None:
+        """Set every bit the hits reach; each row counts as one input."""
+        rows, states = np.nonzero(hits.cells >= 0)
+        self.cells[states, hits.cells[rows, states]] = True
+        self.corners[:, 0] |= hits.below.any(axis=0)
+        self.corners[:, 1] |= hits.above.any(axis=0)
+        self.top_states |= hits.top.any(axis=0)
+        self.num_inputs += hits.cells.shape[0]
+
+    def _delta(self, hits: Hits) -> dict:
+        return {flag: self.opens(hits, flag) for flag in ("new_cell", "new_corner", "new_top")}
+
+    def add_batch(self, pvs) -> dict:
+        """Fold all rows of an (n, S) matrix in at once; the delta flags say
+        whether the batch as a whole opened new coverage of each kind."""
+        hits = self.locate(pvs)
+        delta = self._delta(hits)
+        self.commit(hits)
+        return delta
 
     def peek_input(self, pv) -> dict:
         """Delta flags this vector would produce, without mutating the tracker."""
-        return self._delta(self._locate(pv))
+        return self._delta(self.locate([pv]))
 
     def add_input(self, pv) -> dict:
         """Fold one probability vector into the tracker; returns delta flags."""
-        hits = self._locate(pv)
-        delta = self._delta(hits)
-        states, cells, below, above, top = hits
-        self.cells[states, cells] = True
-        self.corners[below, 0] = True
-        self.corners[above, 1] = True
-        self.top_states[top] = True
-        self.num_inputs += 1
-        return delta
+        return self.add_batch([pv])
 
     def merge(self, other: "CoverageTracker") -> None:
         if other.cells.shape != self.cells.shape:
@@ -357,14 +400,12 @@ def coverage_suite(
     shots: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> CoverageReport:
-    """Coverage report for a whole suite; equals incremental add_input folding."""
+    """Coverage report for a whole suite, folded in as one batch."""
     if prof.num_states != 2**model.num_qubits:
         raise ValueError(
             f"profile has {prof.num_states} states but model produces "
             f"{2**model.num_qubits}"
         )
     tracker = CoverageTracker(prof, config)
-    pvs = collect_prob_vectors(model, suite, shots=shots, seed=seed)
-    for pv in pvs:
-        tracker.add_input(pv)
+    tracker.add_batch(collect_prob_vectors(model, suite, shots=shots, seed=seed))
     return tracker.report()

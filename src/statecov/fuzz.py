@@ -3,7 +3,19 @@
 A FIFO queue of seeds is mutated with pixel-level metamorphic operators;
 mutants that misclassify go to the failure set, mutants that open new
 coverage under the chosen criterion are re-enqueued, everything else is
-discarded. A random-testing baseline re-enqueues every surviving mutant.
+discarded. A random-testing baseline re-enqueues each surviving mutant with
+a given probability.
+
+The loop runs one generation at a time: the queue's contents when the
+generation starts, cut to the budget left. Mutants it appends are only popped
+after it, so every item is mutated in queue order with the one rng, all
+mutants are evaluated in one forward_batch and located in one batch, and then
+gated in queue order against the tracker as it is updated. This makes the
+same decisions as taking one mutant at a time. The random baseline draws its
+re-enqueue number only after a mutant that does not fail, so it draws
+speculatively: the rng state is saved before each mutant's draw, and at the
+first failing mutant it is restored and the rest of the generation is
+mutated again from there, at the cost of one more batch per failure.
 """
 
 from __future__ import annotations
@@ -125,6 +137,7 @@ def mutate(seed: FuzzSeed, rng: np.random.Generator, alpha: float) -> FuzzSeed:
 
 
 def _eval_one(model: QnnModel, features: np.ndarray):
+    """Probabilities and prediction of one mutant, as a batch of one."""
     probs, scores = forward_batch(model, features[None, :])
     return probs[0], int(np.argmax(scores[0]))
 
@@ -157,8 +170,7 @@ def _run_loop(
     seeds = _initial_queue(model, initial_seeds)
 
     tracker = CoverageTracker(prof, config.coverage)
-    for pv in collect_prob_vectors(model, initial_seeds):
-        tracker.add_input(pv)
+    tracker.add_batch(collect_prob_vectors(model, initial_seeds))
     coverage_before = tracker.report()
 
     queue = deque(seeds)
@@ -169,24 +181,41 @@ def _run_loop(
     non_failing = 0
     re_enqueued = 0
     while queue and iterations < config.max_iterations:
-        iterations += 1
-        s = queue.popleft()
-        m = mutate(s, rng, config.alpha)
-        pv, pred = _eval_one(model, m.features)
-        if pred != m.label:
-            tracker.add_input(pv)
-            failed.append(m)
-            failing_origins.add(m.origin)
-            continue
-        non_failing += 1
-        if guided:
-            if tracker.peek_input(pv)[flag]:
-                tracker.add_input(pv)
-                queue.append(m)
-                re_enqueued += 1
-        elif rng.random() < reenqueue_prob:
-            queue.append(m)
-            re_enqueued += 1
+        # one generation: mutants it appends are only popped after it
+        todo = [queue.popleft() for _ in range(min(len(queue), config.max_iterations - iterations))]
+        iterations += len(todo)
+        while todo:
+            mutants, draws, draw_states = [], [], []
+            for s in todo:
+                mutants.append(mutate(s, rng, config.alpha))
+                if not guided:  # speculate that the mutant survives and draws its gate
+                    draw_states.append(rng.bit_generator.state)
+                    draws.append(rng.random())
+            probs, scores = forward_batch(model, np.stack([m.features for m in mutants]))
+            preds = np.argmax(scores, axis=1)
+            hits = tracker.locate(probs)
+            done = len(todo)
+            for i, m in enumerate(mutants):
+                row = hits.row(i)
+                if preds[i] != m.label:
+                    tracker.commit(row)
+                    failed.append(m)
+                    failing_origins.add(m.origin)
+                    if not guided:  # no gate draw after a failure: rewind and re-mutate the rest
+                        rng.bit_generator.state = draw_states[i]
+                        done = i + 1
+                        break
+                    continue
+                non_failing += 1
+                if guided:
+                    if tracker.opens(row, flag):
+                        tracker.commit(row)
+                        queue.append(m)
+                        re_enqueued += 1
+                elif draws[i] < reenqueue_prob:
+                    queue.append(m)
+                    re_enqueued += 1
+            todo = todo[done:]
 
     num_initial = len(seeds)
     return FuzzOutcome(

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qnn import QnnModel, _backprop, cross_entropy_grad, encode_batch, z_sign_matrix
-from .sim import ROTATION_GATES, apply_circuit_batch
+from .sim import CONTROLLED_GATES, ROTATION_GATES, apply_circuit_batch
 
 __all__ = [
     "GradientError",
@@ -62,25 +62,36 @@ def _scores_for_params(model, state, params):
     return z_sign_matrix(model.readout_qubits, model.num_qubits) @ probs
 
 
-def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np.ndarray:
-    """Exact gradient of the readout qubit's Z expectation w.r.t. all params.
+# (shift, coefficient) pairs of a shift rule: grad_j = sum c (E(theta_j + s) - E(theta_j - s)).
+# A Pauli rotation's generator has eigenvalues +-1/2, so two terms are exact;
+# a controlled rotation's has {0, +-1/2}, so its expectation also has a
+# frequency-1/2 part and needs four (Anselmetti et al. 2021).
+TWO_TERM = ((np.pi / 2, 0.5),)
+FOUR_TERM = (
+    (np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
+    (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))),
+)
 
-    Pauli-rotation generators have eigenvalues +-1/2, so the shift of pi/2
-    gives grad_j = (E(theta_j + pi/2) - E(theta_j - pi/2)) / 2 exactly.
-    """
+
+def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np.ndarray:
+    """Exact gradient of the readout qubit's Z expectation w.r.t. all params,
+    by the two-term shift rule on plain rotations and the four-term rule on
+    controlled ones."""
     _check_rotation_params(model)
     if not (0 <= observable < model.num_classes):
         raise GradientError(f"observable index {observable} out of range")
     state = encode_batch(model.encoder, np.asarray(x), model.num_qubits)[0]
     params = model.params
-    grad = np.empty(params.shape[0])
+    controlled = {op.param_slot for op in model.circuit.gates if op.kind in CONTROLLED_GATES}
+    grad = np.zeros(params.shape[0])
     for j in range(params.shape[0]):
-        shifted = params.copy()
-        shifted[j] += np.pi / 2.0
-        ep = _scores_for_params(model, state, shifted)[observable]
-        shifted[j] = params[j] - np.pi / 2.0
-        em = _scores_for_params(model, state, shifted)[observable]
-        grad[j] = (ep - em) / 2.0
+        for shift, coeff in FOUR_TERM if j in controlled else TWO_TERM:
+            shifted = params.copy()
+            shifted[j] += shift
+            ep = _scores_for_params(model, state, shifted)[observable]
+            shifted[j] = params[j] - shift
+            em = _scores_for_params(model, state, shifted)[observable]
+            grad[j] += coeff * (ep - em)
     return grad
 
 

@@ -290,7 +290,14 @@ def z_sign_matrix(readout_qubits: Sequence[int], q: int) -> np.ndarray:
 
 
 def scores_from_probs(probs: np.ndarray, readout_qubits: Sequence[int], q: int) -> np.ndarray:
-    return z_sign_matrix(readout_qubits, q) @ np.asarray(probs, dtype=np.float64)
+    """Class scores of probability rows, (n, 2^q) -> (n, C) or (2^q,) -> (C,).
+
+    Each row is reduced on its own (a stack of vector-matrix products), so a
+    row's scores are the same bits whatever batch it comes in; one matrix
+    product over the batch would round differently from a one-row call.
+    """
+    signs = z_sign_matrix(readout_qubits, q)
+    return (np.asarray(probs, dtype=np.float64)[..., None, :] @ signs.T)[..., 0, :]
 
 
 def forward_batch(
@@ -305,8 +312,7 @@ def forward_batch(
     states = encode_batch(model.encoder, xs, model.num_qubits)
     out = apply_circuit_batch(states, model.circuit, params)
     probs = np.abs(out) ** 2
-    signs = z_sign_matrix(model.readout_qubits, model.num_qubits)
-    return probs, probs @ signs.T
+    return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
 
 
 def forward(

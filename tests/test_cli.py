@@ -272,3 +272,26 @@ class TestConfigFile:
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "epochs", "ten"),
+            ("train", "epochs", 2.5),
+            ("train", "epochs", None),
+            ("train", "learning_rate", True),
+            ("train", "optimizer", "rmsprop"),
+            ("train", "dataset", 3),
+            ("profile", "mad", "yes"),
+            ("coverage", "k", [10]),
+            ("fuzz", "reenqueue_prob", "0.5"),
+        ],
+    )
+    def test_wrong_type_in_config_file_is_config_error(self, tmp_path, capsys, command, key, value):
+        # the flag path keeps exit 1 for a well-typed but invalid value
+        # (test_invalid_epsilon_internal_error); a config-file value that its
+        # flag would not parse is a usage error
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"config file: {key} must be" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecov.coverage import (
     CoverageConfig,
@@ -327,6 +329,67 @@ class TestTracker:
         tracker = CoverageTracker(prof, CoverageConfig(k_cells=5, top_k=2))
         tracker.add_input([0.25, 0.25, 0.25, 0.25])
         assert list(np.flatnonzero(tracker.top_states)) == [0, 1]
+
+
+# grid values make ties, zero-width states and probabilities exactly on a
+# boundary or a cell edge common; the floats cover everything in between
+_GRID = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+_PROB = st.one_of(_GRID, st.floats(0.0, 1.0))
+
+
+@st.composite
+def _tracker_case(draw):
+    s = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(_PROB, min_size=s, max_size=s)))
+    b = np.array(draw(st.lists(_PROB, min_size=s, max_size=s)))
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    if draw(st.booleans()):
+        upper = lower.copy()  # every state zero-width
+    n = draw(st.integers(1, 12))
+    pvs = np.array(draw(st.lists(st.lists(_PROB, min_size=s, max_size=s), min_size=n, max_size=n)))
+    config = CoverageConfig(k_cells=draw(st.integers(1, 8)), top_k=draw(st.integers(1, s + 1)))
+    return StateProfile(lower=lower, upper=upper), config, pvs
+
+
+class TestAddBatch:
+    @given(case=_tracker_case(), split=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_folding_add_input(self, case, split):
+        prof, config, pvs = case
+        folded = CoverageTracker(prof, config)
+        deltas = []
+        for pv in pvs:
+            before = [folded.cells.copy(), folded.corners.copy(), folded.top_states.copy()]
+            deltas.append(folded.add_input(pv))
+            # an input opens coverage of a kind exactly when it sets a bit of it
+            after = [folded.cells, folded.corners, folded.top_states]
+            flags = ("new_cell", "new_corner", "new_top")
+            assert deltas[-1] == {f: bool((x != y).any()) for f, x, y in zip(flags, before, after)}
+        batched = CoverageTracker(prof, config)
+        first = batched.add_batch(pvs[:split])
+        batched.add_batch(pvs[split:])
+        for name in ("cells", "corners", "top_states"):
+            assert np.array_equal(getattr(batched, name), getattr(folded, name))
+        assert batched.num_inputs == folded.num_inputs == len(pvs)
+        # the top-k states are the first k of a stable argsort on -pv
+        top = np.argsort(-pvs, axis=1, kind="stable")[:, : config.top_k]
+        assert np.array_equal(np.flatnonzero(folded.top_states), np.unique(top))
+        # a batch opens new coverage of a kind iff some row of it would,
+        # folded in order
+        for flag in first:
+            assert first[flag] == any(d[flag] for d in deltas[:split])
+
+    def test_bad_row_named_and_nothing_committed(self):
+        prof = StateProfile(lower=[0.1, 0.1], upper=[0.9, 0.9])
+        tracker = CoverageTracker(prof, CoverageConfig(k_cells=5))
+        pvs = np.array([[0.5, 0.5], [0.2, 0.8], [0.3, np.nan]])
+        with pytest.raises(ValueError, match="probability vector 2 "):
+            tracker.add_batch(pvs)
+        with pytest.raises(ValueError, match="shape"):
+            tracker.add_batch(pvs[:, :1])
+        with pytest.raises(ValueError, match="shape"):
+            tracker.add_input(pvs[:2])
+        assert tracker.num_inputs == 0 and not tracker.cells.any()
 
 
 class TestSuiteEvaluation:

@@ -1,18 +1,24 @@
+import importlib
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 
 from statecov.coverage import CoverageConfig, CoverageTracker, collect_prob_vectors, profile
+from statecov.datasets import gaussian_blobs
 from statecov.fuzz import (
     FuzzConfig,
+    FuzzOutcome,
     FuzzSeed,
     fuzz,
     mutate,
     random_test,
     save_outcome,
 )
-from statecov.qnn import LabeledDataset, predict
+from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, TrainConfig, build_model, predict, train
+
+fuzz_module = importlib.import_module("statecov.fuzz")  # the package re-exports fuzz()
 
 
 def _seed(x, label=0, reference=None):
@@ -233,6 +239,136 @@ class TestFuzzLoop:
         assert manifest["seed"] == 6
         if out.failed_cases:
             assert (tmp_path / "failed_cases.csv").exists()
+
+
+def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
+    """Reference loop: pop one seed, mutate it, evaluate it as a one-row
+    batch, gate it with peek_input/add_input. Returns the outcome, the number
+    of generations (the queue's contents at the start of each) it went
+    through and whether the budget ended one part-way."""
+    rng = np.random.default_rng(config.seed)
+    initial = fuzz_module._initial_queue(model, seeds)
+    tracker = CoverageTracker(prof, config.coverage)
+    for pv in collect_prob_vectors(model, seeds):
+        tracker.add_input(pv)
+    before = tracker.report()
+    queue = deque(initial)
+    failed, origins = [], set()
+    flag = fuzz_module._CRITERION_FLAG[config.criterion]
+    iterations = non_failing = re_enqueued = generations = gen_left = 0
+    while queue and iterations < config.max_iterations:
+        if gen_left == 0:
+            generations += 1
+            gen_left = len(queue)
+        gen_left -= 1
+        iterations += 1
+        m = mutate(queue.popleft(), rng, config.alpha)
+        pv, pred = fuzz_module._eval_one(model, m.features)
+        if pred != m.label:
+            tracker.add_input(pv)
+            failed.append(m)
+            origins.add(m.origin)
+            continue
+        non_failing += 1
+        if guided:
+            if tracker.peek_input(pv)[flag]:
+                tracker.add_input(pv)
+                queue.append(m)
+                re_enqueued += 1
+        elif rng.random() < reenqueue_prob:
+            queue.append(m)
+            re_enqueued += 1
+    outcome = FuzzOutcome(
+        failed_cases=failed,
+        tsr=100.0 * len(origins) / len(initial),
+        iterations=iterations,
+        coverage_before=before,
+        coverage_after=tracker.report(),
+        num_initial_seeds=len(initial),
+        reenqueue_rate=re_enqueued / non_failing if non_failing else 0.0,
+    )
+    return outcome, generations, gen_left > 0
+
+
+def _assert_same_outcome(got, ref):
+    assert got.iterations == ref.iterations
+    assert got.tsr == ref.tsr
+    assert got.reenqueue_rate == ref.reenqueue_rate
+    assert got.num_initial_seeds == ref.num_initial_seeds
+    assert got.coverage_before == ref.coverage_before
+    assert got.coverage_after == ref.coverage_after
+    assert len(got.failed_cases) == len(ref.failed_cases)
+    for a, b in zip(got.failed_cases, ref.failed_cases):
+        assert np.array_equal(a.features, b.features)
+        assert (a.label, a.origin, a.mutation_depth) == (b.label, b.origin, b.mutation_depth)
+
+
+@pytest.fixture(scope="module")
+def weak_setup():
+    # a briefly trained model on overlapping blobs: mutants fail often
+    data = gaussian_blobs(num_classes=2, samples_per_class=20, num_features=4, spread=0.3, seed=2)
+    model = build_model(EncoderSpec("angle", 4), AnsatzSpec("layered", 2, "linear"), 4, 2, seed=0)
+    model, _ = train(model, data, TrainConfig(epochs=5, learning_rate=0.1, seed=0))
+    return model, data, profile(model, data)
+
+
+# 28 of the 40 seeds are classified correctly: a budget of 20 ends the first
+# generation part-way, 29 the second unless it holds a single mutant
+BUDGETS = (20, 29, 300)
+
+
+class TestGenerationBatching:
+    @pytest.mark.parametrize("criterion", ["ksc", "scc", "tsc"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("coverage", [CoverageConfig(), CoverageConfig(k_cells=1000, top_k=2)])
+    def test_guided_equals_sequential(self, weak_setup, criterion, budget, coverage):
+        model, data, prof = weak_setup
+        cfg = FuzzConfig(criterion=criterion, max_iterations=budget, alpha=0.3, seed=3, coverage=coverage)
+        ref, _, cut = _sequential_loop(model, data, prof, cfg, guided=True)
+        assert ref.failed_cases
+        assert cut or budget != 20
+        _assert_same_outcome(fuzz(model, data, prof, cfg), ref)
+
+    @pytest.mark.parametrize("criterion", ["ksc", "scc", "tsc"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("reenqueue_prob", [0.0, 0.5, 1.0])
+    def test_random_equals_sequential(self, weak_setup, criterion, budget, reenqueue_prob):
+        model, data, prof = weak_setup
+        cfg = FuzzConfig(criterion=criterion, max_iterations=budget, alpha=0.3, seed=4)
+        ref, _, _ = _sequential_loop(model, data, prof, cfg, guided=False, reenqueue_prob=reenqueue_prob)
+        assert ref.failed_cases
+        _assert_same_outcome(random_test(model, data, prof, cfg, reenqueue_prob), ref)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        inner = fuzz_module.forward_batch
+
+        def counting(model, xs, *args, **kwargs):
+            calls.append(len(xs))
+            return inner(model, xs, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, "forward_batch", counting)
+        return calls
+
+    def test_guided_one_forward_batch_per_generation(self, weak_setup, counted):
+        model, data, prof = weak_setup
+        cfg = FuzzConfig(criterion="ksc", max_iterations=300, alpha=0.3, seed=3)
+        _, generations, _ = _sequential_loop(model, data, prof, cfg, guided=True)
+        counted.clear()
+        out = fuzz(model, data, prof, cfg)
+        # the initial queue's pass, then one pass over each generation
+        assert len(counted) == 1 + generations
+        assert sum(counted[1:]) == out.iterations
+
+    def test_random_one_more_batch_per_failure_at_most(self, weak_setup, counted):
+        model, data, prof = weak_setup
+        cfg = FuzzConfig(criterion="ksc", max_iterations=300, alpha=0.3, seed=4)
+        _, generations, _ = _sequential_loop(model, data, prof, cfg, guided=False)
+        counted.clear()
+        out = random_test(model, data, prof, cfg)
+        assert out.failed_cases
+        assert 1 + generations <= len(counted) <= 1 + generations + len(out.failed_cases)
 
 
 class TestConfigValidation:

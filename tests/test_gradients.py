@@ -87,6 +87,23 @@ class TestParamShift:
             fd = finite_diff_grad(expectation, model.params, 1e-4)
             assert np.max(np.abs(grad - fd)) < 1e-6
 
+    def test_controlled_rotations_match_finite_differences(self):
+        # a controlled rotation needs the four-term rule; the two-term rule is
+        # off by up to 0.18 on these slots
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 20:
+            model = _random_model(rng, 3, 12)
+            if not any(op.kind in (Gate.CRX, Gate.CRY, Gate.CRZ) for op in model.circuit.gates):
+                continue
+            x = rng.uniform(0, 1, 3)
+            for c in range(model.num_classes):
+                fd = finite_diff_grad(
+                    lambda p: float(forward(model.with_params(p), x)[1][c]), model.params, 1e-5
+                )
+                assert np.max(np.abs(param_shift_grad(model, x, c) - fd)) < 1e-8
+            checked += 1
+
     def test_bad_observable(self):
         model = build_model(
             EncoderSpec("angle", 2), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0
@@ -172,17 +189,6 @@ class TestInputGrad:
 
 # -- the adjoint sweep against its oracles -----------------------------------
 
-CONTROLLED_ROTATIONS = {Gate.CRX, Gate.CRY, Gate.CRZ}
-# A controlled rotation's generator has eigenvalues {0, +-1/2}, so its score is
-# a trig polynomial in theta/2 and theta and needs the four-term shift rule
-# (Anselmetti et al. 2021); the two-term rule of param_shift_grad is exact for
-# plain rotations only.
-FOUR_TERM = (
-    (np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
-    (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))),
-)
-
-
 def _random_model(rng, q, num_gates):
     circuit, params = random_circuit(rng, q, num_gates)
     classes = min(q, 2)
@@ -190,23 +196,6 @@ def _random_model(rng, q, num_gates):
         EncoderSpec("angle", q), AnsatzSpec("layered", 1, "linear"), q, circuit, params,
         tuple(range(classes)), classes,
     )
-
-
-def _shift_rule_score_grad(model, x, c):
-    """d score_c / d params: param_shift_grad, with the four-term rule on the
-    slots of controlled rotations."""
-    grad = param_shift_grad(model, x, c)
-    for op in model.circuit.gates:
-        if op.kind in CONTROLLED_ROTATIONS:
-            j, total = op.param_slot, 0.0
-            for shift, coeff in FOUR_TERM:
-                for sign in (1.0, -1.0):
-                    p = model.params.copy()
-                    p[j] += sign * shift
-                    _, scores = forward(model.with_params(p), x)
-                    total += sign * coeff * scores[c]
-            grad[j] = total
-    return grad
 
 
 class TestAdjointSweep:
@@ -232,7 +221,7 @@ class TestAdjointSweep:
         oracle = np.zeros(model.params.size)
         for r in range(n):
             for c in range(model.num_classes):
-                oracle += resid[r, c] * _shift_rule_score_grad(model, xs[r], c) / n
+                oracle += resid[r, c] * param_shift_grad(model, xs[r], c) / n
         assert np.max(np.abs(adjoint - oracle), initial=0.0) < 1e-10
 
     @given(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecov.datasets import gaussian_blobs
 from statecov.qnn import (
@@ -14,6 +16,7 @@ from statecov.qnn import (
     encode,
     entanglement_pairs,
     forward,
+    forward_batch,
     load_model,
     predict,
     save_model,
@@ -124,6 +127,32 @@ class TestForward:
         _, exact = forward(model, x)
         _, sampled = forward(model, x, shots=1_000_000, seed=1)
         assert np.max(np.abs(exact - sampled)) < 0.005
+
+    @given(
+        encoder=st.sampled_from(["angle", "amplitude"]),
+        q=st.integers(1, 7),
+        classes=st.integers(1, 4),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_rows_bit_for_bit(self, encoder, q, classes, n, seed):
+        # a row's probabilities and scores must not depend on the batch it
+        # comes in, so a batched argmax decides exactly as a one-row call
+        rng = np.random.default_rng(seed)
+        d = q if encoder == "angle" else int(rng.integers(1, 2**q + 1))
+        model = build_model(
+            EncoderSpec(encoder, d), AnsatzSpec("entangling", 2, "full"), q,
+            min(classes, q), seed=int(rng.integers(1 << 30)),
+        )
+        xs = rng.uniform(0.05, 1.0, (n, d))
+        probs, scores = forward_batch(model, xs)
+        for i in range(n):
+            p, s = forward_batch(model, xs[i])
+            assert np.array_equal(p[0], probs[i]) and np.array_equal(s[0], scores[i])
+            assert np.array_equal(forward(model, xs[i])[1], scores[i])
+        # a sub-batch at an offset reduces its rows the same way
+        assert np.array_equal(forward_batch(model, xs[1:])[1], scores[1:])
 
 
 class TestPredict:
