@@ -77,8 +77,14 @@ def _check_file_value(key, value, default, action) -> None:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config-file > built-in default, for every known key."""
+    """Flag > config-file > built-in default, for every known key; unknown file keys are errors."""
     file_cfg = _load_file_config(getattr(args, "config", None))
+    command = file_cfg.pop("command", args.command)
+    if command != args.command:
+        raise ConfigError(f"config file: command {command!r} does not match {args.command}")
+    for key in file_cfg:
+        if key not in defaults:
+            raise ConfigError(f"config file: unknown key {key} for {args.command}")
     resolved = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -356,18 +362,13 @@ def cmd_diversity(args) -> int:
             "model": None,
             "suite": None,
             "out_dir": "diversity_out",
-            "haar_samples": 1000,
             "seed": 0,
         },
     )
     model = _load_model_checked(cfg["model"])
     suite = _load_dataset(cfg["suite"])
     summary, suite_hist, haar_hist = suite_diversity(
-        model.encoder,
-        model.num_qubits,
-        suite.features,
-        num_haar_samples=int(cfg["haar_samples"]),
-        seed=int(cfg["seed"]),
+        model.encoder, model.num_qubits, suite.features, seed=int(cfg["seed"])
     )
     out = _out_dir(cfg)
     with open(out / "diversity.json", "w") as fh:
@@ -465,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model")
     p.add_argument("--suite")
-    p.add_argument("--haar-samples", dest="haar_samples", type=int)
     p.set_defaults(func=cmd_diversity)
 
     for p in sub.choices.values():  # config-file values are checked against these

@@ -307,11 +307,13 @@ def forward_batch(
 
     Returns (probs (n, 2^q), scores (n, num_classes)).
     """
-    if params is None:
-        params = model.params
     states = encode_batch(model.encoder, xs, model.num_qubits)
-    out = apply_circuit_batch(states, model.circuit, params)
-    probs = np.abs(out) ** 2
+    return _forward_states(model, states, model.params if params is None else params)
+
+
+def _forward_states(model: QnnModel, states: np.ndarray, params: np.ndarray) -> tuple:
+    """forward_batch on already encoded (n, 2^q) amplitude rows."""
+    probs = np.abs(apply_circuit_batch(states, model.circuit, params)) ** 2
     return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
 
 
@@ -388,7 +390,7 @@ def _backprop(model, states, params, weigh) -> tuple:
     pass. Returns (scores, d/dparams, the costate at each encoded row)."""
     signs = z_sign_matrix(model.readout_qubits, model.num_qubits)
     out = apply_circuit_batch(states, model.circuit, params)
-    scores = (np.abs(out) ** 2) @ signs.T
+    scores = scores_from_probs(np.abs(out) ** 2, model.readout_qubits, model.num_qubits)
     grad, lam0 = adjoint_sweep(out, (weigh(scores) @ signs) * out, model.circuit, params)
     return scores, grad, lam0
 
@@ -432,17 +434,14 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
                 mhat = m / (1 - beta1**step)
                 vhat = v / (1 - beta2**step)
                 params = params - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        out = apply_circuit_batch(states, model.circuit, params)
-        scores = (np.abs(out) ** 2) @ z_sign_matrix(model.readout_qubits, model.num_qubits).T
-        loss = _batch_loss((None, scores), labels)
+        loss = _batch_loss(_forward_states(model, states, params), labels)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         losses.append(loss)
 
     trained = model.with_params(params)
     trained.train_data_digest = data.digest()
-    out = apply_circuit_batch(states, trained.circuit, params)
-    scores = (np.abs(out) ** 2) @ z_sign_matrix(model.readout_qubits, model.num_qubits).T
+    _, scores = _forward_states(trained, states, params)
     accuracy = float((np.argmax(scores, axis=1) == labels).mean())
     return trained, {"loss": losses, "train_accuracy": accuracy}
 

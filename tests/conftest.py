@@ -11,13 +11,19 @@ def toy4_train_data():
 
 
 @pytest.fixture(scope="session")
-def toy4_model(toy4_train_data):
+def toy4_training(toy4_train_data):
+    """(trained model, history) of the toy4 fixture model."""
     model = build_model(
         EncoderSpec("angle", 4), AnsatzSpec("layered", 2, "linear"), 4, 2, seed=0
     )
-    trained, history = train(
+    return train(
         model, toy4_train_data, TrainConfig(epochs=40, learning_rate=0.1, optimizer="adam", seed=0)
     )
+
+
+@pytest.fixture(scope="session")
+def toy4_model(toy4_training):
+    trained, history = toy4_training
     assert history["train_accuracy"] >= 0.95
     return trained
 
@@ -28,13 +34,19 @@ def grid6_train_data():
 
 
 @pytest.fixture(scope="session")
-def grid6_model(grid6_train_data):
+def grid6_training(grid6_train_data):
+    """(trained model, history) of the grid6 fixture model."""
     model = build_model(
         EncoderSpec("amplitude", 64), AnsatzSpec("layered", 2, "linear"), 6, 2, seed=0
     )
-    trained, history = train(
+    return train(
         model, grid6_train_data, TrainConfig(epochs=15, learning_rate=0.1, optimizer="adam", seed=0)
     )
+
+
+@pytest.fixture(scope="session")
+def grid6_model(grid6_training):
+    trained, history = grid6_training
     assert history["train_accuracy"] >= 0.9
     return trained
 

@@ -5,6 +5,7 @@ import pytest
 
 from statecov.cli import main
 from statecov.datasets import gaussian_blobs, save_csv
+from statecov.diversity import NUM_BINS, FidelityHistogram
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,12 @@ class TestFuzz:
         assert doc["reenqueue_prob"] == 0.5
 
 
+def _histogram_csv(path):
+    rows = path.read_text().strip().splitlines()
+    assert rows[0] == "bin_left,bin_right,density"
+    return np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+
+
 class TestDiversity:
     def test_outputs(self, trained_dir, data_csv, tmp_path):
         code = main(
@@ -244,15 +251,48 @@ class TestDiversity:
                 "diversity",
                 "--model", str(trained_dir / "model.json"),
                 "--suite", str(data_csv),
-                "--haar-samples", "100",
                 "--out-dir", str(tmp_path),
             ]
         )
         assert code == 0
         doc = json.loads((tmp_path / "diversity.json").read_text())
         assert 0.0 <= doc["js_vs_haar"] <= 1.0
-        assert (tmp_path / "suite_histogram.csv").exists()
-        assert (tmp_path / "haar_histogram.csv").exists()
+        suite_hist = _histogram_csv(tmp_path / "suite_histogram.csv")
+        haar = _histogram_csv(tmp_path / "haar_histogram.csv")
+        assert suite_hist.shape == haar.shape == (NUM_BINS, 3)
+        assert suite_hist[:, 2].sum() == pytest.approx(1.0, abs=1e-12)
+        # the baseline is the exact 4-qubit Haar histogram, written bit for bit
+        exact = FidelityHistogram.haar(4)
+        assert np.array_equal(haar[:, 2], exact.densities)
+        assert np.array_equal(haar[:, 0], exact.bin_edges[:-1])
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        assert "haar_samples" not in resolved
+
+    def test_rerun_from_resolved_config_reproduces(self, trained_dir, data_csv, tmp_path):
+        first = tmp_path / "first"
+        argv = ["--model", str(trained_dir / "model.json"), "--suite", str(data_csv)]
+        assert main(["diversity", *argv, "--seed", "3", "--out-dir", str(first)]) == 0
+        doc = json.loads((first / "resolved_config.json").read_text())
+        assert doc["command"] == "diversity"
+        doc["out_dir"] = str(tmp_path / "rerun")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["diversity", "--config", str(cfg_path)]) == 0
+        for name in ("diversity.json", "suite_histogram.csv", "haar_histogram.csv"):
+            assert (first / name).read_text() == (tmp_path / "rerun" / name).read_text()
+
+    def test_haar_samples_flag_is_gone(self, trained_dir, data_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "diversity",
+                    "--model", str(trained_dir / "model.json"),
+                    "--suite", str(data_csv),
+                    "--haar-samples", "100",
+                    "--out-dir", str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
 
 
 class TestConfigFile:
@@ -295,3 +335,23 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"config file: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("train", {"epoch": 50}, "unknown key epoch for train"),
+            ("diversity", {"haar_samples": 1000}, "unknown key haar_samples for diversity"),
+            ("coverage", {"criterion": "ksc"}, "unknown key criterion for coverage"),
+            ("train", {"command": "fuzz"}, "command 'fuzz' does not match train"),
+            ("train", {"command": None}, "command None does not match train"),
+        ],
+    )
+    def test_unknown_key_in_config_file_is_config_error(
+        self, tmp_path, capsys, command, doc, message
+    ):
+        # an ignored key would silently fall back to its default
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"config file: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -55,6 +55,40 @@ class TestStateProfile:
         assert np.array_equal(loaded.sigma, prof.sigma)
         assert loaded.provenance == "abc"
 
+    @given(
+        n=st.integers(1, 8),
+        with_sigma=st.booleans(),
+        with_mad=st.booleans(),
+        provenance=st.text(max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_is_bit_exact(
+        self, tmp_path_factory, n, with_sigma, with_mad, provenance, data
+    ):
+        # per state: lower <= mad_lower <= mad_upper <= upper
+        unit = st.floats(-0.0, 1.0)
+        bounds = np.sort(
+            data.draw(st.lists(st.lists(unit, min_size=4, max_size=4), min_size=n, max_size=n)),
+            axis=1,
+        )
+        sigma = data.draw(
+            st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n)
+        ) if with_sigma else None
+        prof = StateProfile(
+            lower=bounds[:, 0], upper=bounds[:, 3], sigma=sigma,
+            mad_lower=bounds[:, 1] if with_mad else None,
+            mad_upper=bounds[:, 2] if with_mad else None,
+            provenance=provenance,
+        )
+        path = tmp_path_factory.mktemp("profile") / "profile.json"
+        prof.to_json(path)
+        loaded = StateProfile.from_json(path)
+        for name in ("lower", "upper", "sigma", "mad_lower", "mad_upper"):
+            want, got = getattr(prof, name), getattr(loaded, name)
+            assert (got is None) == (want is None)
+            assert want is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
+        assert loaded.provenance == provenance
 
     def _written(self, tmp_path, drop=None, **changes):
         import json

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,17 @@ from statecov.diversity import (
     pairwise_fidelity_hist,
     suite_diversity,
 )
-from statecov.qnn import EncoderSpec
+from statecov.qnn import EncoderSpec, encode_batch
 from statecov.sim import Statevector, haar_random_state
+
+HAAR_BIN_TOL = 5e-3
+
+
+def _sampled_haar_densities(q, num_states=400):
+    """Oracle: histogram of all pair fidelities of seeded Haar-random states."""
+    return pairwise_fidelity_hist(
+        [haar_random_state(q, s) for s in range(num_states)], max_pairs=num_states**2
+    ).densities
 
 
 def _basis(q, idx):
@@ -111,6 +122,27 @@ class TestHaarBaseline:
         sem = fids.std() / np.sqrt(fids.size)
         assert abs(fids.mean() - 1 / 16) < 4 * max(sem, 1e-3)
 
+    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    def test_closed_form_matches_sampled_pairs(self, q):
+        hist = FidelityHistogram.haar(q)
+        assert hist.sample_count is None
+        assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1.0, NUM_BINS + 1))
+        assert np.max(np.abs(hist.densities - _sampled_haar_densities(q))) <= HAAR_BIN_TOL
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_sampled_oracle_rejects_wrong_exponent(self, q):
+        # (1-a)^(d-2) - (1-b)^(d-2), the integral of (d-2)(1-F)^(d-3), is
+        # outside the tolerance of the test above
+        tail = (1.0 - np.linspace(0.0, 1.0, NUM_BINS + 1)) ** (2**q - 2)
+        wrong = tail[:-1] - tail[1:]
+        assert np.max(np.abs(wrong - _sampled_haar_densities(q))) > 2 * HAAR_BIN_TOL
+
+    def test_wide_register_puts_mass_near_zero(self):
+        # at q = 14 the first bin holds 1 - 0.98^16383 and the others underflow
+        hist = FidelityHistogram.haar(14)
+        assert hist.densities[0] == pytest.approx(1.0, abs=1e-15)
+        assert hist.densities.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestSuiteDiversity:
     def test_clustered_suite_less_diverse_than_spread(self):
@@ -118,32 +150,65 @@ class TestSuiteDiversity:
         clustered = np.clip(0.5 + 0.01 * rng.standard_normal((30, 4)), 0, 1)
         spread = rng.uniform(0, 1, (30, 4))
         enc = EncoderSpec("angle", 4)
-        s_clustered, _, _ = suite_diversity(enc, 4, clustered, num_haar_samples=200, seed=0)
-        s_spread, _, _ = suite_diversity(enc, 4, spread, num_haar_samples=200, seed=0)
+        s_clustered, _, _ = suite_diversity(enc, 4, clustered, seed=0)
+        s_spread, _, _ = suite_diversity(enc, 4, spread, seed=0)
         assert s_clustered.mean_fidelity > s_spread.mean_fidelity
         assert s_clustered.js_vs_haar > s_spread.js_vs_haar
 
     def test_closest_neighbor_with_duplicate(self):
         feats = np.array([[0.2, 0.8], [0.2, 0.8], [0.9, 0.1]])
-        summary, _, _ = suite_diversity(
-            EncoderSpec("angle", 2), 2, feats, num_haar_samples=50, seed=0
-        )
+        summary, _, _ = suite_diversity(EncoderSpec("angle", 2), 2, feats, seed=0)
         # two identical inputs give each of them a unit-fidelity neighbor
         assert summary.closest_neighbor_fidelity > 2 / 3
+
+    def test_closest_neighbor_blocks_match_full_gram(self, grid6_train_data):
+        # 1500 rows read in blocks of 2^20 // 1500 = 699 rows: three blocks,
+        # the last one partial, with a duplicate pair split across blocks
+        rng = np.random.default_rng(8)
+        base = grid6_train_data.features
+        noise = rng.normal(0.0, 0.2, (1500, 64))
+        feats = np.clip(base[rng.integers(len(base), size=1500)] + noise, 0.0, 1.0)
+        feats[1400] = feats[5]
+        enc = EncoderSpec("amplitude", 64)
+        summary, _, _ = suite_diversity(enc, 6, feats, seed=0)
+        amps = encode_batch(enc, feats, 6)
+        gram = np.abs(amps @ amps.conj().T) ** 2
+        np.fill_diagonal(gram, -np.inf)
+        best = gram.max(axis=1)
+        assert best[[5, 1400]] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert np.sort(best)[-3] < 1.0 - 1e-6  # only the duplicates have a twin
+        assert abs(summary.closest_neighbor_fidelity - best.mean()) <= 1e-12
+
+    def test_wide_suite_memory_is_bounded(self):
+        # 64 rows at q = 14 are 16 MiB of amplitudes; the baseline and the
+        # closest-neighbour pass must not allocate pairs x 2^q arrays
+        feats = np.random.default_rng(6).uniform(0, 1, (64, 14))
+        tracemalloc.start()
+        try:
+            summary, _, haar_hist = suite_diversity(EncoderSpec("angle", 14), 14, feats, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert haar_hist.sample_count is None and 0.0 <= summary.js_vs_haar <= 1.0
 
     def test_returns_both_histograms(self):
         feats = np.random.default_rng(4).uniform(0, 1, (10, 3))
         summary, suite_hist, haar_hist = suite_diversity(
-            EncoderSpec("angle", 3), 3, feats, num_haar_samples=100, seed=1
+            EncoderSpec("angle", 3), 3, feats, seed=1
         )
         assert suite_hist.sample_count == 45
-        assert haar_hist.sample_count == 100 * 99 // 2
+        # the baseline is the exact 3-qubit Haar histogram, which
+        # test_closed_form_matches_sampled_pairs checks against sampled states
+        assert haar_hist.sample_count is None
+        assert np.array_equal(haar_hist.densities, FidelityHistogram.haar(3).densities)
+        assert summary.js_vs_haar == js_divergence(suite_hist, haar_hist)
         assert 0.0 <= summary.js_vs_haar <= 1.0
 
     def test_deterministic_per_seed(self):
         feats = np.random.default_rng(5).uniform(0, 1, (12, 3))
-        a = suite_diversity(EncoderSpec("angle", 3), 3, feats, num_haar_samples=60, seed=9)
-        b = suite_diversity(EncoderSpec("angle", 3), 3, feats, num_haar_samples=60, seed=9)
+        a = suite_diversity(EncoderSpec("angle", 3), 3, feats, seed=9)
+        b = suite_diversity(EncoderSpec("angle", 3), 3, feats, seed=9)
         assert a[0] == b[0]
 
     def test_too_small_suite(self):
@@ -155,7 +220,6 @@ class TestSuiteDiversity:
             EncoderSpec("amplitude", 64),
             6,
             grid6_train_data.features[:20],
-            num_haar_samples=100,
             seed=2,
         )
         assert 0.0 <= summary.mean_fidelity <= 1.0

@@ -20,6 +20,7 @@ from statecov.qnn import (
     load_model,
     predict,
     save_model,
+    softmax,
     train,
     z_sign_matrix,
 )
@@ -213,6 +214,19 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(model, data, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("fixture", ["toy4", "grid6"])
+    def test_history_agrees_with_forward_batch(self, request, fixture):
+        # train scores its loss and accuracy passes as forward_batch does,
+        # so the reported accuracy is forward_batch's argmax, ties included
+        trained, history = request.getfixturevalue(f"{fixture}_training")
+        data = request.getfixturevalue(f"{fixture}_train_data")
+        _, scores = forward_batch(trained, data.features)
+        accuracy = float((np.argmax(scores, axis=1) == data.labels).mean())
+        assert history["train_accuracy"] == accuracy
+        p = softmax(scores)[np.arange(len(data)), data.labels]
+        loss = float(-np.log(p).mean())
+        assert history["loss"][-1] == loss
+
     def test_loss_mostly_non_increasing(self):
         # stochastic optimizers may wobble; demand non-increase in >= 80% of runs
         ok = 0
@@ -230,6 +244,42 @@ class TestTrain:
 
 
 class TestPersistence:
+    @given(
+        encoder=st.sampled_from(["angle", "amplitude"]),
+        q=st.integers(1, 5),
+        preset=st.sampled_from(["layered", "entangling"]),
+        entanglement=st.sampled_from(["linear", "cyclic", "star", "full"]),
+        layers=st.integers(1, 3),
+        digest=st.none() | st.text(max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(
+        self, tmp_path_factory, encoder, q, preset, entanglement, layers, digest, data
+    ):
+        d = q if encoder == "angle" else data.draw(st.integers(1, 2**q))
+        readout = data.draw(st.permutations(range(q)))[: data.draw(st.integers(1, q))]
+        model = build_model(
+            EncoderSpec(encoder, d), AnsatzSpec(preset, layers, entanglement), q,
+            len(readout), readout_qubits=readout,
+        )
+        model = model.with_params(
+            data.draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=model.circuit.num_params, max_size=model.circuit.num_params,
+            ))
+        )
+        model.train_data_digest = digest
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.params.tobytes() == model.params.tobytes()
+        for field in ("encoder", "ansatz", "num_qubits", "circuit", "readout_qubits",
+                      "num_classes", "train_data_digest"):
+            assert getattr(loaded, field) == getattr(model, field)
+        save_model(loaded, path.with_name("again.json"))
+        assert path.with_name("again.json").read_text() == path.read_text()
+
     @pytest.mark.parametrize("preset", ["layered", "entangling"])
     def test_round_trip(self, preset, tmp_path):
         model = build_model(
