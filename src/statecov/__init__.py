@@ -16,7 +16,7 @@ from .sim import (
     haar_random_state,
     sample_probabilities,
 )
-from .gradients import finite_diff_grad, input_grad, param_shift_grad, score_input_grads
+from .gradients import input_grad, score_input_grads
 from .qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -40,7 +40,7 @@ from .coverage import (
     mad_refine,
     profile,
 )
-from .diversity import FidelityHistogram, js_divergence, pairwise_fidelity_hist, suite_diversity
+from .diversity import FidelityHistogram, js_divergence, suite_diversity
 from .attacks import AttackConfig, attack_suite, fgsm, jsma, random_perturb
 from .fuzz import FuzzConfig, FuzzOutcome, FuzzSeed, fuzz, mutate, random_test
 

@@ -37,10 +37,12 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (0 <= self.theta <= 1):
+            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if not (0 <= self.gamma <= 1):
-            raise ValueError("gamma must be in (0, 1]")
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
 def _perturb_rows(xs: np.ndarray, epsilon: float, seeds) -> np.ndarray:

@@ -112,35 +112,14 @@ def _write_resolved(cfg: dict, out: Path, command: str) -> None:
         fh.write("\n")
 
 
-def _load_dataset(path):
+def _load(loader, path, what):
+    """loader(path); a missing path, a missing file and a malformed file are usage errors."""
     if path is None:
-        raise ConfigError("a dataset path is required")
+        raise ConfigError(f"a {what} path is required")
     try:
-        return load_csv(path)
+        return loader(path)
     except FileNotFoundError:
-        raise ConfigError(f"dataset not found: {path}")
-    except ValueError as exc:  # malformed file: a usage error, not an internal one
-        raise ConfigError(str(exc))
-
-
-def _load_model_checked(path):
-    if path is None:
-        raise ConfigError("a model path is required")
-    try:
-        return load_model(path)
-    except FileNotFoundError:
-        raise ConfigError(f"model not found: {path}")
-    except ValueError as exc:  # malformed file: a usage error, not an internal one
-        raise ConfigError(str(exc))
-
-
-def _load_profile_checked(path):
-    if path is None:
-        raise ConfigError("a profile path is required")
-    try:
-        return StateProfile.from_json(path)
-    except FileNotFoundError:
-        raise ConfigError(f"profile not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     except ValueError as exc:  # malformed file: a usage error, not an internal one
         raise ConfigError(str(exc))
 
@@ -164,7 +143,7 @@ def cmd_train(args) -> int:
             "seed": 0,
         },
     )
-    data = _load_dataset(cfg["dataset"])
+    data = _load(load_csv, cfg["dataset"], "dataset")
     encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
     ansatz = AnsatzSpec(
         preset=cfg["preset"], num_layers=int(cfg["layers"]), entanglement=cfg["entanglement"]
@@ -211,8 +190,8 @@ def cmd_profile(args) -> int:
             "confidence": 0.99,
         },
     )
-    model = _load_model_checked(cfg["model"])
-    data = _load_dataset(cfg["dataset"])
+    model = _load(load_model, cfg["model"], "model")
+    data = _load(load_csv, cfg["dataset"], "dataset")
 
     if model.train_data_digest and model.train_data_digest != data.digest():
         print(
@@ -222,6 +201,8 @@ def cmd_profile(args) -> int:
 
     # cap the profiling sample per class
     cap = int(cfg["per_class_cap"])
+    if cap < 1:
+        raise ValueError(f"per_class_cap must be >= 1, got {cap}")
     keep = []
     for c in np.unique(data.labels):
         idx = np.flatnonzero(data.labels == c)[:cap]
@@ -256,9 +237,9 @@ def cmd_coverage(args) -> int:
             "seed": 0,
         },
     )
-    model = _load_model_checked(cfg["model"])
-    prof = _load_profile_checked(cfg["profile"])
-    suite = _load_dataset(cfg["suite"])
+    model = _load(load_model, cfg["model"], "model")
+    prof = _load(StateProfile.from_json, cfg["profile"], "profile")
+    suite = _load(load_csv, cfg["suite"], "dataset")
     ccfg = CoverageConfig(
         k_cells=int(cfg["k"]), top_k=int(cfg["top_k"]), boundary_mode=cfg["boundary_mode"]
     )
@@ -288,8 +269,8 @@ def cmd_attack(args) -> int:
             "seed": 0,
         },
     )
-    model = _load_model_checked(cfg["model"])
-    data = _load_dataset(cfg["dataset"])
+    model = _load(load_model, cfg["model"], "model")
+    data = _load(load_csv, cfg["dataset"], "dataset")
     acfg = AttackConfig(
         kind=cfg["kind"],
         epsilon=float(cfg["epsilon"]),
@@ -329,9 +310,9 @@ def cmd_fuzz(args) -> int:
             "reenqueue_prob": 1.0,
         },
     )
-    model = _load_model_checked(cfg["model"])
-    prof = _load_profile_checked(cfg["profile"])
-    seeds = _load_dataset(cfg["seeds"])
+    model = _load(load_model, cfg["model"], "model")
+    prof = _load(StateProfile.from_json, cfg["profile"], "profile")
+    seeds = _load(load_csv, cfg["seeds"], "dataset")
     fcfg = FuzzConfig(
         criterion=cfg["criterion"],
         max_iterations=int(cfg["max_iterations"]),
@@ -365,8 +346,8 @@ def cmd_diversity(args) -> int:
             "seed": 0,
         },
     )
-    model = _load_model_checked(cfg["model"])
-    suite = _load_dataset(cfg["suite"])
+    model = _load(load_model, cfg["model"], "model")
+    suite = _load(load_csv, cfg["suite"], "dataset")
     summary, suite_hist, haar_hist = suite_diversity(
         model.encoder, model.num_qubits, suite.features, seed=int(cfg["seed"])
     )

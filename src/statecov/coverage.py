@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -61,19 +61,20 @@ class StateProfile:
         self.upper = np.asarray(self.upper, dtype=np.float64)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper length mismatch")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower boundary above upper boundary")
-        if np.any(self.lower < 0) or np.any(self.upper > 1):
-            raise ValueError("boundaries must lie in [0, 1]")
-        for name in ("sigma", "mad_lower", "mad_upper"):
+        for name in ("lower", "upper", "sigma", "mad_lower", "mad_upper"):
             val = getattr(self, name)
             if val is not None:
                 val = np.asarray(val, dtype=np.float64)
                 if val.shape != self.lower.shape:
-                    raise ValueError(
-                        f"{name}: expected {self.lower.shape[0]} values, got {val.size}"
-                    )
+                    raise ValueError(f"{name}: expected {self.lower.size} values, got {val.size}")
+                bad = np.flatnonzero(~np.isfinite(val))
+                if bad.size:
+                    raise ValueError(f"{name}: entry {bad[0]} is not finite")
                 setattr(self, name, val)
+        if np.any(self.lower > self.upper):
+            raise ValueError("lower boundary above upper boundary")
+        if np.any(self.lower < 0) or np.any(self.upper > 1):
+            raise ValueError("boundaries must lie in [0, 1]")
         if (self.mad_lower is None) != (self.mad_upper is None):
             raise ValueError("mad bounds must be set together")
         if self.mad_lower is not None:
@@ -130,6 +131,8 @@ class CoverageConfig:
     def __post_init__(self):
         if self.k_cells < 1 or self.top_k < 1:
             raise ValueError("k_cells and top_k must be >= 1")
+        if not (0 <= self.epsilon_degenerate < np.inf):
+            raise ValueError("epsilon_degenerate must be finite and >= 0")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
 
@@ -198,8 +201,7 @@ class Hits(NamedTuple):
 class CoverageTracker:
     """Incremental, monotone record of covered cells, corners and top states.
 
-    Bits only ever flip from 0 to 1; trackers over disjoint input shards can
-    be combined with merge() (bitwise OR, associative and commutative).
+    Bits only ever flip from 0 to 1.
     """
 
     def __init__(self, prof: StateProfile, config: CoverageConfig):
@@ -298,14 +300,6 @@ class CoverageTracker:
         """Fold one probability vector into the tracker; returns delta flags."""
         return self.add_batch([pv])
 
-    def merge(self, other: "CoverageTracker") -> None:
-        if other.cells.shape != self.cells.shape:
-            raise ValueError("cannot merge trackers with different configurations")
-        self.cells |= other.cells
-        self.corners |= other.corners
-        self.top_states |= other.top_states
-        self.num_inputs += other.num_inputs
-
     def report(self) -> CoverageReport:
         s = self.profile.num_states
         k = self.config.k_cells
@@ -380,6 +374,8 @@ def mad_refine(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 3:
         raise ValueError("MAD refinement needs at least 3 samples per state")
+    if not (0 < confidence < 1):
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     base = profile_from_samples(samples, provenance=provenance)
     m = np.median(samples, axis=0)
@@ -387,9 +383,11 @@ def mad_refine(
     mad = np.median(dev, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = np.where(mad == 0.0, samples == m, 0.6745 * dev / mad <= z_cut)
-    base.mad_lower = np.min(samples, axis=0, where=keep, initial=np.inf)
-    base.mad_upper = np.max(samples, axis=0, where=keep, initial=-np.inf)
-    return base
+    return replace(
+        base,
+        mad_lower=np.min(samples, axis=0, where=keep, initial=np.inf),
+        mad_upper=np.max(samples, axis=0, where=keep, initial=-np.inf),
+    )
 
 
 def coverage_suite(

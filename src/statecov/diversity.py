@@ -7,18 +7,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .qnn import EncoderSpec, encode_batch
-from .sim import Statevector
 
 __all__ = [
     "NUM_BINS",
     "FidelityHistogram",
     "DiversitySummary",
-    "pairwise_fidelity_hist",
     "js_divergence",
     "suite_diversity",
 ]
@@ -83,17 +81,6 @@ def _pair_fidelities(
     i = (n - 2 - np.floor(np.sqrt(-8 * flat + 4 * n * (n - 1) - 7) / 2.0 - 0.5)).astype(int)
     j = (flat + i + 1 - n * (n - 1) // 2 + (n - i) * ((n - i) - 1) // 2).astype(int)
     return np.abs(np.sum(amps[i] * amps[j].conj(), axis=1)) ** 2
-
-
-def pairwise_fidelity_hist(
-    states: List[Statevector],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    seed: Optional[int] = None,
-) -> FidelityHistogram:
-    if len(states) < 2:
-        raise ValueError("need at least 2 states for pairwise fidelities")
-    amps = np.stack([s.amplitudes for s in states])
-    return FidelityHistogram.from_fidelities(_pair_fidelities(amps, max_pairs, seed))
 
 
 def js_divergence(p: FidelityHistogram, q: FidelityHistogram) -> float:

@@ -71,8 +71,10 @@ class FuzzConfig:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
 @dataclass
@@ -134,12 +136,6 @@ def mutate(seed: FuzzSeed, rng: np.random.Generator, alpha: float) -> FuzzSeed:
     out = np.clip(out, seed.reference - alpha, seed.reference + alpha)
     out = np.clip(out, 0.0, 1.0)
     return FuzzSeed(out, seed.label, seed.reference, seed.mutation_depth + 1, seed.origin)
-
-
-def _eval_one(model: QnnModel, features: np.ndarray):
-    """Probabilities and prediction of one mutant, as a batch of one."""
-    probs, scores = forward_batch(model, features[None, :])
-    return probs[0], int(np.argmax(scores[0]))
 
 
 def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
@@ -252,6 +248,8 @@ def random_test(
     it to a guided run's reenqueue_rate equalizes the mutation budget so the
     comparison isolates seed selection quality.
     """
+    if not (0 <= reenqueue_prob <= 1):
+        raise ValueError(f"reenqueue_prob must be in [0, 1], got {reenqueue_prob}")
     return _run_loop(
         model, initial_seeds, prof, config, guided=False, reenqueue_prob=reenqueue_prob
     )

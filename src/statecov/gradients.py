@@ -4,7 +4,6 @@ One adjoint engine computes every production gradient: sim.adjoint_sweep
 walks the compiled circuit backwards once after one forward pass, giving the
 gate-angle gradient that qnn.train uses and the costate at the encoded input
 that input_grads chains through the encoder into feature gradients.
-param_shift_grad and finite_diff_grad are independent oracles for tests.
 """
 
 from __future__ import annotations
@@ -13,86 +12,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qnn import QnnModel, _backprop, cross_entropy_grad, encode_batch, z_sign_matrix
-from .sim import CONTROLLED_GATES, ROTATION_GATES, apply_circuit_batch
+from .qnn import QnnModel, _backprop, cross_entropy_grad, encode_batch
 
 __all__ = [
     "GradientError",
-    "finite_diff_grad",
-    "param_shift_grad",
     "input_grads",
     "score_input_grads",
     "input_grad",
 ]
 
-PARAM_FD_STEP = 1e-4
-INPUT_FD_STEP = 1e-5
-
 
 class GradientError(ValueError):
     """Raised when a requested gradient is undefined or unsupported."""
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: Sequence[float], h: float) -> np.ndarray:
-    """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / 2h."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
-def _check_rotation_params(model: QnnModel) -> None:
-    for idx, op in enumerate(model.circuit.gates):
-        if op.param_slot is not None and op.kind not in ROTATION_GATES:
-            raise GradientError(
-                f"gate {idx} ({op.kind.value}) is trainable but not a rotation"
-            )
-
-
-def _scores_for_params(model, state, params):
-    out = apply_circuit_batch(state[None, :], model.circuit, params)[0]
-    probs = np.abs(out) ** 2
-    return z_sign_matrix(model.readout_qubits, model.num_qubits) @ probs
-
-
-# (shift, coefficient) pairs of a shift rule: grad_j = sum c (E(theta_j + s) - E(theta_j - s)).
-# A Pauli rotation's generator has eigenvalues +-1/2, so two terms are exact;
-# a controlled rotation's has {0, +-1/2}, so its expectation also has a
-# frequency-1/2 part and needs four (Anselmetti et al. 2021).
-TWO_TERM = ((np.pi / 2, 0.5),)
-FOUR_TERM = (
-    (np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
-    (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))),
-)
-
-
-def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np.ndarray:
-    """Exact gradient of the readout qubit's Z expectation w.r.t. all params,
-    by the two-term shift rule on plain rotations and the four-term rule on
-    controlled ones."""
-    _check_rotation_params(model)
-    if not (0 <= observable < model.num_classes):
-        raise GradientError(f"observable index {observable} out of range")
-    state = encode_batch(model.encoder, np.asarray(x), model.num_qubits)[0]
-    params = model.params
-    controlled = {op.param_slot for op in model.circuit.gates if op.kind in CONTROLLED_GATES}
-    grad = np.zeros(params.shape[0])
-    for j in range(params.shape[0]):
-        for shift, coeff in FOUR_TERM if j in controlled else TWO_TERM:
-            shifted = params.copy()
-            shifted[j] += shift
-            ep = _scores_for_params(model, state, shifted)[observable]
-            shifted[j] = params[j] - shift
-            em = _scores_for_params(model, state, shifted)[observable]
-            grad[j] += coeff * (ep - em)
-    return grad
 
 
 def _pullback(model: QnnModel, xs: np.ndarray, states: np.ndarray, lam0: np.ndarray) -> np.ndarray:

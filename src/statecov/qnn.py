@@ -44,7 +44,6 @@ __all__ = [
     "forward_batch",
     "predict",
     "softmax",
-    "cross_entropy",
     "cross_entropy_grad",
     "train",
     "save_model",
@@ -148,6 +147,13 @@ class QnnModel:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
+        if self.params.shape != (self.circuit.num_params,):
+            raise ValueError(
+                f"params: expected {self.circuit.num_params} values, got {self.params.size}"
+            )
+        bad = np.flatnonzero(~np.isfinite(self.params))
+        if bad.size:
+            raise ValueError(f"params: entry {bad[0]} is not finite")
         dim = self.encoder.input_dim
         if self.encoder.kind == "angle" and dim != self.num_qubits:
             raise ValueError(
@@ -351,12 +357,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(scores: np.ndarray, label: int) -> float:
-    """Softmax cross-entropy of one score vector against an integer label."""
-    p = softmax(scores)
-    return float(-np.log(max(p[label], 1e-300)))
-
-
 def cross_entropy_grad(scores: np.ndarray, labels) -> np.ndarray:
     """Per-row gradient of the cross-entropy w.r.t. the scores: softmax minus one-hot."""
     resid = softmax(scores)
@@ -375,6 +375,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (0 <= self.learning_rate < np.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _batch_loss(probs_scores, labels):
@@ -494,17 +500,12 @@ def load_model(path) -> QnnModel:
     )
     num_qubits = int(_require(doc, "num_qubits"))
     circuit = build_ansatz_circuit(ansatz, num_qubits)
-    params = np.asarray(_require(doc, "params"), dtype=np.float64)
-    if params.shape != (circuit.num_params,):
-        raise ModelFormatError(
-            f"params: expected {circuit.num_params} values, got {params.shape[0]}"
-        )
     return QnnModel(
         encoder=encoder,
         ansatz=ansatz,
         num_qubits=num_qubits,
         circuit=circuit,
-        params=params,
+        params=_require(doc, "params"),
         readout_qubits=tuple(_require(doc, "readout_qubits")),
         num_classes=int(_require(doc, "num_classes")),
         train_data_digest=doc.get("train_data_digest"),

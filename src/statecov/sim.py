@@ -4,25 +4,27 @@ Basis-state ordering is big-endian: qubit 0 is the most significant bit of
 the basis index. All public operations are pure functions; inputs are never
 modified in place.
 
-apply_circuit_batch compiles a CircuitSpec once into a plan kept on the
-spec. The plan fuses each run of consecutive single-qubit gates on one qubit
-into one 2x2 matrix, rebuilt from the parameters on every call; a two-qubit
-gate ends the runs on its own two qubits only. Gates act in place on a copy
-of the (n, 2^q) batch: a 2x2 matrix mixes the two halves of the
-(n 2^t, 2, 2^(q-1-t)) view along target qubit t, a controlled gate acts on
-the control=1 slice of the (n, 2, ..., 2) view, CNOT swaps that slice's
-target halves and CZ negates one of them. A pass allocates one half-state
-scratch buffer that every gate reuses.
+A CircuitSpec is grouped once, and kept on the spec, into blocks (qsim's gate
+fusion; Haener & Steiger 2017, arXiv:1704.01127). A dense block holds gates
+on a window of at most BLOCK_QUBITS = 6 contiguous qubits and acts as one
+2^w x 2^w matrix U: one stacked matrix product per row on the
+(2^lo, 2^w, 2^(q-lo-w)) view, so a row's result does not depend on its batch.
+A wide block holds two-qubit gates 6 or more qubits apart (the cyclic wrap,
+star and full pairs at q > 6), run on the state by the 2x2 kernel, so no
+matrix wider than 2^6 is built. That kernel fuses runs of single-qubit gates,
+acts in place on qubit-axis views and builds each U from the identity rows.
+The spec keeps the matrices of the last parameters for the adjoint sweep.
 
-adjoint_sweep runs the same kernel backwards with each run's conjugate
-transpose (Jones & Gacon 2020, arXiv:2009.02823): one reverse pass over the
-outputs and their costates yields every gate-angle gradient and the costate
-at the circuit input, whatever the number of parameters.
+adjoint_sweep walks the blocks backwards (Jones & Gacon 2020,
+arXiv:2009.02823): U^dag undoes a block on the outputs and costates stacked,
+M = sum lam_out psi_in^dag is one matrix product, and the 2x2 kernel's own
+sweep of the block's gates, from U's identity-row outputs with M's columns as
+costates, adds the block's angle gradients: one reverse pass for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -45,7 +47,8 @@ __all__ = [
     "haar_random_state",
 ]
 
-NORM_ATOL = 1e-10
+# Widest window of qubits a dense block acts on: its matrix is 2^6 x 2^6.
+BLOCK_QUBITS = 6
 
 
 class SimulationError(ValueError):
@@ -142,12 +145,6 @@ class Statevector:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, amps: Sequence[complex]) -> "Statevector":
-        amps = np.asarray(amps, dtype=np.complex128)
-        q = int(round(np.log2(amps.size)))
-        return cls(q, amps)
-
 
 @dataclass(frozen=True)
 class ProbVector:
@@ -165,10 +162,6 @@ class ProbVector:
         object.__setattr__(self, "probs", probs)
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-
-    @property
-    def exact(self) -> bool:
-        return self.shots is None
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -190,7 +183,7 @@ _ALL = slice(None)
 
 @dataclass(frozen=True)
 class _Plan:
-    """A CircuitSpec compiled for apply_circuit_batch.
+    """A CircuitSpec compiled for the 2x2 kernel.
 
     Matrix row r is const[r] + cos(t) cos_part[r] + sin(t) sin_part[r] with
     t = params[slots[r]] / 2 (slot num_params reads a zero angle); row 0 is
@@ -251,34 +244,61 @@ def _compile(circuit: CircuitSpec) -> _Plan:
     return _Plan(slots, const, cos_part, sin_part, runs.reshape(-1, width), tuple(steps))
 
 
-def _compiled(circuit: CircuitSpec) -> _Plan:
-    """The circuit's plan, compiled on first use and kept on the frozen spec."""
-    plan = circuit.__dict__.get("_plan")
-    if plan is None:
-        plan = _compile(circuit)
-        object.__setattr__(circuit, "_plan", plan)
-    return plan
-
-
-def _evolve(states, circuit: CircuitSpec, params, reverse: bool = False, on_run=None) -> tuple:
-    """Run a C-ordered copy of a (n, 2^q) batch through the circuit's plan.
-
-    reverse walks the steps backwards with each fused run's conjugate
-    transpose, which undoes a forward pass. on_run(x0, x1, run), if given,
-    sees the two halves of each run's step just before the run acts on them.
-    Returns (the batch, every plan row's 2x2 matrix at these parameters).
-    """
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (circuit.num_params,):
-        raise SimulationError(
-            f"expected {circuit.num_params} parameters, got {params.shape}"
-        )
+def _group(circuit: CircuitSpec) -> tuple:
+    """Group the gates into blocks (lo, block circuit): dense ones on local
+    qubits 0, 1, ... of a window of at most BLOCK_QUBITS qubits from lo, wide
+    ones on all q qubits (lo = 0) for gates too far apart for a window. Each
+    gate joins the earliest block of its kind at or after the last block
+    touching its qubits whose window, if dense, stays within BLOCK_QUBITS, or
+    else opens a new block; gates on shared qubits keep their order."""
     q = circuit.num_qubits
-    batch = np.array(states, dtype=np.complex128, order="C")  # reshapes below must be views
-    if batch.ndim != 2 or batch.shape[1] != 2**q:
-        raise SimulationError(
-            f"batch shape {batch.shape} incompatible with {q}-qubit circuit"
-        )
+    last = [-1] * q  # the last block touching each qubit
+    groups = []  # [lo, hi, gates]; a wide one spans the register
+    for op in circuit.gates:
+        qubits = (op.target,) if op.control is None else (op.target, op.control)
+        lo, hi = min(qubits), max(qubits)
+        if hi - lo >= BLOCK_QUBITS:
+            lo, hi = 0, q - 1
+        for j in range(max(0, *(last[b] for b in qubits)), len(groups)):
+            glo, ghi, _ = groups[j]
+            if max(hi, ghi) - min(lo, glo) < BLOCK_QUBITS or (lo, hi) == (glo, ghi):
+                break
+        else:
+            j = len(groups)
+            groups.append([lo, hi, []])
+        groups[j][:2] = min(lo, groups[j][0]), max(hi, groups[j][1])
+        groups[j][2].append(op)
+        for b in qubits:
+            last[b] = j
+    blocks = []
+    for lo, hi, gates in groups:
+        shift = {b: b - lo for b in range(lo, hi + 1)}
+        ops = [replace(op, target=shift[op.target], control=shift.get(op.control)) for op in gates]
+        blocks.append((lo, CircuitSpec(hi - lo + 1, ops, circuit.num_params)))
+    return tuple(blocks)
+
+
+def _compiled(circuit: CircuitSpec) -> _Plan:
+    """The circuit's 2x2 kernel plan, compiled on first use and kept on the frozen spec."""
+    if "_plan" not in circuit.__dict__:
+        object.__setattr__(circuit, "_plan", _compile(circuit))
+    return circuit._plan
+
+
+def _blocks(circuit: CircuitSpec) -> tuple:
+    """The circuit's blocks, grouped on first use and kept on the frozen spec."""
+    if "_blocks" not in circuit.__dict__:
+        object.__setattr__(circuit, "_blocks", _group(circuit))
+    return circuit._blocks
+
+
+def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scratch=None):
+    """Run a C-ordered (n, 2^q) complex batch through the circuit's 2x2 plan
+    in place; scratch, if given, holds at least batch.size amplitudes. reverse
+    walks the steps backwards with each fused run's conjugate transpose, which
+    undoes a forward pass. on_run(x0, x1, run), if given, sees the two halves
+    of each run's step just before the run acts on them. Returns every plan
+    row's 2x2 matrix at these parameters."""
     plan = _compiled(circuit)
     half = 0.5 * np.append(params, 0.0)[plan.slots][:, None, None]
     mats = plan.const + np.cos(half) * plan.cos_part + np.sin(half) * plan.sin_part
@@ -289,7 +309,8 @@ def _evolve(states, circuit: CircuitSpec, params, reverse: bool = False, on_run=
         fused = fused.conj().transpose(0, 2, 1)
     coeffs = fused.reshape(-1, 4).tolist()
 
-    scratch = np.empty(batch.size // 2, dtype=np.complex128)
+    size = batch.size // 2
+    scratch = np.empty(2 * size, dtype=np.complex128) if scratch is None else scratch.reshape(-1)
     for action, shape, i0, i1, run in reversed(plan.steps) if reverse else plan.steps:
         view = batch.reshape(shape)
         x0, x1 = view[i0], view[i1]
@@ -304,49 +325,28 @@ def _evolve(states, circuit: CircuitSpec, params, reverse: bool = False, on_run=
             continue
         if on_run is not None:
             on_run(x0, x1, run)
+        part = scratch[size : size + x0.size].reshape(x0.shape)
         m00, m01, m10, m11 = coeffs[run]
         np.multiply(x0, m00, out=tmp)
-        tmp += m01 * x1
+        tmp += np.multiply(x1, m01, out=part)
         x1 *= m11
-        x1 += m10 * x0
+        x1 += np.multiply(x0, m10, out=part)
         np.copyto(x0, tmp)
-    return batch, mats
+    return mats
 
 
-def apply_circuit_batch(
-    states: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
-) -> np.ndarray:
-    """Evolve a (n, 2^q) batch of amplitude rows through the circuit.
-
-    Linear in each row; rows need not be normalized. Returns a new array.
-    """
-    return _evolve(states, circuit, params)[0]
-
-
-def adjoint_sweep(
-    states: np.ndarray, costates: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
-) -> tuple:
-    """Reverse-mode derivatives of a real function L of the circuit outputs.
-
-    states are the outputs psi of a forward pass and costates the rows
-    lam = dL/d conj(psi), so dL = 2 Re sum(conj(lam) dpsi). One backward walk
-    undoes every step on psi and lam stacked into one batch. Returns
-    (dL/dparams summed over rows, the costate U^dag lam at the circuit input).
-    """
-    if np.shape(costates) != np.shape(states):
-        raise SimulationError(
-            f"costates {np.shape(costates)} do not match states {np.shape(states)}"
-        )
+def _kernel_sweep(batch, circuit: CircuitSpec, params, scratch=None) -> np.ndarray:
+    """The 2x2 kernel's adjoint sweep, in place on the circuit outputs psi
+    stacked over their costates; leaves the inputs there, returns dL/dparams."""
     plan = _compiled(circuit)
     corr = np.zeros((len(plan.runs), 2, 2), dtype=np.complex128)
 
     def record(x0, x1, run):
-        # C_ab = sum conj(lam_a) psi_b at the run's output; psi is the first
-        # half of every view's leading axis
+        # C_ab = sum conj(lam_a) psi_b at the run's output; psi leads every view
         h = x0.shape[0] // 2
         corr[run] = [[np.vdot(la, pb) for pb in (x0[:h], x1[:h])] for la in (x0[h:], x1[h:])]
 
-    batch, mats = _evolve(np.concatenate([states, costates]), circuit, params, True, record)
+    mats = _evolve(batch, circuit, params, True, record, scratch)
     # In a run R_w ... R_1, rotation R_i = cos(t/2) I + sin(t/2) S_i has
     # dR_i R_i^dag = S_i / 2, so with A = R_w ... R_{i+1} it adds
     # 2 Re sum_ab (A (S_i / 2) A^dag)_ab C_ab to its slot. Fixed gates and
@@ -357,7 +357,118 @@ def adjoint_sweep(
         gen = after @ plan.sin_part[col] @ after.conj().transpose(0, 2, 1)
         grad += np.bincount(plan.slots[col], np.real(gen * corr).sum(axis=(1, 2)), grad.size)
         after = after @ mats[col]
-    return grad[:-1], batch[len(states) :]
+    return grad[:-1]
+
+
+def _block_matrices(circuit: CircuitSpec, params: np.ndarray) -> list:
+    """U^T of each dense block U (the 2x2 kernel on the identity rows), None for
+    a wide block, at these parameters; kept on the spec for the last ones seen."""
+    key = params.tobytes()
+    if circuit.__dict__.get("_matrices", (None,))[0] != key:
+        mats = [None] * len(_blocks(circuit))
+        for i, (_, block) in enumerate(_blocks(circuit)):
+            if block.num_qubits <= BLOCK_QUBITS:
+                mats[i] = np.eye(2**block.num_qubits, dtype=np.complex128)
+                _evolve(mats[i], block, params)
+        object.__setattr__(circuit, "_matrices", (key, mats))
+    return circuit._matrices[1]
+
+
+def _mix(src: np.ndarray, dst: np.ndarray, lo: int, u_t: np.ndarray) -> None:
+    """dst = src with U (given as U^T) on the w qubits from lo; every row is
+    its own stack of matrix products, so its result does not depend on the batch."""
+    n, dim = src.shape
+    k = len(u_t)  # 2^w
+    outer, inner = n << lo, dim // (k << lo)
+    if inner == 1:  # the window holds the lowest qubits
+        np.matmul(src.reshape(n, dim // k, k), u_t, out=dst.reshape(n, dim // k, k))
+    else:
+        np.matmul(u_t.T, src.reshape(outer, k, inner), out=dst.reshape(outer, k, inner))
+
+
+def _overlap(psi: np.ndarray, lam: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """M^T, M = sum lam psi^dag over rows and the axes outside the k-amplitude window at lo."""
+    shape = (len(psi) << lo, k, psi.shape[1] // (k << lo))
+    psi_t = np.conjugate(psi.reshape(shape).transpose(1, 0, 2), order="C").reshape(k, -1)
+    return psi_t @ lam.reshape(shape).transpose(1, 0, 2).reshape(k, -1).T
+
+
+def _check(states, circuit: CircuitSpec, params) -> tuple:
+    """states as a C-ordered complex batch and params as floats, both checked."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (circuit.num_params,):
+        raise SimulationError(f"expected {circuit.num_params} parameters, got {params.shape}")
+    q = circuit.num_qubits
+    batch = np.asarray(states, dtype=np.complex128, order="C")
+    if batch.ndim != 2 or batch.shape[1] != 2**q:
+        raise SimulationError(f"batch shape {batch.shape} incompatible with {q}-qubit circuit")
+    return batch, params
+
+
+def apply_circuit_batch(
+    states: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
+) -> np.ndarray:
+    """Evolve a (n, 2^q) batch of amplitude rows through the circuit.
+
+    Linear in each row; rows need not be normalized. Returns a new array.
+    """
+    src, params = _check(states, circuit, params)
+    buffers = []
+
+    def spare(busy):  # a work buffer other than busy, never the caller's batch
+        if all(buf is busy for buf in buffers):
+            buffers.append(np.empty_like(src))
+        return next(buf for buf in buffers if buf is not busy)
+
+    cur = src
+    for (lo, block), u_t in zip(_blocks(circuit), _block_matrices(circuit, params)):
+        if u_t is not None:
+            out = spare(cur)
+            _mix(cur, out, lo, u_t)
+            cur = out
+            continue
+        if cur is src:  # the 2x2 kernel works in place
+            cur = spare(src)
+            np.copyto(cur, src)
+        _evolve(cur, block, params, scratch=spare(cur))
+    return src.copy() if cur is src else cur
+
+
+def adjoint_sweep(
+    states: np.ndarray, costates: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
+) -> tuple:
+    """Reverse-mode derivatives of a real function L of the circuit outputs.
+
+    states are the outputs psi of a forward pass and costates the rows
+    lam = dL/d conj(psi), so dL = 2 Re sum(conj(lam) dpsi). One backward walk
+    over the blocks undoes each block on psi and lam stacked into one batch.
+    Returns (dL/dparams summed over rows, the costate U^dag lam at the
+    circuit input).
+    """
+    if np.shape(costates) != np.shape(states):
+        raise SimulationError(
+            f"costates {np.shape(costates)} do not match states {np.shape(states)}"
+        )
+    n = len(states)
+    batch, params = _check(np.concatenate([states, costates]), circuit, params)
+    grad = np.zeros(circuit.num_params)
+    buffers = [batch, np.empty_like(batch)]
+    mats = _block_matrices(circuit, params)
+    for (lo, block), u_t in zip(_blocks(circuit)[::-1], mats[::-1]):
+        out, inp = buffers  # the block's output side, and where its input side goes
+        if u_t is None:
+            grad += _kernel_sweep(out, block, params, scratch=inp)
+            continue
+        _mix(out, inp, lo, u_t.conj().T)  # (U^dag)^T = conj(U)
+        buffers.reverse()
+        if not any(op.param_slot is not None for op in block.gates):
+            continue
+        # The block U adds 2 Re sum_ab dU_ab conj(M_ab), M = sum lam_out psi_in^dag
+        # over rows and outside axes: the 2x2 kernel's sweep of the block circuit
+        # from its identity-row outputs U^T with M's columns as costates.
+        local = np.concatenate([u_t, _overlap(inp[:n], out[n:], lo, len(u_t))])
+        grad += _kernel_sweep(local, block, params)
+    return grad, buffers[0][n:]
 
 
 def apply_circuit(

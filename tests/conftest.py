@@ -95,9 +95,19 @@ def dense_circuit_matrix(circuit, params):
     return mat
 
 
-def random_circuit(rng, q, num_gates=12):
-    """Random circuit mixing all supported gate kinds."""
-    from statecov.sim import CircuitSpec, Gate, GateOp
+def dense_circuit_apply(circuit, params, states):
+    """Rows of states run gate by gate through dense_gate_matrix: the dense
+    oracle at widths where the full circuit matrix costs too much."""
+    for op in circuit.gates:
+        states = states @ dense_gate_matrix(op, params, circuit.num_qubits).T
+    return states
+
+
+def random_circuit(rng, q, num_gates=12, wide=0):
+    """Random circuit mixing all supported gate kinds; wide > 0 (q > 6 only)
+    inserts that many two-qubit gates, of random kinds and at random places,
+    whose qubits lie at least BLOCK_QUBITS apart."""
+    from statecov.sim import BLOCK_QUBITS, CircuitSpec, Gate, GateOp
 
     singles = [Gate.RX, Gate.RY, Gate.RZ, Gate.H, Gate.X]
     doubles = [Gate.CNOT, Gate.CZ, Gate.CRX, Gate.CRY, Gate.CRZ]
@@ -120,6 +130,15 @@ def random_circuit(rng, q, num_gates=12):
                 slot += 1
             else:
                 gates.append(GateOp(kind, target=tgt))
+    for _ in range(wide):
+        kind = doubles[rng.integers(len(doubles))]
+        lo = int(rng.integers(q - BLOCK_QUBITS))
+        pair = [lo, int(rng.integers(lo + BLOCK_QUBITS, q))]
+        ctrl, tgt = pair if rng.random() < 0.5 else pair[::-1]
+        rotation = kind in (Gate.CRX, Gate.CRY, Gate.CRZ)
+        op = GateOp(kind, target=tgt, control=ctrl, param_slot=slot if rotation else None)
+        slot += rotation
+        gates.insert(int(rng.integers(len(gates) + 1)), op)
     circuit = CircuitSpec(q, tuple(gates), slot)
     params = rng.uniform(-np.pi, np.pi, size=slot)
     return circuit, params

@@ -24,13 +24,12 @@ from statecov.fixtures import (
     reference_two_qubit_profile,
 )
 from statecov.fuzz import FuzzConfig, fuzz, random_test
-from statecov.gradients import finite_diff_grad, input_grad, param_shift_grad
+from statecov.gradients import input_grad
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
     LabeledDataset,
     build_model,
-    cross_entropy,
     encode_batch,
     forward,
     forward_batch,
@@ -54,6 +53,7 @@ from conftest import (
     random_circuit,
     random_profile_and_suite,
 )
+from oracles import cross_entropy, finite_diff_grad, param_shift_grad
 
 
 def _verdict(num, label, ok, detail, budget, elapsed):

@@ -355,3 +355,71 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"config file: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestBoundaryValidation:
+    """Out-of-range and non-finite values are refused with a message that
+    names the field. A flag value exits 1, as every range error does
+    (test_invalid_epsilon_internal_error); a malformed file exits 2."""
+
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [
+            ("train", ["--epochs", "0"], "epochs"),
+            ("train", ["--learning-rate", "nan"], "learning_rate"),
+            ("train", ["--batch-size", "0"], "batch_size"),
+            ("attack", ["--epsilon", "nan"], "epsilon"),
+            ("attack", ["--epsilon", "inf"], "epsilon"),
+            ("attack", ["--kind", "jsma", "--theta", "-1"], "theta"),
+            ("attack", ["--kind", "jsma", "--theta", "1.5"], "theta"),
+            ("attack", ["--kind", "jsma", "--gamma", "nan"], "gamma"),
+            ("profile", ["--per-class-cap", "-1"], "per_class_cap"),
+            ("profile", ["--mad", "--confidence", "1.5"], "confidence"),
+            ("fuzz", ["--max-iterations", "-3"], "max_iterations"),
+            ("fuzz", ["--alpha", "nan"], "alpha"),
+            ("fuzz", ["--random-baseline", "--reenqueue-prob", "7"], "reenqueue_prob"),
+        ],
+    )
+    def test_flag_out_of_range(
+        self, command, flags, field, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        model, data = str(trained_dir / "model.json"), str(data_csv)
+        inputs = {
+            "train": ["--dataset", data],
+            "attack": ["--model", model, "--dataset", data],
+            "profile": ["--model", model, "--dataset", data],
+            "fuzz": ["--model", model, "--profile", str(profile_dir / "profile.json"), "--seeds", data],
+        }
+        out = tmp_path / "out"
+        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_nan_model_param_is_config_error(self, trained_dir, data_csv, tmp_path, capsys):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        doc["params"][3] = float("nan")
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["attack", "--model", str(bad), "--dataset", str(data_csv), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "params: entry 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["lower", "upper", "sigma"])
+    def test_nan_profile_bound_is_config_error(
+        self, field, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        doc = json.loads((profile_dir / "profile.json").read_text())
+        doc[field][5] = float("nan")
+        bad = tmp_path / "profile.json"
+        bad.write_text(json.dumps(doc))
+        code = main(
+            [
+                "coverage",
+                "--model", str(trained_dir / "model.json"),
+                "--profile", str(bad),
+                "--suite", str(data_csv),
+                "--out-dir", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        assert f"{field}: entry 5 is not finite" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from statecov.fixtures import (
 )
 
 from conftest import brute_force_coverage, random_profile_and_suite
+from oracles import merge
 
 
 class TestStateProfile:
@@ -314,7 +315,7 @@ class TestTracker:
             a.add_input(pv)
         for pv in suite[14:]:
             b.add_input(pv)
-        a.merge(b)
+        merge(a, b)
         assert a.report() == whole.report()
 
     def test_merge_shape_mismatch(self):
@@ -322,7 +323,7 @@ class TestTracker:
         a = CoverageTracker(prof, CoverageConfig(k_cells=5))
         b = CoverageTracker(prof, CoverageConfig(k_cells=6))
         with pytest.raises(ValueError):
-            a.merge(b)
+            merge(a, b)
 
     def test_length_mismatch_rejected(self):
         prof = StateProfile(lower=[0.1, 0.1], upper=[0.9, 0.9])

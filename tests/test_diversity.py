@@ -7,11 +7,12 @@ from statecov.diversity import (
     NUM_BINS,
     FidelityHistogram,
     js_divergence,
-    pairwise_fidelity_hist,
     suite_diversity,
 )
 from statecov.qnn import EncoderSpec, encode_batch
 from statecov.sim import Statevector, haar_random_state
+
+from oracles import pairwise_fidelity_hist
 
 HAAR_BIN_TOL = 5e-3
 

@@ -18,6 +18,8 @@ from statecov.fuzz import (
 )
 from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, TrainConfig, build_model, predict, train
 
+from oracles import _eval_one
+
 fuzz_module = importlib.import_module("statecov.fuzz")  # the package re-exports fuzz()
 
 
@@ -193,8 +195,6 @@ class TestFuzzLoop:
         for pv in committed:
             shadow.add_input(pv)
         it = 0
-        from statecov.fuzz import _eval_one
-
         extra = []
         while queue and it < cfg.max_iterations:
             it += 1
@@ -263,7 +263,7 @@ def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
         gen_left -= 1
         iterations += 1
         m = mutate(queue.popleft(), rng, config.alpha)
-        pv, pred = fuzz_module._eval_one(model, m.features)
+        pv, pred = _eval_one(model, m.features)
         if pred != m.label:
             tracker.add_input(pv)
             failed.append(m)

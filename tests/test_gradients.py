@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from statecov.datasets import gaussian_blobs
-from statecov.gradients import (
-    GradientError,
-    finite_diff_grad,
-    input_grad,
-    param_shift_grad,
-    score_input_grads,
-)
+from statecov.gradients import GradientError, input_grad, score_input_grads
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -18,16 +12,24 @@ from statecov.qnn import (
     TrainConfig,
     _backprop,
     build_model,
-    cross_entropy,
     cross_entropy_grad,
     encode_batch,
     forward,
     forward_batch,
     train,
 )
-from statecov.sim import Gate, SimulationError, adjoint_sweep, apply_circuit_batch
+from statecov.sim import (
+    BLOCK_QUBITS,
+    Gate,
+    SimulationError,
+    _blocks,
+    _kernel_sweep,
+    adjoint_sweep,
+    apply_circuit_batch,
+)
 
 from conftest import dense_circuit_matrix, random_circuit
+from oracles import cross_entropy, finite_diff_grad, param_shift_grad
 
 
 def _loss_fn(model, x, label):
@@ -189,8 +191,8 @@ class TestInputGrad:
 
 # -- the adjoint sweep against its oracles -----------------------------------
 
-def _random_model(rng, q, num_gates):
-    circuit, params = random_circuit(rng, q, num_gates)
+def _random_model(rng, q, num_gates, wide=0):
+    circuit, params = random_circuit(rng, q, num_gates, wide)
     classes = min(q, 2)
     return QnnModel(
         EncoderSpec("angle", q), AnsatzSpec("layered", 1, "linear"), q, circuit, params,
@@ -241,6 +243,48 @@ class TestAdjointSweep:
         rows = [adjoint_sweep(out[r : r + 1], lam[r : r + 1], circuit, params) for r in range(n)]
         assert np.allclose(grad, sum(g for g, _ in rows), rtol=0, atol=1e-12)
         assert np.allclose(lam0, np.concatenate([l0 for _, l0 in rows]), rtol=0, atol=1e-12)
+
+    @given(
+        q=st.integers(BLOCK_QUBITS + 1, 9),
+        num_gates=st.integers(15, 30),
+        wide=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_block_sweep_matches_shift_rules(self, q, num_gates, wide, seed):
+        # the sweep over three or more blocks against the two- and four-term
+        # shift rules, one readout score at a time
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, q, num_gates, wide)
+        assume(len(_blocks(model.circuit)) >= 3)
+        x = rng.uniform(0, 1, q)
+        states = encode_batch(model.encoder, x[None, :], q)
+        for c in range(model.num_classes):
+            _, adjoint, _ = _backprop(model, states, model.params, lambda s, c=c: np.eye(s.shape[1])[[c]])
+            assert np.max(np.abs(adjoint - param_shift_grad(model, x, c)), initial=0.0) < 1e-10
+
+    @given(
+        q=st.integers(1, 10),
+        n=st.integers(1, 4),
+        num_gates=st.integers(1, 40),
+        wide=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(q=10, n=4, num_gates=40, wide=2, seed=1)  # 6-qubit blocks and wide gates
+    @settings(max_examples=40, deadline=None)
+    def test_block_sweep_matches_kernel_sweep(self, q, n, num_gates, wide, seed):
+        # the 2x2 kernel's own sweep over the whole circuit, step by step on
+        # the state, is the reference for both outputs
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates, wide if q > BLOCK_QUBITS else 0)
+        out = rng.standard_normal((n, 2**q)) + 1j * rng.standard_normal((n, 2**q))
+        lam = rng.standard_normal((n, 2**q)) + 1j * rng.standard_normal((n, 2**q))
+        grad, lam0 = adjoint_sweep(out, lam, circuit, params)
+        stacked = np.concatenate([out, lam])
+        ref = _kernel_sweep(stacked, circuit, params)
+        scale = max(1.0, np.abs(ref).max(initial=0.0))
+        assert np.max(np.abs(grad - ref), initial=0.0) < 1e-12 * scale * 2**q
+        assert np.max(np.abs(lam0 - stacked[n:])) < 1e-12
 
     def test_costate_pulls_back_to_the_input(self):
         # lam0 = U^dag lam, checked against the dense circuit matrix

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecov.datasets import gaussian_blobs
@@ -24,7 +24,7 @@ from statecov.qnn import (
     train,
     z_sign_matrix,
 )
-from statecov.sim import Gate
+from statecov.sim import BLOCK_QUBITS, Gate, _blocks
 
 
 class TestEncoding:
@@ -131,11 +131,12 @@ class TestForward:
 
     @given(
         encoder=st.sampled_from(["angle", "amplitude"]),
-        q=st.integers(1, 7),
+        q=st.integers(1, 9),
         classes=st.integers(1, 4),
         n=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(encoder="angle", q=9, classes=2, n=7, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_rows_bit_for_bit(self, encoder, q, classes, n, seed):
         # a row's probabilities and scores must not depend on the batch it
@@ -146,6 +147,11 @@ class TestForward:
             EncoderSpec(encoder, d), AnsatzSpec("entangling", 2, "full"), q,
             min(classes, q), seed=int(rng.integers(1 << 30)),
         )
+        if q == 9:  # several dense blocks, one on the lowest qubits, and wide gates
+            widths = [(lo, block.num_qubits) for lo, block in _blocks(model.circuit)]
+            dense = [(lo, w) for lo, w in widths if w <= BLOCK_QUBITS]
+            assert len(dense) > 1 and any(lo + w == q for lo, w in dense)
+            assert len(dense) < len(widths)
         xs = rng.uniform(0.05, 1.0, (n, d))
         probs, scores = forward_batch(model, xs)
         for i in range(n):
