@@ -43,6 +43,8 @@ class AttackConfig:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if not (0 <= self.gamma <= 1):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _perturb_rows(xs: np.ndarray, epsilon: float, seeds) -> np.ndarray:

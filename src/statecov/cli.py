@@ -95,6 +95,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
+    if resolved["seed"] < 0:  # every subcommand has one; numpy's own error would not name it
+        raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 

@@ -13,8 +13,9 @@ CoverageTracker is batch-first. locate() places an (n, S) matrix of
 probability vectors in one vectorized pass (cell per state, corner masks,
 stable top-k), commit() sets every bit those hits reach, and add_batch() does
 both, so a whole suite folds in with no per-input loop and with the same bits
-as adding its rows one at a time. add_input() and peek_input() are batches
-of one; opens() asks whether some hits would set a bit of one kind.
+as adding its rows one at a time. row_opens() says, for every row of a batch
+at once, whether adding the rows in order would see it set a new bit of one
+kind; add_input() and peek_input() are batches of one.
 """
 
 from __future__ import annotations
@@ -194,8 +195,9 @@ class Hits(NamedTuple):
     above: np.ndarray  # (n, S) upper-corner mask
     top: np.ndarray  # (n, S) top-k mask
 
-    def row(self, i: int) -> "Hits":
-        return Hits(*(a[i : i + 1] for a in self))
+    def rows(self, index) -> "Hits":
+        """The hits of the rows an index array or boolean mask selects."""
+        return Hits(*(a[index] for a in self))
 
 
 class CoverageTracker:
@@ -259,18 +261,30 @@ class CoverageTracker:
         top = higher | ties & (np.cumsum(ties, axis=1) <= k_top - higher.sum(axis=1, keepdims=True))
         return Hits(cells, below, above, top)
 
-    def opens(self, hits: Hits, flag: str) -> bool:
-        """Whether committing these hits would set a bit of the given kind
-        ("new_cell", "new_corner" or "new_top")."""
+    def row_opens(self, hits: Hits, flag: str) -> np.ndarray:
+        """Per row, whether it sets a bit of the given kind ("new_cell",
+        "new_corner" or "new_top") that neither the tracker nor an earlier
+        row has set: what peek_input then add_input, row by row, would say.
+
+        A row that sets no new bit of the kind has all of its bits of the
+        kind set already, so the bits set before row i are the tracker's
+        plus those of every earlier row, committed or not, and a row opens
+        exactly where one of its unset bits occurs first in the batch.
+        """
         if flag == "new_cell":
             rows, states = np.nonzero(hits.cells >= 0)
-            return not self.cells[states, hits.cells[rows, states]].all()
-        if flag == "new_corner":
-            return bool(
-                (hits.below & ~self.corners[:, 0]).any()
-                or (hits.above & ~self.corners[:, 1]).any()
-            )
-        return bool((hits.top & ~self.top_states).any())
+            cells = hits.cells[rows, states]
+            unset = ~self.cells[states, cells]
+            rows, keys = rows[unset], states[unset] * self.config.k_cells + cells[unset]
+        elif flag == "new_corner":
+            below = hits.below & ~self.corners[:, 0]
+            rows, states, side = np.nonzero(np.stack([below, hits.above & ~self.corners[:, 1]], 2))
+            keys = 2 * states + side
+        else:
+            rows, keys = np.nonzero(hits.top & ~self.top_states)
+        opens = np.zeros(hits.cells.shape[0], dtype=bool)
+        opens[rows[np.unique(keys, return_index=True)[1]]] = True  # rows ascend in nonzero order
+        return opens
 
     def commit(self, hits: Hits) -> None:
         """Set every bit the hits reach; each row counts as one input."""
@@ -282,7 +296,8 @@ class CoverageTracker:
         self.num_inputs += hits.cells.shape[0]
 
     def _delta(self, hits: Hits) -> dict:
-        return {flag: self.opens(hits, flag) for flag in ("new_cell", "new_corner", "new_top")}
+        flags = ("new_cell", "new_corner", "new_top")
+        return {flag: bool(self.row_opens(hits, flag).any()) for flag in flags}
 
     def add_batch(self, pvs) -> dict:
         """Fold all rows of an (n, S) matrix in at once; the delta flags say
@@ -405,5 +420,5 @@ def coverage_suite(
             f"{2**model.num_qubits}"
         )
     tracker = CoverageTracker(prof, config)
-    tracker.add_batch(collect_prob_vectors(model, suite, shots=shots, seed=seed))
+    tracker.commit(tracker.locate(collect_prob_vectors(model, suite, shots=shots, seed=seed)))
     return tracker.report()

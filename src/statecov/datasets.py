@@ -1,18 +1,25 @@
 """Dataset plumbing: desk-scale synthetic generators and CSV round-tripping.
 
 CSV layout: header row f0..f{d-1},label; features already scaled to [0, 1].
+The I/O is columnar: save_csv formats every value with repr and writes a
+block of ROWS_PER_WRITE rows per call, with the CRLF line ends of Python's
+csv module, and load_csv parses all data rows with one np.loadtxt call.
+Files it cannot take that way are read again row by row, which accepts and
+rejects exactly what csv.reader plus Python's float and int do.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Optional
+import warnings
 
 import numpy as np
 
 from .qnn import LabeledDataset
 
 __all__ = ["gaussian_blobs", "synthetic_grid_digits", "save_csv", "load_csv"]
+
+ROWS_PER_WRITE = 1024
 
 
 def gaussian_blobs(
@@ -69,15 +76,51 @@ def synthetic_grid_digits(
 
 
 def save_csv(data: LabeledDataset, path) -> None:
+    """Write data in the layout above: one repr per value, CRLF line ends."""
     d = data.features.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\r\n")
+        # a block of rows per write keeps the formatted text small
+        for start in range(0, len(data), ROWS_PER_WRITE):
+            block = slice(start, start + ROWS_PER_WRITE)
+            rows = data.features[block].tolist()
+            for row, label in zip(rows, data.labels[block].tolist()):
+                row.append(label)
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+
+
+def _outside(feats: np.ndarray) -> np.ndarray:
+    return ~((feats >= 0.0) & (feats <= 1.0))  # NaN fails both tests
 
 
 def load_csv(path) -> LabeledDataset:
+    """Read a CSV in the layout above; malformed files raise ValueError with
+    the file, line and column at fault.
+
+    The data rows are parsed in one np.loadtxt call. Should it fail, or a
+    feature lie outside [0, 1], the file is read again row by row, which
+    accepts every spelling Python's float and int accept (1_0, say) and
+    words the error.
+    """
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy 1.x parses label "1.0" with a warning
+            header = next(csv.reader(fh), None)
+            if header and header[-1] == "label":
+                dtype = [("f", np.float64, (len(header) - 1,)), ("label", np.int64)]
+                rows = np.loadtxt(
+                    fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+                if not _outside(rows["f"]).any():
+                    return LabeledDataset(
+                        np.ascontiguousarray(rows["f"]), np.ascontiguousarray(rows["label"])
+                    )
+    except (ValueError, Warning, csv.Error):
+        pass  # the row loop reads the file again and raises the worded error
+    return _load_rows(path)
+
+
+def _load_rows(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -100,7 +143,7 @@ def load_csv(path) -> LabeledDataset:
     if not feats:
         raise ValueError(f"{path}: no data rows")
     feats = np.asarray(feats)
-    bad = np.argwhere(~((feats >= 0.0) & (feats <= 1.0)))  # NaN fails both tests
+    bad = np.argwhere(_outside(feats))
     if bad.size:
         r, c = bad[0]
         raise ValueError(

@@ -8,14 +8,21 @@ a given probability.
 
 The loop runs one generation at a time: the queue's contents when the
 generation starts, cut to the budget left. Mutants it appends are only popped
-after it, so every item is mutated in queue order with the one rng, all
-mutants are evaluated in one forward_batch and located in one batch, and then
-gated in queue order against the tracker as it is updated. This makes the
-same decisions as taking one mutant at a time. The random baseline draws its
-re-enqueue number only after a mutant that does not fail, so it draws
-speculatively: the rng state is saved before each mutant's draw, and at the
-first failing mutant it is restored and the rest of the generation is
-mutated again from there, at the cost of one more batch per failure.
+after it, so every item is mutated in queue order with the one rng and all
+mutants are evaluated in one forward_batch and located in one batch. The
+gate then decides the whole generation at once: a mutant that neither fails
+nor opens coverage of the gate's kind commits nothing, and every bit of that
+kind it reaches is set already, so mutant i opens exactly where one of its
+unset bits first occurs among the generation's (CoverageTracker.row_opens).
+Failing and accepted mutants are committed in one call. This makes the same
+decisions as taking one mutant at a time.
+
+The random baseline draws its re-enqueue number only after a mutant that
+does not fail, so it draws speculatively: the rng state is saved before each
+mutant's draw, and at the first failing mutant it is restored and the rest
+of the generation is mutated again from there, at the cost of one more batch
+per failure. It never reads the tracker, so its failing mutants are
+committed once, at the end.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class FuzzConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -166,12 +175,12 @@ def _run_loop(
     seeds = _initial_queue(model, initial_seeds)
 
     tracker = CoverageTracker(prof, config.coverage)
-    tracker.add_batch(collect_prob_vectors(model, initial_seeds))
+    tracker.commit(tracker.locate(collect_prob_vectors(model, initial_seeds)))
     coverage_before = tracker.report()
 
     queue = deque(seeds)
     failed: List[FuzzSeed] = []
-    failing_origins = set()
+    failed_probs = []  # the random baseline's, committed once at the end
     flag = _CRITERION_FLAG[config.criterion]
     iterations = 0
     non_failing = 0
@@ -188,30 +197,28 @@ def _run_loop(
                     draw_states.append(rng.bit_generator.state)
                     draws.append(rng.random())
             probs, scores = forward_batch(model, np.stack([m.features for m in mutants]))
-            preds = np.argmax(scores, axis=1)
-            hits = tracker.locate(probs)
-            done = len(todo)
-            for i, m in enumerate(mutants):
-                row = hits.row(i)
-                if preds[i] != m.label:
-                    tracker.commit(row)
-                    failed.append(m)
-                    failing_origins.add(m.origin)
-                    if not guided:  # no gate draw after a failure: rewind and re-mutate the rest
-                        rng.bit_generator.state = draw_states[i]
-                        done = i + 1
-                        break
-                    continue
-                non_failing += 1
-                if guided:
-                    if tracker.opens(row, flag):
-                        tracker.commit(row)
-                        queue.append(m)
-                        re_enqueued += 1
-                elif draws[i] < reenqueue_prob:
-                    queue.append(m)
-                    re_enqueued += 1
+            failing = np.argmax(scores, axis=1) != [m.label for m in mutants]
+            if guided:
+                hits = tracker.locate(probs)
+                keep = ~failing & tracker.row_opens(hits, flag)
+                tracker.commit(hits.rows(failing | keep))
+                done = len(todo)
+            else:
+                # no gate draw after a failure: rewind to the first one and re-mutate the rest
+                done = int(np.argmax(failing)) + 1 if failing.any() else len(todo)
+                failing = failing[:done]
+                keep = ~failing & (np.array(draws[:done]) < reenqueue_prob)
+                if failing[-1]:
+                    failed_probs.append(probs[done - 1])
+                    rng.bit_generator.state = draw_states[done - 1]
+            failed += [m for m, f in zip(mutants, failing) if f]
+            queue.extend(m for m, k in zip(mutants, keep) if k)
+            non_failing += int(np.count_nonzero(~failing))
+            re_enqueued += int(np.count_nonzero(keep))
             todo = todo[done:]
+    if failed_probs:
+        tracker.commit(tracker.locate(np.stack(failed_probs)))
+    failing_origins = {m.origin for m in failed}
 
     num_initial = len(seeds)
     return FuzzOutcome(

@@ -165,6 +165,8 @@ class QnnModel:
                 f"encoder.input_dim {dim} exceeds 2^num_qubits = {2**self.num_qubits} "
                 "for amplitude encoding"
             )
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if len(self.readout_qubits) != self.num_classes:
             raise ValueError("one readout qubit per class is required")
         if len(set(self.readout_qubits)) != len(self.readout_qubits):
@@ -381,6 +383,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _batch_loss(probs_scores, labels):
@@ -407,6 +411,14 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
     Returns (trained model, history dict with per-epoch loss and final
     accuracy). Deterministic for a fixed config seed.
     """
+    if model.num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2 to train, got {model.num_classes}")
+    bad = np.flatnonzero((data.labels < 0) | (data.labels >= model.num_classes))
+    if bad.size:
+        raise ValueError(
+            f"label {data.labels[bad[0]]} of row {bad[0]} is outside [0, num_classes) "
+            f"with num_classes {model.num_classes}"
+        )
     if len(np.unique(data.labels)) < 2:
         raise TrainingError("training data must contain at least 2 classes")
     rng = np.random.default_rng(config.seed)

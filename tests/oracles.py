@@ -3,10 +3,13 @@
 Parameter-shift and finite-difference gradients, the latter of the one-row
 cross-entropy, check the adjoint sweep and the input gradients; the
 state-list fidelity histogram checks the suite diversity figures, the
-one-row evaluation drives the sequential fuzz reference loop, and merge is
-the bitwise union of two coverage trackers.
+one-row evaluation drives the sequential fuzz reference loop, merge is
+the bitwise union of two coverage trackers, and save_csv_rows and
+load_csv_rows are the csv-module writer and row-by-row reader that the
+columnar save_csv and load_csv must agree with.
 """
 
+import csv
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from statecov.coverage import CoverageTracker
 from statecov.diversity import DEFAULT_MAX_PAIRS, FidelityHistogram, _pair_fidelities
 from statecov.gradients import GradientError
-from statecov.qnn import QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
+from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
 from statecov.sim import CONTROLLED_GATES, ROTATION_GATES, Statevector, apply_circuit_batch
 
 
@@ -111,3 +114,47 @@ def merge(tracker: CoverageTracker, other: CoverageTracker) -> None:
     tracker.corners |= other.corners
     tracker.top_states |= other.top_states
     tracker.num_inputs += other.num_inputs
+
+
+def save_csv_rows(data: LabeledDataset, path) -> None:
+    """csv.writer, one repr per feature and one row per call."""
+    d = data.features.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
+        for row, label in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def load_csv_rows(path) -> LabeledDataset:
+    """csv.reader plus Python's float and int on every cell, one row at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[-1] != "label":
+            raise ValueError(f"{path}: expected header ending in 'label'")
+        feats = []
+        labels = []
+        linenos = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
+            try:
+                feats.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
+    if not feats:
+        raise ValueError(f"{path}: no data rows")
+    feats = np.asarray(feats)
+    bad = np.argwhere(~((feats >= 0.0) & (feats <= 1.0)))  # NaN fails both tests
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}:{linenos[r]}: column {header[c]}: feature {float(feats[r, c])!r} "
+            "is not a number in [0, 1]"
+        )
+    return LabeledDataset(feats, np.asarray(labels))

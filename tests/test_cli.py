@@ -6,6 +6,7 @@ import pytest
 from statecov.cli import main
 from statecov.datasets import gaussian_blobs, save_csv
 from statecov.diversity import NUM_BINS, FidelityHistogram
+from statecov.qnn import LabeledDataset
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,24 @@ class TestBoundaryValidation:
         assert field in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "classes, labels, message",
+        [
+            ("1", [0, 1], "num_classes must be >= 2 to train, got 1"),
+            ("0", [0, 1], "num_classes must be >= 1, got 0"),
+            ("2", [0, 1, 2, 1, 3], "label 2 of row 2 is outside [0, num_classes) with num_classes 2"),
+            ("3", [0, -1, 2], "label -1 of row 1 is outside [0, num_classes) with num_classes 3"),
+        ],
+    )
+    def test_bad_class_count_or_label(self, classes, labels, message, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        save_csv(LabeledDataset(np.full((len(labels), 4), 0.5), labels), data)
+        out = tmp_path / "out"
+        argv = ["train", "--dataset", str(data), "--classes", classes, "--epochs", "1"]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_model_param_is_config_error(self, trained_dir, data_csv, tmp_path, capsys):
         doc = json.loads((trained_dir / "model.json").read_text())
         doc["params"][3] = float("nan")
@@ -423,3 +442,66 @@ class TestBoundaryValidation:
         )
         assert code == 2
         assert f"{field}: entry 5 is not finite" in capsys.readouterr().err
+
+
+def _numeric_flags():
+    """(command, option string, dest, type) for every int or float flag."""
+    from statecov.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type in (int, float):
+                yield command, action.option_strings[0], action.dest, action.type
+
+
+# the field a range error names, where it is not the flag's own key
+_FIELD = {"k": "k_cells", "qubits": "num_qubits", "layers": "num_layers", "classes": "num_classes"}
+
+_NUMERIC_CASES = [
+    (command, flag, dest, value)
+    for command, flag, dest, kind in _numeric_flags()
+    for value in (("nan", "inf", "-1") if kind is float else ("-1",))
+]
+
+
+class TestEveryNumericFlag:
+    """nan, inf and -1 on every numeric flag: the run either exits 1 with a
+    message naming the field, or exits 0. Each command runs in the mode that
+    reads the most flags (shots, the MAD bounds, the random attack and the
+    random fuzz baseline); integer flags take -1 only, since argparse refuses
+    nan and inf for them (test_int_flag_refuses_non_integers)."""
+
+    @pytest.mark.parametrize("command, flag, dest, value", _NUMERIC_CASES)
+    def test_exits_naming_field_or_succeeds(
+        self, command, flag, dest, value, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        model, data = str(trained_dir / "model.json"), str(data_csv)
+        prof = str(profile_dir / "profile.json")
+        base = {
+            "train": ["--dataset", data, "--epochs", "2"],
+            "profile": ["--model", model, "--dataset", data, "--mad", "--shots", "200"],
+            "coverage": ["--model", model, "--profile", prof, "--suite", data, "--shots", "200"],
+            "attack": ["--model", model, "--dataset", data, "--kind", "random"],
+            "fuzz": ["--model", model, "--profile", prof, "--seeds", data, "--random-baseline",
+                     "--max-iterations", "30"],
+            "diversity": ["--model", model, "--suite", data],
+        }
+        out = tmp_path / "out"
+        code = main([command, *base[command], flag, value, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert _FIELD.get(dest, dest) in err, err
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "command, flag", sorted({(c, f) for c, f, _, kind in _numeric_flags() if kind is int})
+    )
+    def test_int_flag_refuses_non_integers(self, command, flag, capsys):
+        for value in ("nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err

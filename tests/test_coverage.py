@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,39 @@ class TestAddBatch:
         # folded in order
         for flag in first:
             assert first[flag] == any(d[flag] for d in deltas[:split])
+
+    @given(
+        case=_tracker_case(),
+        top_k=st.sampled_from([None, 2]),
+        prefix=st.integers(0, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_opens_equals_peek_then_add(self, case, top_k, prefix, data):
+        """row_opens over a batch says what peek_input would say of each row
+        with the rows before it gated as the fuzz loop gates them: failing
+        rows always added, the others only when they open the kind."""
+        prof, config, pvs = case
+        if top_k is not None:
+            config = replace(config, top_k=top_k)
+        failing = np.array(data.draw(st.lists(st.booleans(), min_size=len(pvs), max_size=len(pvs))))
+        for flag in ("new_cell", "new_corner", "new_top"):
+            seq = CoverageTracker(prof, config)
+            for pv in pvs[:prefix]:  # a tracker that already holds some bits
+                seq.add_input(pv)
+            batch = CoverageTracker(prof, config)
+            batch.commit(batch.locate(pvs[:prefix]))
+            want = []
+            for pv, fails in zip(pvs, failing):
+                want.append(seq.peek_input(pv)[flag])
+                if fails or want[-1]:
+                    seq.add_input(pv)
+            hits = batch.locate(pvs)
+            opens = batch.row_opens(hits, flag)
+            assert opens.dtype == bool and opens.tolist() == want
+            batch.commit(hits.rows(failing | opens))
+            for name in ("cells", "corners", "top_states", "num_inputs"):
+                assert np.array_equal(getattr(batch, name), getattr(seq, name))
 
     def test_bad_row_named_and_nothing_committed(self):
         prof = StateProfile(lower=[0.1, 0.1], upper=[0.9, 0.9])

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from statecov.attacks import AttackConfig
 from statecov.datasets import gaussian_blobs
+from statecov.fuzz import FuzzConfig
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -188,6 +190,11 @@ class TestTrain:
         )
         assert history["train_accuracy"] >= 0.95
         assert len(history["loss"]) == 60
+
+    @pytest.mark.parametrize("config", [TrainConfig, AttackConfig, FuzzConfig], ids=lambda c: c.__name__)
+    def test_negative_seed_named(self, config):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            config(seed=-1)
 
     def test_zero_learning_rate_is_inert(self):
         data = gaussian_blobs(2, 10, 4, seed=1)
