@@ -3,19 +3,7 @@ simulator and evaluating test suites against them with probability-region
 coverage criteria, diversity analytics, adversarial inputs and
 coverage-guided fuzzing."""
 
-from .sim import (
-    CircuitSpec,
-    Gate,
-    GateOp,
-    ProbVector,
-    SimulationError,
-    Statevector,
-    apply_circuit,
-    exact_probabilities,
-    fidelity,
-    haar_random_state,
-    sample_probabilities,
-)
+from .sim import CircuitSpec, Gate, GateOp, SimulationError
 from .gradients import input_grad, score_input_grads
 from .qnn import (
     AnsatzSpec,
@@ -24,7 +12,6 @@ from .qnn import (
     QnnModel,
     TrainConfig,
     build_model,
-    encode,
     forward,
     load_model,
     predict,

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .gradients import input_grads
-from .qnn import LabeledDataset, QnnModel, cross_entropy_grad, forward_batch
+from .qnn import LabeledDataset, QnnModel, _check_labels, cross_entropy_grad, forward_batch
 
 __all__ = [
     "AttackConfig",
@@ -139,9 +139,11 @@ def jsma(model: QnnModel, x, label: int, theta: float = 1.0, gamma: float = 0.1)
 def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
     """Attack every row of a dataset as one batch; returns (adversarial dataset, asr).
 
-    Row i of the random attack draws its noise from seed config.seed + i.
+    Every label must lie in [0, num_classes). Row i of the random attack
+    draws its noise from seed config.seed + i.
     """
     xs, labels = data.features, data.labels
+    _check_labels(labels, model.num_classes)
     if config.kind == "random":
         adv = _perturb_rows(xs, config.epsilon, config.seed + np.arange(len(data)))
     elif config.kind == "fgsm":

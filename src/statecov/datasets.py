@@ -139,6 +139,8 @@ def _load_rows(path) -> LabeledDataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not -(2**63) <= labels[-1] < 2**63:
+                raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
             linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: no data rows")

@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, collect_prob_vectors
-from .qnn import LabeledDataset, QnnModel, forward_batch
+from .qnn import LabeledDataset, QnnModel, _check_labels, forward_batch
 
 __all__ = [
     "FuzzSeed",
@@ -148,9 +148,11 @@ def mutate(seed: FuzzSeed, rng: np.random.Generator, alpha: float) -> FuzzSeed:
 
 
 def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
-    """Correctly classified initial seeds, as FuzzSeed objects."""
+    """Correctly classified initial seeds, as FuzzSeed objects; every label
+    must lie in [0, num_classes)."""
     if len(initial_seeds) == 0:
         raise ValueError("initial seed set is empty")
+    _check_labels(initial_seeds.labels, model.num_classes)
     _, scores = forward_batch(model, initial_seeds.features)
     preds = np.argmax(scores, axis=1)
     queue = []

@@ -17,8 +17,6 @@ from .sim import (
     CircuitSpec,
     Gate,
     GateOp,
-    ProbVector,
-    Statevector,
     adjoint_sweep,
     apply_circuit_batch,
     sample_frequencies,
@@ -36,7 +34,6 @@ __all__ = [
     "entanglement_pairs",
     "build_ansatz_circuit",
     "build_model",
-    "encode",
     "encode_batch",
     "z_sign_matrix",
     "scores_from_probs",
@@ -279,10 +276,6 @@ def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
     return _angle_state_batch(np.pi * xs)
 
 
-def encode(encoder: EncoderSpec, x: Sequence[float], q: int) -> Statevector:
-    return Statevector(q, encode_batch(encoder, np.asarray(x), q)[0])
-
-
 def z_sign_matrix(readout_qubits: Sequence[int], q: int) -> np.ndarray:
     """(num_classes, 2^q) matrix of Z eigenvalues per readout qubit.
 
@@ -331,19 +324,15 @@ def forward(
     shots: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> tuple:
-    """Measured distribution and per-class Z scores for one input.
+    """Measured distribution (2^q,) and per-class Z scores (C,) for one input.
 
     With shots set, the distribution (and hence the scores) comes from a
     seeded multinomial sample; otherwise it is exact.
     """
-    probs, _ = forward_batch(model, np.asarray(x)[None, :])
-    if shots is None:
-        pv = ProbVector(probs[0], shots=None)
-    else:
-        freqs = sample_frequencies(probs[0], shots, 0 if seed is None else seed)
-        pv = ProbVector(freqs, shots=shots)
-    scores = scores_from_probs(pv.probs, model.readout_qubits, model.num_qubits)
-    return pv, scores
+    probs = forward_batch(model, np.asarray(x)[None, :])[0][0]
+    if shots is not None:
+        probs = sample_frequencies(probs, shots, 0 if seed is None else seed)
+    return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
 
 
 def predict(model: QnnModel, x: Sequence[float]) -> int:
@@ -387,6 +376,16 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Refuse a label outside [0, num_classes), naming the first such row."""
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        raise ValueError(
+            f"label {labels[bad[0]]} of row {bad[0]} is outside [0, num_classes) "
+            f"with num_classes {num_classes}"
+        )
+
+
 def _batch_loss(probs_scores, labels):
     _, scores = probs_scores
     p = softmax(scores)
@@ -413,12 +412,7 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
     """
     if model.num_classes < 2:
         raise ValueError(f"num_classes must be >= 2 to train, got {model.num_classes}")
-    bad = np.flatnonzero((data.labels < 0) | (data.labels >= model.num_classes))
-    if bad.size:
-        raise ValueError(
-            f"label {data.labels[bad[0]]} of row {bad[0]} is outside [0, num_classes) "
-            f"with num_classes {model.num_classes}"
-        )
+    _check_labels(data.labels, model.num_classes)
     if len(np.unique(data.labels)) < 2:
         raise TrainingError("training data must contain at least 2 classes")
     rng = np.random.default_rng(config.seed)

@@ -24,7 +24,7 @@ costates, adds the block's angle gradients: one reverse pass for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -34,17 +34,10 @@ __all__ = [
     "Gate",
     "GateOp",
     "CircuitSpec",
-    "Statevector",
-    "ProbVector",
     "SimulationError",
-    "apply_circuit",
     "apply_circuit_batch",
     "adjoint_sweep",
-    "exact_probabilities",
-    "sample_probabilities",
     "sample_frequencies",
-    "fidelity",
-    "haar_random_state",
 ]
 
 # Widest window of qubits a dense block acts on: its matrix is 2^6 x 2^6.
@@ -120,48 +113,6 @@ class CircuitSpec:
                     f"gate {idx} ({g.kind.value}): param_slot {g.param_slot} out of "
                     f"range for {self.num_params} parameters"
                 )
-
-
-@dataclass(frozen=True)
-class Statevector:
-    """2^q complex amplitudes over the computational basis (qubit 0 = MSB)."""
-
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
-            raise SimulationError("num_qubits must be >= 1")
-        if amps.shape != (2**self.num_qubits,):
-            raise SimulationError(
-                f"expected {2**self.num_qubits} amplitudes, got {amps.shape}"
-            )
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "Statevector":
-        amps = np.zeros(2**num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-
-@dataclass(frozen=True)
-class ProbVector:
-    """Distribution over the 2^q basis states.
-
-    shots is None for exact distributions; a positive integer marks a
-    finite-sample estimate (entries are then counts / shots).
-    """
-
-    probs: np.ndarray = field(repr=False)
-    shots: Optional[int] = None
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -471,23 +422,6 @@ def adjoint_sweep(
     return grad, buffers[0][n:]
 
 
-def apply_circuit(
-    state: Statevector, circuit: CircuitSpec, params: Sequence[float]
-) -> Statevector:
-    """Evolve a statevector through the circuit; the input is not modified."""
-    if state.num_qubits != circuit.num_qubits:
-        raise SimulationError(
-            f"state has {state.num_qubits} qubits, circuit expects {circuit.num_qubits}"
-        )
-    out = apply_circuit_batch(state.amplitudes[None, :], circuit, params)[0]
-    return Statevector(state.num_qubits, out)
-
-
-def exact_probabilities(state: Statevector) -> ProbVector:
-    """Born-rule probabilities |amplitude|^2 of each basis state."""
-    return ProbVector(np.abs(state.amplitudes) ** 2, shots=None)
-
-
 def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarray:
     """Relative counts of one seeded multinomial draw of the given size from
     a probability row (normalized first); deterministic for a fixed seed."""
@@ -496,33 +430,3 @@ def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarr
     probs = np.asarray(probs, dtype=np.float64)
     counts = np.random.default_rng(rng_seed).multinomial(shots, probs / probs.sum())
     return counts / shots
-
-
-def sample_probabilities(state: Statevector, shots: int, rng_seed: int) -> ProbVector:
-    """Finite-shot estimate of the state's measurement distribution."""
-    return ProbVector(
-        sample_frequencies(exact_probabilities(state).probs, shots, rng_seed), shots=shots
-    )
-
-
-def fidelity(a: Statevector, b: Statevector) -> float:
-    """Squared inner product |<a|b>|^2 of two pure states."""
-    if a.num_qubits != b.num_qubits:
-        raise SimulationError(
-            f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
-        )
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def haar_random_state(num_qubits: int, rng_seed: int) -> Statevector:
-    """A state drawn uniformly from the Haar measure on pure states.
-
-    Normalizing a vector of i.i.d. standard complex Gaussians is exactly
-    Haar-uniform on the sphere of unit vectors.
-    """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    dim = 2**num_qubits
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Statevector(num_qubits, v / np.linalg.norm(v))

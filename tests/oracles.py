@@ -1,16 +1,17 @@
 """Reference implementations that only the tests use.
 
 Parameter-shift and finite-difference gradients, the latter of the one-row
-cross-entropy, check the adjoint sweep and the input gradients; the
-state-list fidelity histogram checks the suite diversity figures, the
-one-row evaluation drives the sequential fuzz reference loop, merge is
-the bitwise union of two coverage trackers, and save_csv_rows and
-load_csv_rows are the csv-module writer and row-by-row reader that the
-columnar save_csv and load_csv must agree with.
+cross-entropy, check the adjoint sweep and the input gradients; seeded
+Haar-random states feed the dense-matrix simulator check and, through the
+pair-fidelity histogram of an amplitude array, the closed-form Haar baseline
+and the suite diversity figures; the one-row evaluation drives the
+sequential fuzz reference loop, merge is the bitwise union of two coverage
+trackers, and save_csv_rows and load_csv_rows are the csv-module writer and
+row-by-row reader that the columnar save_csv and load_csv must agree with.
 """
 
 import csv
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from statecov.coverage import CoverageTracker
 from statecov.diversity import DEFAULT_MAX_PAIRS, FidelityHistogram, _pair_fidelities
 from statecov.gradients import GradientError
 from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
-from statecov.sim import CONTROLLED_GATES, ROTATION_GATES, Statevector, apply_circuit_batch
+from statecov.sim import CONTROLLED_GATES, ROTATION_GATES, apply_circuit_batch
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: Sequence[float], h: float) -> np.ndarray:
@@ -89,14 +90,29 @@ def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np
     return grad
 
 
+def haar_random_state(num_qubits: int, rng_seed: int) -> np.ndarray:
+    """The 2^q amplitudes of a state drawn uniformly from the Haar measure.
+
+    Normalizing a vector of i.i.d. standard complex Gaussians is exactly
+    Haar-uniform on the sphere of unit vectors.
+    """
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    dim = 2**num_qubits
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
 def pairwise_fidelity_hist(
-    states: List[Statevector],
+    states: np.ndarray,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     seed: Optional[int] = None,
 ) -> FidelityHistogram:
+    """Histogram of the pair fidelities of the rows of an (n, 2^q) amplitude array."""
     if len(states) < 2:
         raise ValueError("need at least 2 states for pairwise fidelities")
-    amps = np.stack([s.amplitudes for s in states])
+    amps = np.asarray(states, dtype=np.complex128)
     return FidelityHistogram.from_fidelities(_pair_fidelities(amps, max_pairs, seed))
 
 
@@ -146,6 +162,8 @@ def load_csv_rows(path) -> LabeledDataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not -(2**63) <= labels[-1] < 2**63:
+                raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
             linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: no data rows")

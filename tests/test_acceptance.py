@@ -40,11 +40,8 @@ from statecov.sim import (
     CircuitSpec,
     Gate,
     GateOp,
-    Statevector,
     adjoint_sweep,
-    apply_circuit,
     apply_circuit_batch,
-    haar_random_state,
 )
 
 from conftest import (
@@ -53,7 +50,7 @@ from conftest import (
     random_circuit,
     random_profile_and_suite,
 )
-from oracles import cross_entropy, finite_diff_grad, param_shift_grad
+from oracles import cross_entropy, finite_diff_grad, haar_random_state, param_shift_grad
 
 
 def _verdict(num, label, ok, detail, budget, elapsed):
@@ -149,26 +146,22 @@ def test_criterion_4_simulator_correctness():
         q = int(rng.integers(1, 5))
         circuit, params = random_circuit(rng, q)
         psi = haar_random_state(q, int(rng.integers(1 << 30)))
-        fast = apply_circuit(psi, circuit, params).amplitudes
-        dense = dense_circuit_matrix(circuit, params) @ psi.amplitudes
+        fast = apply_circuit_batch(psi[None], circuit, params)[0]
+        dense = dense_circuit_matrix(circuit, params) @ psi
         worst = max(worst, float(np.max(np.abs(fast - dense))))
 
-    bell = apply_circuit(
-        Statevector.zero(2),
+    bell = apply_circuit_batch(
+        np.array([[1, 0, 0, 0]]),
         CircuitSpec(2, (GateOp(Gate.H, target=0), GateOp(Gate.CNOT, target=1, control=0)), 0),
         [],
-    )
-    bell_err = float(
-        np.max(np.abs(bell.amplitudes - np.array([1, 0, 0, 1]) / np.sqrt(2)))
-    )
-    ry = apply_circuit(
-        Statevector.zero(1),
+    )[0]
+    bell_err = float(np.max(np.abs(bell - np.array([1, 0, 0, 1]) / np.sqrt(2))))
+    ry = apply_circuit_batch(
+        np.array([[1, 0]]),
         CircuitSpec(1, (GateOp(Gate.RY, target=0, param_slot=0),), 1),
         [np.pi / 3],
-    )
-    ry_err = float(
-        np.max(np.abs(ry.amplitudes - np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])))
-    )
+    )[0]
+    ry_err = float(np.max(np.abs(ry - np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)]))))
     _verdict(
         4,
         "simulator correctness",

@@ -414,6 +414,33 @@ class TestBoundaryValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("attack", ["--kind", "fgsm"]),
+            ("attack", ["--kind", "jsma"]),
+            ("attack", ["--kind", "random"]),
+            ("fuzz", []),
+            ("fuzz", ["--random-baseline"]),
+        ],
+        ids=["attack-fgsm", "attack-jsma", "attack-random", "fuzz-guided", "fuzz-random"],
+    )
+    def test_label_outside_model_classes(
+        self, command, flags, trained_dir, profile_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data.csv"
+        save_csv(LabeledDataset(np.full((3, 4), 0.5), [0, 5, 1]), data)
+        model = str(trained_dir / "model.json")
+        inputs = {
+            "attack": ["--model", model, "--dataset", str(data)],
+            "fuzz": ["--model", model, "--profile", str(profile_dir / "profile.json"),
+                     "--seeds", str(data)],
+        }
+        out = tmp_path / "out"
+        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 1
+        assert "label 5 of row 1 is outside [0, num_classes)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_model_param_is_config_error(self, trained_dir, data_csv, tmp_path, capsys):
         doc = json.loads((trained_dir / "model.json").read_text())
         doc["params"][3] = float("nan")

@@ -496,21 +496,22 @@ class TestSuiteEvaluation:
         assert not np.array_equal(a, c)
 
     def test_sampled_vectors_equal_statevector_round_trip(self, toy4_model, toy4_train_data):
-        # the draws match the earlier sqrt -> Statevector -> square path row by
-        # row (seed base + i) on the seeds the shot tests use
+        # the draws match the earlier sqrt -> square path row by row (one
+        # multinomial draw from default_rng(seed base + i)) on the seeds the
+        # shot tests use
         from statecov.coverage import collect_prob_vectors
         from statecov.datasets import gaussian_blobs
         from statecov.qnn import forward_batch
-        from statecov.sim import Statevector, sample_probabilities
 
         suite = gaussian_blobs(2, 25, 4, spread=0.12, seed=77)
         for data, shots, seed in [(toy4_train_data, 1000, 5), (toy4_train_data, 1000, 6)] + [
             (suite, shots, s) for shots in (100, 1_000, 10_000, 100_000) for s in range(3)
         ]:
             probs, _ = forward_batch(toy4_model, data.features)
-            old = [
-                sample_probabilities(Statevector(4, np.sqrt(p) + 0j), shots, seed + i).probs
-                for i, p in enumerate(probs)
-            ]
+            old = []
+            for i, p in enumerate(probs):
+                squared = np.abs(np.sqrt(p) + 0j) ** 2
+                rng = np.random.default_rng(seed + i)
+                old.append(rng.multinomial(shots, squared / squared.sum()) / shots)
             new = collect_prob_vectors(toy4_model, data, shots=shots, seed=seed)
             assert np.array_equal(new, np.array(old))

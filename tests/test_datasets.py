@@ -150,3 +150,12 @@ def test_saved_file_is_read_without_the_row_loop(tmp_path, monkeypatch):
     loaded = load_csv(path)
     assert loaded.features.flags.c_contiguous and loaded.labels.flags.c_contiguous
     assert loaded.digest() == original.digest()
+
+
+@pytest.mark.parametrize("label", [2**63, 2**64 - 1, -(2**63) - 1])
+@pytest.mark.parametrize("loader", [load_csv, load_csv_rows])
+def test_label_outside_int64_is_an_error(tmp_path, loader, label):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,label\n0.5,0\n0.5,{label}\n")
+    with pytest.raises(ValueError, match=rf"data\.csv:3: label {label} does not fit in int64"):
+        loader(path)

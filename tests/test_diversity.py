@@ -10,9 +10,8 @@ from statecov.diversity import (
     suite_diversity,
 )
 from statecov.qnn import EncoderSpec, encode_batch
-from statecov.sim import Statevector, haar_random_state
 
-from oracles import pairwise_fidelity_hist
+from oracles import haar_random_state, pairwise_fidelity_hist
 
 HAAR_BIN_TOL = 5e-3
 
@@ -20,14 +19,14 @@ HAAR_BIN_TOL = 5e-3
 def _sampled_haar_densities(q, num_states=400):
     """Oracle: histogram of all pair fidelities of seeded Haar-random states."""
     return pairwise_fidelity_hist(
-        [haar_random_state(q, s) for s in range(num_states)], max_pairs=num_states**2
+        np.stack([haar_random_state(q, s) for s in range(num_states)]), max_pairs=num_states**2
     ).densities
 
 
 def _basis(q, idx):
     amps = np.zeros(2**q, dtype=complex)
     amps[idx] = 1.0
-    return Statevector(q, amps)
+    return amps
 
 
 class TestHistogram:
@@ -39,19 +38,17 @@ class TestHistogram:
         assert hist.sample_count == 3
 
     def test_identical_states_mass_in_last_bin(self):
-        states = [_basis(2, 1) for _ in range(5)]
-        hist = pairwise_fidelity_hist(states)
+        hist = pairwise_fidelity_hist(np.stack([_basis(2, 1) for _ in range(5)]))
         assert hist.densities[-1] == 1.0
 
     def test_orthogonal_states_mass_in_first_bin(self):
-        states = [_basis(2, i) for i in range(4)]
-        hist = pairwise_fidelity_hist(states)
+        hist = pairwise_fidelity_hist(np.stack([_basis(2, i) for i in range(4)]))
         assert hist.densities[0] == 1.0
         assert hist.sample_count == 6
 
     def test_too_few_states(self):
         with pytest.raises(ValueError):
-            pairwise_fidelity_hist([_basis(1, 0)])
+            pairwise_fidelity_hist(_basis(1, 0)[None])
 
     def test_mismatched_shapes_rejected(self):
         edges = np.linspace(0, 1, NUM_BINS + 1)
@@ -59,7 +56,7 @@ class TestHistogram:
             FidelityHistogram(edges, np.zeros(NUM_BINS - 1), 0)
 
     def test_subsampled_pairs_deterministic(self):
-        states = [haar_random_state(2, s) for s in range(40)]
+        states = np.stack([haar_random_state(2, s) for s in range(40)])
         a = pairwise_fidelity_hist(states, max_pairs=100, seed=7)
         b = pairwise_fidelity_hist(states, max_pairs=100, seed=7)
         assert np.array_equal(a.densities, b.densities)
@@ -115,8 +112,7 @@ class TestJsDivergence:
 class TestHaarBaseline:
     def test_haar_mean_fidelity_moment(self):
         # E|<a|b>|^2 = 1/2^q = 1/16 for q = 4
-        states = [haar_random_state(4, s) for s in range(80)]
-        amps = np.stack([s.amplitudes for s in states])
+        amps = np.stack([haar_random_state(4, s) for s in range(80)])
         gram = np.abs(amps @ amps.conj().T) ** 2
         iu = np.triu_indices(80, k=1)
         fids = gram[iu]

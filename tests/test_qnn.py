@@ -15,7 +15,7 @@ from statecov.qnn import (
     TrainConfig,
     build_ansatz_circuit,
     build_model,
-    encode,
+    encode_batch,
     entanglement_pairs,
     forward,
     forward_batch,
@@ -26,37 +26,35 @@ from statecov.qnn import (
     train,
     z_sign_matrix,
 )
-from statecov.sim import BLOCK_QUBITS, Gate, _blocks
+from statecov.sim import BLOCK_QUBITS, Gate, _blocks, sample_frequencies
 
 
 class TestEncoding:
     def test_amplitude_basis_vector(self):
-        state = encode(EncoderSpec("amplitude", 4), [1, 0, 0, 0], 2)
-        assert np.allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-12)
+        state = encode_batch(EncoderSpec("amplitude", 4), [1, 0, 0, 0], 2)[0]
+        assert np.allclose(state, [1, 0, 0, 0], atol=1e-12)
 
     def test_amplitude_normalization(self):
-        state = encode(EncoderSpec("amplitude", 2), [0.3, 0.4], 1)
-        assert np.allclose(state.amplitudes, [0.6, 0.8], atol=1e-12)
+        state = encode_batch(EncoderSpec("amplitude", 2), [0.3, 0.4], 1)[0]
+        assert np.allclose(state, [0.6, 0.8], atol=1e-12)
 
     def test_angle_all_ones_is_all_excited(self):
-        state = encode(EncoderSpec("angle", 3), [1, 1, 1], 3)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [1, 1, 1], 3)[0]) ** 2
         assert probs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_angle_bit_order_big_endian(self):
         # only qubit 0 excited -> index 100 (binary) = 4
-        state = encode(EncoderSpec("angle", 3), [1, 0, 0], 3)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [1, 0, 0], 3)[0]) ** 2
         assert probs[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitude_zero_vector_rejected(self):
         with pytest.raises(EncodingError):
-            encode(EncoderSpec("amplitude", 2), [0, 0], 1)
+            encode_batch(EncoderSpec("amplitude", 2), [0, 0], 1)
 
     def test_amplitude_padding(self):
-        state = encode(EncoderSpec("amplitude", 3), [0.5, 0.5, 0.5], 2)
-        assert state.amplitudes[3] == 0
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        state = encode_batch(EncoderSpec("amplitude", 3), [0.5, 0.5, 0.5], 2)[0]
+        assert state[3] == 0
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 class TestAnsatzExpansion:
@@ -106,7 +104,6 @@ class TestForward:
 
     def test_marginal_consistency(self):
         # scores from the probability vector equal <Z> from the statevector
-        from statecov.qnn import encode_batch
         from statecov.sim import apply_circuit_batch
 
         model = build_model(
@@ -127,9 +124,10 @@ class TestForward:
             EncoderSpec("angle", 3), AnsatzSpec("layered", 2, "linear"), 3, 2, seed=4
         )
         x = [0.2, 0.8, 0.5]
-        _, exact = forward(model, x)
-        _, sampled = forward(model, x, shots=1_000_000, seed=1)
+        probs, exact = forward(model, x)
+        freqs, sampled = forward(model, x, shots=1_000_000, seed=1)
         assert np.max(np.abs(exact - sampled)) < 0.005
+        assert np.array_equal(freqs, sample_frequencies(probs, 1_000_000, 1))
 
     @given(
         encoder=st.sampled_from(["angle", "amplitude"]),

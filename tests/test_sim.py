@@ -13,46 +13,48 @@ from statecov.sim import (
     Gate,
     GateOp,
     SimulationError,
-    Statevector,
     _block_matrices,
     _blocks,
     _compiled,
-    apply_circuit,
     apply_circuit_batch,
-    exact_probabilities,
-    fidelity,
-    haar_random_state,
-    sample_probabilities,
+    sample_frequencies,
 )
 
 from conftest import dense_circuit_apply, dense_circuit_matrix, random_circuit
+from oracles import haar_random_state
+
+
+def zero_state(q):
+    """The 2^q amplitudes of |0...0>."""
+    state = np.zeros(2**q, dtype=np.complex128)
+    state[0] = 1.0
+    return state
 
 
 def bell_state():
     circ = CircuitSpec(
         2, (GateOp(Gate.H, target=0), GateOp(Gate.CNOT, target=1, control=0)), 0
     )
-    return apply_circuit(Statevector.zero(2), circ, [])
+    return apply_circuit_batch(zero_state(2)[None], circ, [])[0]
 
 
 class TestApplyCircuit:
     def test_single_ry_closed_form(self):
         circ = CircuitSpec(1, (GateOp(Gate.RY, target=0, param_slot=0),), 1)
-        out = apply_circuit(Statevector.zero(1), circ, [np.pi / 2])
+        out = apply_circuit_batch(zero_state(1)[None], circ, [np.pi / 2])[0]
         expected = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_bell_state(self):
-        out = bell_state()
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        assert np.allclose(bell_state(), expected, atol=1e-12)
 
     def test_input_state_unmodified(self):
-        state = Statevector.zero(1)
-        before = state.amplitudes.copy()
+        batch = zero_state(1)[None]
+        before = batch.copy()
         circ = CircuitSpec(1, (GateOp(Gate.H, target=0),), 0)
-        apply_circuit(state, circ, [])
-        assert np.array_equal(state.amplitudes, before)
+        apply_circuit_batch(batch, circ, [])
+        assert np.array_equal(batch, before)
 
     def test_matches_dense_matrix_oracle(self):
         rng = np.random.default_rng(7)
@@ -60,8 +62,8 @@ class TestApplyCircuit:
             q = int(rng.integers(1, 5))
             circuit, params = random_circuit(rng, q)
             psi = haar_random_state(q, int(rng.integers(1 << 30)))
-            fast = apply_circuit(psi, circuit, params).amplitudes
-            dense = dense_circuit_matrix(circuit, params) @ psi.amplitudes
+            fast = apply_circuit_batch(psi[None], circuit, params)[0]
+            dense = dense_circuit_matrix(circuit, params) @ psi
             assert np.max(np.abs(fast - dense)) < 1e-10
 
     def test_norm_preserved(self):
@@ -69,20 +71,20 @@ class TestApplyCircuit:
         for _ in range(10):
             q = int(rng.integers(1, 5))
             circuit, params = random_circuit(rng, q)
-            out = apply_circuit(haar_random_state(q, 3), circuit, params)
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            out = apply_circuit_batch(haar_random_state(q, 3)[None], circuit, params)[0]
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_dimension_mismatch_names_gate(self):
         circ = CircuitSpec(2, (GateOp(Gate.H, target=0),), 0)
         with pytest.raises(SimulationError):
-            apply_circuit(Statevector.zero(1), circ, [])
+            apply_circuit_batch(zero_state(1)[None], circ, [])
         with pytest.raises(SimulationError, match="gate 1"):
             CircuitSpec(1, (GateOp(Gate.H, target=0), GateOp(Gate.X, target=3)), 0)
 
     def test_param_count_checked(self):
         circ = CircuitSpec(1, (GateOp(Gate.RX, target=0, param_slot=0),), 1)
         with pytest.raises(SimulationError):
-            apply_circuit(Statevector.zero(1), circ, [0.1, 0.2])
+            apply_circuit_batch(zero_state(1)[None], circ, [0.1, 0.2])
 
 
 def random_rows(rng, n, q):
@@ -293,107 +295,55 @@ class TestGateOpValidation:
             GateOp(Gate.CNOT, target=1, control=1)
 
 
-class TestProbabilities:
-    def test_bell_probs(self):
-        pv = exact_probabilities(bell_state())
-        assert np.allclose(pv.probs, [0.5, 0, 0, 0.5], atol=1e-12)
-        assert pv.shots is None
-
-    def test_one_state(self):
-        circ = CircuitSpec(1, (GateOp(Gate.X, target=0),), 0)
-        pv = exact_probabilities(apply_circuit(Statevector.zero(1), circ, []))
-        assert np.allclose(pv.probs, [0, 1], atol=1e-12)
-
-    def test_random_state_sums_to_one(self):
-        for seed in range(5):
-            pv = exact_probabilities(haar_random_state(3, seed))
-            assert abs(pv.probs.sum() - 1.0) < 1e-9
-
-
 class TestSampling:
     def test_degenerate_distribution(self):
-        pv = sample_probabilities(Statevector.zero(1), 17, rng_seed=0)
-        assert np.array_equal(pv.probs, [1.0, 0.0])
-        assert pv.shots == 17
+        assert np.array_equal(sample_frequencies([1.0, 0.0], 17, rng_seed=0), [1.0, 0.0])
 
     def test_deterministic_per_seed(self):
-        state = haar_random_state(2, 5)
-        a = sample_probabilities(state, 1000, rng_seed=42)
-        b = sample_probabilities(state, 1000, rng_seed=42)
-        assert np.array_equal(a.probs, b.probs)
+        probs = np.abs(haar_random_state(2, 5)) ** 2
+        a = sample_frequencies(probs, 1000, rng_seed=42)
+        b = sample_frequencies(probs, 1000, rng_seed=42)
+        assert np.array_equal(a, b)
 
     def test_uniform_superposition_accuracy(self):
         # binomial tail: at 1e5 shots, |p_hat - 0.5| <= 0.01 except w.p. < 1e-3
         circ = CircuitSpec(1, (GateOp(Gate.H, target=0),), 0)
-        plus = apply_circuit(Statevector.zero(1), circ, [])
+        plus = np.abs(apply_circuit_batch(zero_state(1)[None], circ, [])[0]) ** 2
         for seed in range(10):
-            pv = sample_probabilities(plus, 100_000, rng_seed=seed)
-            assert abs(pv.probs[0] - 0.5) <= 0.01
+            assert abs(sample_frequencies(plus, 100_000, rng_seed=seed)[0] - 0.5) <= 0.01
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            sample_probabilities(Statevector.zero(1), 0, rng_seed=0)
+            sample_frequencies([1.0, 0.0], 0, rng_seed=0)
 
     def test_tv_distance_shrinks_with_shots(self):
-        state = haar_random_state(3, 9)
-        exact = exact_probabilities(state).probs
+        exact = np.abs(haar_random_state(3, 9)) ** 2
         tv = []
         for shots in (100, 1000, 10_000, 100_000):
             dists = [
-                0.5 * np.abs(sample_probabilities(state, shots, rng_seed=s).probs - exact).sum()
+                0.5 * np.abs(sample_frequencies(exact, shots, rng_seed=s) - exact).sum()
                 for s in range(8)
             ]
             tv.append(np.mean(dists))
         assert all(a > b for a, b in zip(tv, tv[1:]))
 
 
-class TestFidelity:
-    def test_self_fidelity(self):
-        b = bell_state()
-        assert abs(fidelity(b, b) - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        zero = Statevector.zero(1)
-        one = Statevector(1, [0, 1])
-        assert fidelity(zero, one) == 0.0
-
-    def test_matches_inner_product_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = haar_random_state(3, int(rng.integers(1 << 30)))
-            b = haar_random_state(3, int(rng.integers(1 << 30)))
-            direct = abs(np.sum(np.conj(a.amplitudes) * b.amplitudes)) ** 2
-            assert abs(fidelity(a, b) - direct) < 1e-12
-            assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SimulationError):
-            fidelity(Statevector.zero(1), Statevector.zero(2))
-
-    @given(st.integers(0, 10_000), st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_bounded(self, s1, s2):
-        f = fidelity(haar_random_state(2, s1), haar_random_state(2, s2))
-        assert 0.0 <= f <= 1.0 + 1e-12
-
-
 class TestHaarRandom:
+    """The seeded Haar sampler in tests/oracles.py."""
+
     def test_normalized(self):
         for seed in range(5):
-            s = haar_random_state(4, seed)
-            assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(haar_random_state(4, seed)) - 1.0) < 1e-10
 
     def test_distinct_seeds_distinct_states(self):
-        a = haar_random_state(3, 1)
-        b = haar_random_state(3, 2)
-        assert not np.allclose(a.amplitudes, b.amplitudes)
+        assert not np.allclose(haar_random_state(3, 1), haar_random_state(3, 2))
 
     def test_mean_pairwise_fidelity_is_one_over_dim(self):
         # Haar moment: E|<a|b>|^2 = 1/2^q, checked by Monte Carlo
         q, n = 2, 120
         states = [haar_random_state(q, seed) for seed in range(n)]
         fids = [
-            fidelity(states[i], states[j]) for i in range(n) for j in range(i + 1, n)
+            abs(np.vdot(states[i], states[j])) ** 2 for i in range(n) for j in range(i + 1, n)
         ]
         fids = np.asarray(fids)
         sem = fids.std() / np.sqrt(fids.size)
