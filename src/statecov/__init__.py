@@ -4,7 +4,7 @@ coverage criteria, diversity analytics, adversarial inputs and
 coverage-guided fuzzing."""
 
 from .sim import CircuitSpec, Gate, GateOp, SimulationError
-from .gradients import input_grad, score_input_grads
+from .gradients import input_grads
 from .qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -12,9 +12,8 @@ from .qnn import (
     QnnModel,
     TrainConfig,
     build_model,
-    forward,
+    forward_batch,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -28,7 +27,7 @@ from .coverage import (
     profile,
 )
 from .diversity import FidelityHistogram, js_divergence, suite_diversity
-from .attacks import AttackConfig, attack_suite, fgsm, jsma, random_perturb
+from .attacks import AttackConfig, attack_suite
 from .fuzz import FuzzConfig, FuzzOutcome, FuzzSeed, fuzz, mutate, random_test
 
 __version__ = "0.1.0"

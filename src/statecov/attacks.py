@@ -15,9 +15,6 @@ from .qnn import LabeledDataset, QnnModel, _check_labels, cross_entropy_grad, fo
 
 __all__ = [
     "AttackConfig",
-    "random_perturb",
-    "fgsm",
-    "jsma",
     "attack_suite",
     "save_attack_suite",
 ]
@@ -75,8 +72,11 @@ def _fgsm_rows(model: QnnModel, xs: np.ndarray, labels: np.ndarray, epsilon: flo
 
 
 def _jsma_rows(model: QnnModel, xs: np.ndarray, labels: np.ndarray, theta: float, gamma: float):
-    """JSMA on every row at once; each round costs one forward pass and one
-    adjoint sweep over the rows still being attacked."""
+    """JSMA on every row at once. Each round bumps (by +theta, clipped to 1)
+    the untouched feature whose gradient most favors the runner-up class over
+    the true class, until the prediction flips or ceil(gamma * d) features
+    have been modified; a round costs one forward pass and one adjoint sweep
+    over the rows still being attacked."""
     adv = xs.copy()
     touched = np.zeros(adv.shape, dtype=bool)
     rows = np.arange(adv.shape[0])
@@ -109,31 +109,6 @@ def _flipped(model: QnnModel, xs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per row, whether the model's argmax class differs from the label."""
     _, scores = forward_batch(model, xs)
     return np.argmax(scores, axis=1) != labels
-
-
-def random_perturb(x, epsilon: float, seed: int) -> np.ndarray:
-    """x + U(-eps, eps) noise per feature, clipped back to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    return _perturb_rows(x.reshape(1, -1), epsilon, [seed]).reshape(x.shape)
-
-
-def fgsm(model: QnnModel, x, label: int, epsilon: float):
-    """Single-step sign-gradient attack; returns (x', success flag)."""
-    labels = np.array([label])
-    adv = _fgsm_rows(model, np.asarray(x, dtype=np.float64)[None, :], labels, epsilon)
-    return adv[0], bool(_flipped(model, adv, labels)[0])
-
-
-def jsma(model: QnnModel, x, label: int, theta: float = 1.0, gamma: float = 0.1):
-    """Saliency-guided sparse attack; returns (x', success flag).
-
-    Repeatedly bumps (by +theta, clipped to 1) the untouched feature whose
-    gradient most favors the runner-up class over the true class, until the
-    prediction flips or ceil(gamma * d) features have been modified.
-    """
-    labels = np.array([label])
-    adv = _jsma_rows(model, np.asarray(x, dtype=np.float64)[None, :], labels, theta, gamma)
-    return adv[0], bool(_flipped(model, adv, labels)[0])
 
 
 def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):

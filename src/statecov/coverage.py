@@ -11,11 +11,11 @@ Three criteria are tracked over a test suite:
 
 CoverageTracker is batch-first. locate() places an (n, S) matrix of
 probability vectors in one vectorized pass (cell per state, corner masks,
-stable top-k), commit() sets every bit those hits reach, and add_batch() does
-both, so a whole suite folds in with no per-input loop and with the same bits
-as adding its rows one at a time. row_opens() says, for every row of a batch
-at once, whether adding the rows in order would see it set a new bit of one
-kind; add_input() and peek_input() are batches of one.
+stable top-k) and commit() sets every bit those hits reach, so a whole suite
+folds in as commit(locate(pvs)), with no per-input loop and with the same
+bits as adding its rows one at a time. row_opens() says, for every row of a
+batch at once, whether adding the rows in order would see it set a new bit of
+one kind; add_input() and peek_input() are batches of one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .qnn import LabeledDataset, QnnModel, forward_batch
+from .qnn import LabeledDataset, QnnModel, _typed_list, forward_batch
 from .sim import sample_frequencies
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("raw", "sigma", "mad")
+DELTA_FLAGS = ("new_cell", "new_corner", "new_top")
 PROFILE_FORMAT_VERSION = 1
 
 
@@ -107,11 +108,14 @@ class StateProfile:
         with open(path) as fh:
             doc = json.load(fh)
         version = doc.get("format_version") if isinstance(doc, dict) else None
-        if version != PROFILE_FORMAT_VERSION:
+        if type(version) is not int or version != PROFILE_FORMAT_VERSION:
             raise ValueError(f"format_version: unsupported profile version {version!r}")
         for key in ("lower", "upper"):
             if key not in doc:
                 raise ValueError(f"missing field: {key}")
+        for key in ("lower", "upper", "sigma", "mad_lower", "mad_upper"):
+            if key in ("lower", "upper") or doc.get(key) is not None:
+                _typed_list(key, doc[key], error=ValueError)
         return cls(
             lower=doc["lower"],
             upper=doc["upper"],
@@ -295,25 +299,17 @@ class CoverageTracker:
         self.top_states |= hits.top.any(axis=0)
         self.num_inputs += hits.cells.shape[0]
 
-    def _delta(self, hits: Hits) -> dict:
-        flags = ("new_cell", "new_corner", "new_top")
-        return {flag: bool(self.row_opens(hits, flag).any()) for flag in flags}
-
-    def add_batch(self, pvs) -> dict:
-        """Fold all rows of an (n, S) matrix in at once; the delta flags say
-        whether the batch as a whole opened new coverage of each kind."""
-        hits = self.locate(pvs)
-        delta = self._delta(hits)
-        self.commit(hits)
-        return delta
-
     def peek_input(self, pv) -> dict:
         """Delta flags this vector would produce, without mutating the tracker."""
-        return self._delta(self.locate([pv]))
+        hits = self.locate([pv])
+        return {flag: bool(self.row_opens(hits, flag)[0]) for flag in DELTA_FLAGS}
 
     def add_input(self, pv) -> dict:
         """Fold one probability vector into the tracker; returns delta flags."""
-        return self.add_batch([pv])
+        hits = self.locate([pv])
+        delta = {flag: bool(self.row_opens(hits, flag)[0]) for flag in DELTA_FLAGS}
+        self.commit(hits)
+        return delta
 
     def report(self) -> CoverageReport:
         s = self.profile.num_states
@@ -405,6 +401,14 @@ def mad_refine(
     )
 
 
+def _check_profile(model: QnnModel, prof: StateProfile) -> None:
+    if prof.num_states != 2**model.num_qubits:
+        raise ValueError(
+            f"profile has {prof.num_states} states but model produces "
+            f"{2**model.num_qubits}"
+        )
+
+
 def coverage_suite(
     model: QnnModel,
     suite: LabeledDataset,
@@ -414,11 +418,7 @@ def coverage_suite(
     seed: Optional[int] = None,
 ) -> CoverageReport:
     """Coverage report for a whole suite, folded in as one batch."""
-    if prof.num_states != 2**model.num_qubits:
-        raise ValueError(
-            f"profile has {prof.num_states} states but model produces "
-            f"{2**model.num_qubits}"
-        )
+    _check_profile(model, prof)
     tracker = CoverageTracker(prof, config)
     tracker.commit(tracker.locate(collect_prob_vectors(model, suite, shots=shots, seed=seed)))
     return tracker.report()

@@ -35,7 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, collect_prob_vectors
+from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile
+from .coverage import _check_profile, collect_prob_vectors
 from .qnn import LabeledDataset, QnnModel, _check_labels, forward_batch
 
 __all__ = [
@@ -173,6 +174,7 @@ def _run_loop(
     guided: bool,
     reenqueue_prob: float = 1.0,
 ) -> FuzzOutcome:
+    _check_profile(model, prof)
     rng = np.random.default_rng(config.seed)
     seeds = _initial_queue(model, initial_seeds)
 

@@ -8,17 +8,15 @@ that input_grads chains through the encoder into feature gradients.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .qnn import QnnModel, _backprop, cross_entropy_grad, encode_batch
+from .qnn import QnnModel, _backprop, encode_batch
 
 __all__ = [
     "GradientError",
     "input_grads",
-    "score_input_grads",
-    "input_grad",
 ]
 
 
@@ -59,16 +57,3 @@ def input_grads(model: QnnModel, xs: np.ndarray, weigh: Callable) -> tuple:
     states = encode_batch(model.encoder, xs, model.num_qubits)
     scores, _, lam0 = _backprop(model, states, model.params, weigh)
     return scores, _pullback(model, xs, states, lam0)
-
-
-def score_input_grads(model: QnnModel, x: Sequence[float]) -> np.ndarray:
-    """(num_classes, d) Jacobian of class scores w.r.t. raw features."""
-    c = model.num_classes
-    xs = np.repeat(np.asarray(x, dtype=np.float64)[None, :], c, axis=0)
-    return input_grads(model, xs, lambda scores: np.eye(c))[1]
-
-
-def input_grad(model: QnnModel, x: Sequence[float], label: int) -> np.ndarray:
-    """Gradient of the softmax cross-entropy loss w.r.t. raw input features."""
-    xs = np.asarray(x, dtype=np.float64)[None, :]
-    return input_grads(model, xs, lambda scores: cross_entropy_grad(scores, [label]))[1][0]

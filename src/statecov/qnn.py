@@ -19,7 +19,6 @@ from .sim import (
     GateOp,
     adjoint_sweep,
     apply_circuit_batch,
-    sample_frequencies,
 )
 
 __all__ = [
@@ -37,9 +36,7 @@ __all__ = [
     "encode_batch",
     "z_sign_matrix",
     "scores_from_probs",
-    "forward",
     "forward_batch",
-    "predict",
     "softmax",
     "cross_entropy_grad",
     "train",
@@ -254,8 +251,8 @@ def _angle_state_batch(angles: np.ndarray) -> np.ndarray:
 def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
     """Vectorized encoding of feature rows into a (n, 2^q) amplitude matrix."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
+    if xs.ndim != 2:
+        raise EncodingError(f"expected a 2-D (n, d) feature matrix, got shape {xs.shape}")
     if xs.shape[1] != encoder.input_dim:
         raise EncodingError(
             f"expected {encoder.input_dim} features, got {xs.shape[1]}"
@@ -316,29 +313,6 @@ def _forward_states(model: QnnModel, states: np.ndarray, params: np.ndarray) -> 
     """forward_batch on already encoded (n, 2^q) amplitude rows."""
     probs = np.abs(apply_circuit_batch(states, model.circuit, params)) ** 2
     return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
-
-
-def forward(
-    model: QnnModel,
-    x: Sequence[float],
-    shots: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> tuple:
-    """Measured distribution (2^q,) and per-class Z scores (C,) for one input.
-
-    With shots set, the distribution (and hence the scores) comes from a
-    seeded multinomial sample; otherwise it is exact.
-    """
-    probs = forward_batch(model, np.asarray(x)[None, :])[0][0]
-    if shots is not None:
-        probs = sample_frequencies(probs, shots, 0 if seed is None else seed)
-    return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
-
-
-def predict(model: QnnModel, x: Sequence[float]) -> int:
-    """Argmax class; ties break toward the lower class index."""
-    _, scores = forward(model, x)
-    return int(np.argmax(scores))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -478,13 +452,27 @@ def save_model(model: QnnModel, path) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, path: str):
+def _require(doc: dict, path: str, integer: bool = False):
     node = doc
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
             raise ModelFormatError(f"missing or malformed field: {path}")
         node = node[key]
+    if integer and type(node) is not int:  # JSON's true and false load as bool, an int subclass
+        raise ModelFormatError(f"{path} must be an integer, got {node!r}")
     return node
+
+
+def _typed_list(name: str, values, kinds=(int, float), error=ModelFormatError) -> list:
+    """values, if it is a list whose entries all have one of the exact types
+    kinds (so no bool and no string); otherwise error naming the field."""
+    if not isinstance(values, list):
+        raise error(f"{name} must be a list, got {values!r}")
+    if not set(map(type, values)) <= set(kinds):
+        bad = next(i for i, v in enumerate(values) if type(v) not in kinds)
+        what = "a number" if float in kinds else "an integer"
+        raise error(f"{name}: entry {bad} must be {what}, got {values[bad]!r}")
+    return values
 
 
 def load_model(path) -> QnnModel:
@@ -493,26 +481,26 @@ def load_model(path) -> QnnModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    version = _require(doc, "format_version")
+    version = _require(doc, "format_version", integer=True)
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version: {version}")
     encoder = EncoderSpec(
-        kind=_require(doc, "encoder.kind"), input_dim=int(_require(doc, "encoder.input_dim"))
+        kind=_require(doc, "encoder.kind"), input_dim=_require(doc, "encoder.input_dim", integer=True)
     )
     ansatz = AnsatzSpec(
         preset=_require(doc, "ansatz.preset"),
-        num_layers=int(_require(doc, "ansatz.num_layers")),
+        num_layers=_require(doc, "ansatz.num_layers", integer=True),
         entanglement=_require(doc, "ansatz.entanglement"),
     )
-    num_qubits = int(_require(doc, "num_qubits"))
+    num_qubits = _require(doc, "num_qubits", integer=True)
     circuit = build_ansatz_circuit(ansatz, num_qubits)
     return QnnModel(
         encoder=encoder,
         ansatz=ansatz,
         num_qubits=num_qubits,
         circuit=circuit,
-        params=_require(doc, "params"),
-        readout_qubits=tuple(_require(doc, "readout_qubits")),
-        num_classes=int(_require(doc, "num_classes")),
+        params=_typed_list("params", _require(doc, "params")),
+        readout_qubits=tuple(_typed_list("readout_qubits", _require(doc, "readout_qubits"), (int,))),
+        num_classes=_require(doc, "num_classes", integer=True),
         train_data_digest=doc.get("train_data_digest"),
     )

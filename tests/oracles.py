@@ -75,7 +75,7 @@ def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np
     _check_rotation_params(model)
     if not (0 <= observable < model.num_classes):
         raise GradientError(f"observable index {observable} out of range")
-    state = encode_batch(model.encoder, np.asarray(x), model.num_qubits)[0]
+    state = encode_batch(model.encoder, np.asarray(x)[None, :], model.num_qubits)[0]
     params = model.params
     controlled = {op.param_slot for op in model.circuit.gates if op.kind in CONTROLLED_GATES}
     grad = np.zeros(params.shape[0])

@@ -24,14 +24,14 @@ from statecov.fixtures import (
     reference_two_qubit_profile,
 )
 from statecov.fuzz import FuzzConfig, fuzz, random_test
-from statecov.gradients import input_grad
+from statecov.gradients import input_grads
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
     LabeledDataset,
     build_model,
+    cross_entropy_grad,
     encode_batch,
-    forward,
     forward_batch,
     softmax,
     z_sign_matrix,
@@ -188,13 +188,13 @@ def test_criterion_5_gradient_check():
             model = model.with_params(rng.uniform(-np.pi, np.pi, model.params.size))
             x = rng.uniform(0.1, 0.9, 4)
             grad = param_shift_grad(model, x, 0)
-            states = encode_batch(model.encoder, x, 4)
+            states = encode_batch(model.encoder, x[None, :], 4)
             out = apply_circuit_batch(states, model.circuit, model.params)
             adjoint, _ = adjoint_sweep(out, signs[0] * out, model.circuit, model.params)
 
             def expectation(p, model=model, x=x):
-                _, scores = forward(model.with_params(p), x)
-                return float(scores[0])
+                _, scores = forward_batch(model.with_params(p), x[None, :])
+                return float(scores[0, 0])
 
             fd = finite_diff_grad(expectation, model.params, 1e-4)
             worst_param = max(worst_param, float(np.max(np.abs(grad - fd))))
@@ -208,23 +208,21 @@ def test_criterion_5_gradient_check():
         )
         for _ in range(5):
             x = rng.uniform(0.1, 0.9, d)
-            grad = input_grad(model, x, 1)
+            grad = input_grads(model, x[None, :], lambda s: cross_entropy_grad(s, [1]))[1][0]
 
             def loss(feats, model=model):
-                _, scores = forward(model, feats)
-                return cross_entropy(scores, 1)
+                _, scores = forward_batch(model, feats[None, :])
+                return cross_entropy(scores[0], 1)
 
             fd = finite_diff_grad(loss, x, 1e-5)
             worst_input = max(worst_input, float(np.max(np.abs(grad - fd))))
             if encoder == "angle":
                 # RY(pi x) shifted by pi/2 is x shifted by 1/2
-                _, scores = forward(model, x)
-                resid = softmax(scores)
+                _, scores = forward_batch(model, x[None, :])
+                resid = softmax(scores[0])
                 resid[1] -= 1.0
-                shift = np.array([
-                    np.pi * (forward(model, x + h)[1] - forward(model, x - h)[1]) / 2.0
-                    for h in 0.5 * np.eye(d)
-                ])
+                h = 0.5 * np.eye(d)
+                shift = np.pi * (forward_batch(model, x + h)[1] - forward_batch(model, x - h)[1]) / 2.0
                 worst_input_shift = max(
                     worst_input_shift, float(np.max(np.abs(grad - shift @ resid)))
                 )

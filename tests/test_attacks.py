@@ -1,18 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from statecov.attacks import (
-    AttackConfig,
-    attack_suite,
-    fgsm,
-    jsma,
-    random_perturb,
-    save_attack_suite,
-)
-from statecov.qnn import LabeledDataset, predict
+from statecov.attacks import AttackConfig, attack_suite, save_attack_suite
+from statecov.qnn import LabeledDataset, forward_batch
+
+
+def _one_row(x, label=0):
+    return LabeledDataset(np.asarray(x, dtype=np.float64)[None, :], [label])
 
 
 class TestConfig:
@@ -32,37 +30,39 @@ class TestConfig:
 
 
 class TestRandomPerturb:
-    def test_linf_bound_and_range(self):
-        rng = np.random.default_rng(0)
-        for seed in range(10):
-            x = rng.uniform(0, 1, 8)
-            adv = random_perturb(x, 0.25, seed)
-            assert np.max(np.abs(adv - x)) <= 0.25 + 1e-12
-            assert np.all(adv >= 0) and np.all(adv <= 1)
+    def test_linf_bound_and_range(self, toy4_model):
+        data = LabeledDataset(np.random.default_rng(0).uniform(0, 1, (10, 4)), np.zeros(10))
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="random", epsilon=0.25))
+        assert np.max(np.abs(adv.features - data.features)) <= 0.25 + 1e-12
+        assert np.all(adv.features >= 0) and np.all(adv.features <= 1)
 
-    def test_zero_epsilon_identity(self):
-        x = np.array([0.1, 0.9, 0.5])
-        assert np.array_equal(random_perturb(x, 0.0, 3), x)
+    def test_zero_epsilon_identity(self, toy4_model):
+        data = _one_row([0.1, 0.9, 0.5, 0.3])
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="random", epsilon=0.0, seed=3))
+        assert np.array_equal(adv.features, data.features)
 
-    def test_deterministic_per_seed(self):
-        x = np.full(6, 0.5)
-        assert np.array_equal(random_perturb(x, 0.2, 7), random_perturb(x, 0.2, 7))
-        assert not np.array_equal(random_perturb(x, 0.2, 7), random_perturb(x, 0.2, 8))
+    def test_deterministic_per_seed(self, toy4_model):
+        data = _one_row(np.full(4, 0.5))
+        a, b, c = (
+            attack_suite(toy4_model, data, AttackConfig(kind="random", epsilon=0.2, seed=s))[0]
+            for s in (7, 7, 8)
+        )
+        assert np.array_equal(a.features, b.features)
+        assert not np.array_equal(a.features, c.features)
 
 
 class TestFgsm:
     def test_zero_epsilon_identity(self, toy4_model):
-        x = np.array([0.3, 0.4, 0.5, 0.6])
-        adv, _ = fgsm(toy4_model, x, 0, 0.0)
-        assert np.array_equal(adv, x)
+        data = _one_row([0.3, 0.4, 0.5, 0.6])
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="fgsm", epsilon=0.0))
+        assert np.array_equal(adv.features, data.features)
 
     def test_linf_bound_and_range(self, toy4_model, toy4_train_data):
         eps = 64 / 255
-        for i in range(10):
-            x = toy4_train_data.features[i]
-            adv, _ = fgsm(toy4_model, x, int(toy4_train_data.labels[i]), eps)
-            assert np.max(np.abs(adv - x)) <= eps + 1e-12
-            assert np.all(adv >= 0) and np.all(adv <= 1)
+        data = toy4_train_data.subset(np.arange(10))
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="fgsm", epsilon=eps))
+        assert np.max(np.abs(adv.features - data.features)) <= eps + 1e-12
+        assert np.all(adv.features >= 0) and np.all(adv.features <= 1)
 
     def test_beats_random_on_trained_model(self, toy4_model, toy4_train_data):
         eps = 64 / 255
@@ -75,34 +75,32 @@ class TestFgsm:
 
     def test_success_flag_consistent(self, toy4_model, toy4_train_data):
         for i in range(5):
-            x = toy4_train_data.features[i]
-            label = int(toy4_train_data.labels[i])
-            adv, ok = fgsm(toy4_model, x, label, 64 / 255)
-            assert ok == (predict(toy4_model, adv) != label)
+            data = toy4_train_data.subset([i])
+            adv, asr = attack_suite(toy4_model, data, AttackConfig(kind="fgsm", epsilon=64 / 255))
+            _, scores = forward_batch(toy4_model, adv.features)
+            assert asr == float(np.argmax(scores[0]) != data.labels[0])
 
 
 class TestJsma:
     def test_l0_budget(self, toy4_model, toy4_train_data):
         gamma = 0.5
         budget = math.ceil(gamma * 4)
-        for i in range(10):
-            x = toy4_train_data.features[i]
-            adv, _ = jsma(toy4_model, x, int(toy4_train_data.labels[i]), 1.0, gamma)
-            assert int(np.sum(adv != x)) <= budget
-            assert np.all(adv >= 0) and np.all(adv <= 1)
+        data = toy4_train_data.subset(np.arange(10))
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="jsma", theta=1.0, gamma=gamma))
+        assert np.all(np.sum(adv.features != data.features, axis=1) <= budget)
+        assert np.all(adv.features >= 0) and np.all(adv.features <= 1)
 
     def test_modified_features_pushed_up(self, toy4_model, toy4_train_data):
         # theta is positive, so touched features only ever increase
-        for i in range(10):
-            x = toy4_train_data.features[i]
-            adv, _ = jsma(toy4_model, x, int(toy4_train_data.labels[i]), 1.0, 0.5)
-            changed = adv != x
-            assert np.all(adv[changed] >= x[changed])
+        data = toy4_train_data.subset(np.arange(10))
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="jsma", theta=1.0, gamma=0.5))
+        changed = adv.features != data.features
+        assert np.all(adv.features[changed] >= data.features[changed])
 
     def test_zero_gamma_touches_nothing(self, toy4_model, toy4_train_data):
-        x = toy4_train_data.features[0]
-        adv, _ = jsma(toy4_model, x, int(toy4_train_data.labels[0]), 1.0, 0.0)
-        assert np.array_equal(adv, x)
+        data = toy4_train_data.subset([0])
+        adv, _ = attack_suite(toy4_model, data, AttackConfig(kind="jsma", theta=1.0, gamma=0.0))
+        assert np.array_equal(adv.features, data.features)
 
     def test_finds_flips_on_trained_model(self, toy4_model, toy4_train_data):
         data = LabeledDataset(toy4_train_data.features[:40], toy4_train_data.labels[:40])
@@ -148,31 +146,40 @@ class TestAttackSuite:
         assert doc["asr"] == asr
 
 
+def _per_row(model, data, config):
+    """attack_suite on each row alone, as a one-row suite with its batch seed."""
+    rows = [
+        attack_suite(model, data.subset([i]), replace(config, seed=config.seed + i))
+        for i in range(len(data))
+    ]
+    return np.concatenate([adv.features for adv, _ in rows]), np.mean([asr for _, asr in rows])
+
+
 class TestBatchedEqualsPerRow:
     @pytest.mark.parametrize("fixture", ["toy4", "grid6"])
     def test_fgsm_suite_equals_per_row(self, fixture, request):
         model = request.getfixturevalue(f"{fixture}_model")
         data = request.getfixturevalue(f"{fixture}_train_data")
-        eps = 64 / 255
-        adv, asr = attack_suite(model, data, AttackConfig(kind="fgsm", epsilon=eps))
-        rows = [fgsm(model, x, int(y), eps) for x, y in zip(data.features, data.labels)]
-        assert np.array_equal(adv.features, np.array([r[0] for r in rows]))
-        assert asr == np.mean([r[1] for r in rows])
+        cfg = AttackConfig(kind="fgsm", epsilon=64 / 255)
+        adv, asr = attack_suite(model, data, cfg)
+        features, mean_asr = _per_row(model, data, cfg)
+        assert np.array_equal(adv.features, features)
+        assert asr == mean_asr
 
     @pytest.mark.parametrize("fixture", ["toy4", "grid6"])
     def test_jsma_suite_equals_per_row(self, fixture, request):
         model = request.getfixturevalue(f"{fixture}_model")
         data = request.getfixturevalue(f"{fixture}_train_data").subset(np.arange(0, 80, 4))
-        adv, asr = attack_suite(model, data, AttackConfig(kind="jsma", theta=1.0, gamma=0.5))
-        rows = [jsma(model, x, int(y), 1.0, 0.5) for x, y in zip(data.features, data.labels)]
-        assert np.array_equal(adv.features, np.array([r[0] for r in rows]))
-        assert asr == np.mean([r[1] for r in rows])
+        cfg = AttackConfig(kind="jsma", theta=1.0, gamma=0.5)
+        adv, asr = attack_suite(model, data, cfg)
+        features, mean_asr = _per_row(model, data, cfg)
+        assert np.array_equal(adv.features, features)
+        assert asr == mean_asr
 
     def test_random_suite_equals_per_row_seeds(self, toy4_model, toy4_train_data):
         cfg = AttackConfig(kind="random", epsilon=0.2, seed=11)
         adv, _ = attack_suite(toy4_model, toy4_train_data, cfg)
-        rows = [random_perturb(x, 0.2, 11 + i) for i, x in enumerate(toy4_train_data.features)]
-        assert np.array_equal(adv.features, np.array(rows))
+        assert np.array_equal(adv.features, _per_row(toy4_model, toy4_train_data, cfg)[0])
 
     @pytest.mark.parametrize("kind", ["random", "fgsm", "jsma"])
     def test_empty_suite(self, toy4_model, kind):

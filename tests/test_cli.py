@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statecov.cli import main
+from statecov.coverage import StateProfile
 from statecov.datasets import gaussian_blobs, save_csv
 from statecov.diversity import NUM_BINS, FidelityHistogram
 from statecov.qnn import LabeledDataset
@@ -469,6 +470,105 @@ class TestBoundaryValidation:
         )
         assert code == 2
         assert f"{field}: entry 5 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("model", "format_version", True, "format_version must be an integer"),
+            ("model", "num_qubits", 4.7, "num_qubits must be an integer, got 4.7"),
+            ("model", "encoder.input_dim", 4.9, "encoder.input_dim must be an integer, got 4.9"),
+            ("model", "ansatz.num_layers", True, "ansatz.num_layers must be an integer, got True"),
+            ("model", "num_classes", "2", "num_classes must be an integer, got '2'"),
+            ("model", "params.0", "1.5", "params: entry 0 must be a number, got '1.5'"),
+            ("model", "params.1", True, "params: entry 1 must be a number, got True"),
+            ("model", "readout_qubits", [0.0, 1.9], "readout_qubits: entry 0 must be an integer"),
+            ("model", "readout_qubits", 5, "readout_qubits must be a list, got 5"),
+            ("profile", "format_version", True, "unsupported profile version True"),
+            ("profile", "lower.0", "0.1", "lower: entry 0 must be a number, got '0.1'"),
+            ("profile", "lower.1", True, "lower: entry 1 must be a number, got True"),
+            ("profile", "lower", {"a": 1}, "lower must be a list, got {'a': 1}"),
+            ("profile", "upper.2", False, "upper: entry 2 must be a number, got False"),
+            ("profile", "sigma", 0.5, "sigma must be a list, got 0.5"),
+            ("profile", "mad_lower.3", "0", "mad_lower: entry 3 must be a number, got '0'"),
+            ("profile", "mad_upper.3", False, "mad_upper: entry 3 must be a number, got False"),
+        ],
+    )
+    def test_wrongly_typed_file_field_is_config_error(
+        self, kind, field, value, message, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        """A file field of the wrong JSON type is refused by name, never
+        turned into a number."""
+        paths = {"model": trained_dir / "model.json", "profile": profile_dir / "profile.json"}
+        doc = json.loads(paths[kind].read_text())
+        if kind == "profile":  # MAD bounds equal to the raw ones, so there is a field to spoil
+            doc["mad_lower"], doc["mad_upper"] = list(doc["lower"]), list(doc["upper"])
+        *keys, last = field.split(".")
+        node = doc
+        for key in keys:
+            node = node[int(key) if isinstance(node, list) else key]
+        node[int(last) if isinstance(node, list) else last] = value
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--model", str(paths["model"]), "--profile", str(paths["profile"])]
+        assert main(["coverage", *argv, "--suite", str(data_csv), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("coverage", []), ("fuzz", []), ("fuzz", ["--random-baseline"])],
+        ids=["coverage", "fuzz-guided", "fuzz-random"],
+    )
+    def test_profile_of_another_qubit_count(
+        self, command, flags, trained_dir, data_csv, tmp_path, capsys
+    ):
+        prof = tmp_path / "profile.json"
+        StateProfile(lower=np.zeros(8), upper=np.ones(8)).to_json(prof)
+        inputs = ["--model", str(trained_dir / "model.json"), "--profile", str(prof)]
+        inputs += ["--suite" if command == "coverage" else "--seeds", str(data_csv)]
+        out = tmp_path / "out"
+        assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 1
+        assert "profile has 8 states but model produces 16" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_seeded_runs_are_byte_identical(data_csv, tmp_path):
+    """Every stage run twice with the same seeds writes the same bytes; only
+    the paths recorded in resolved_config.json differ between the roots."""
+
+    def pipeline(root):
+        model, prof = str(root / "train" / "model.json"), str(root / "profile" / "profile.json")
+        runs = {
+            "train": ["train", "--dataset", str(data_csv), "--epochs", "5", "--seed", "3"],
+            "profile": ["profile", "--model", model, "--dataset", str(data_csv), "--mad"],
+            "coverage": ["coverage", "--model", model, "--profile", prof, "--suite", str(data_csv)],
+            "coverage_shots": ["coverage", "--model", model, "--profile", prof,
+                               "--suite", str(data_csv), "--shots", "100", "--seed", "4"],
+            **{
+                f"attack_{kind}": ["attack", "--model", model, "--dataset", str(data_csv),
+                                   "--kind", kind, "--gamma", "0.5", "--seed", "5"]
+                for kind in ("random", "fgsm", "jsma")
+            },
+            "fuzz": ["fuzz", "--model", model, "--profile", prof, "--seeds", str(data_csv),
+                     "--max-iterations", "60", "--seed", "6"],
+            "fuzz_random": ["fuzz", "--model", model, "--profile", prof, "--seeds", str(data_csv),
+                            "--random-baseline", "--reenqueue-prob", "0.5",
+                            "--max-iterations", "60", "--seed", "6"],
+            "diversity": ["diversity", "--model", model, "--suite", str(data_csv), "--seed", "7"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out-dir", str(root / name)]) == 0, name
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    roots = [tmp_path / "a", tmp_path / "b"]
+    files = [pipeline(root) for root in roots]
+    assert files[0] == files[1] and len(files[0]) > 30
+    for rel in files[0]:
+        a, b = ((root / rel).read_bytes() for root in roots)
+        if rel.name == "resolved_config.json":
+            a, b = (x.replace(str(root).encode(), b"<root>") for x, root in zip((a, b), roots))
+        assert a == b, rel
 
 
 def _numeric_flags():

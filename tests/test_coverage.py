@@ -403,8 +403,10 @@ class TestAddBatch:
             flags = ("new_cell", "new_corner", "new_top")
             assert deltas[-1] == {f: bool((x != y).any()) for f, x, y in zip(flags, before, after)}
         batched = CoverageTracker(prof, config)
-        first = batched.add_batch(pvs[:split])
-        batched.add_batch(pvs[split:])
+        hits = batched.locate(pvs[:split])
+        first = {flag: batched.row_opens(hits, flag).any() for flag in deltas[0]}
+        batched.commit(hits)
+        batched.commit(batched.locate(pvs[split:]))
         for name in ("cells", "corners", "top_states"):
             assert np.array_equal(getattr(batched, name), getattr(folded, name))
         assert batched.num_inputs == folded.num_inputs == len(pvs)
@@ -454,9 +456,9 @@ class TestAddBatch:
         tracker = CoverageTracker(prof, CoverageConfig(k_cells=5))
         pvs = np.array([[0.5, 0.5], [0.2, 0.8], [0.3, np.nan]])
         with pytest.raises(ValueError, match="probability vector 2 "):
-            tracker.add_batch(pvs)
+            tracker.locate(pvs)
         with pytest.raises(ValueError, match="shape"):
-            tracker.add_batch(pvs[:, :1])
+            tracker.locate(pvs[:, :1])
         with pytest.raises(ValueError, match="shape"):
             tracker.add_input(pvs[:2])
         assert tracker.num_inputs == 0 and not tracker.cells.any()

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from statecov.datasets import gaussian_blobs
-from statecov.gradients import GradientError, input_grad, score_input_grads
+from statecov.gradients import GradientError, input_grads
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -14,7 +14,6 @@ from statecov.qnn import (
     build_model,
     cross_entropy_grad,
     encode_batch,
-    forward,
     forward_batch,
     train,
 )
@@ -34,8 +33,8 @@ from oracles import cross_entropy, finite_diff_grad, param_shift_grad
 
 def _loss_fn(model, x, label):
     def f(feats):
-        _, scores = forward(model, feats)
-        return cross_entropy(scores, label)
+        _, scores = forward_batch(model, feats[None, :])
+        return cross_entropy(scores[0], label)
 
     return f
 
@@ -83,8 +82,8 @@ class TestParamShift:
 
             def expectation(p, model=model, x=x):
                 m = model.with_params(p)
-                _, scores = forward(m, x)
-                return float(scores[0])
+                _, scores = forward_batch(m, x[None, :])
+                return float(scores[0, 0])
 
             fd = finite_diff_grad(expectation, model.params, 1e-4)
             assert np.max(np.abs(grad - fd)) < 1e-6
@@ -101,7 +100,9 @@ class TestParamShift:
             x = rng.uniform(0, 1, 3)
             for c in range(model.num_classes):
                 fd = finite_diff_grad(
-                    lambda p: float(forward(model.with_params(p), x)[1][c]), model.params, 1e-5
+                    lambda p: float(forward_batch(model.with_params(p), x[None, :])[1][0, c]),
+                    model.params,
+                    1e-5,
                 )
                 assert np.max(np.abs(param_shift_grad(model, x, c) - fd)) < 1e-8
             checked += 1
@@ -124,7 +125,7 @@ class TestParamShift:
                 EncoderSpec("angle", 3), AnsatzSpec(preset, 1, "linear"), 3, 2, seed=100 + i
             )
             x = rng.uniform(0.1, 0.9, 3)
-            g = input_grad(model, x, 0)
+            g = input_grads(model, x[None, :], lambda s: cross_entropy_grad(s, [0]))[1][0]
             pg = param_shift_grad(model, x, 0)
             if np.linalg.norm(pg) > 1e-8 and np.linalg.norm(g) > 1e-12:
                 hits += 1
@@ -142,7 +143,7 @@ class TestInputGrad:
         )
         for _ in range(3):
             x = rng.uniform(0.1, 0.9, d)
-            grad = input_grad(model, x, 1)
+            grad = input_grads(model, x[None, :], lambda s: cross_entropy_grad(s, [1]))[1][0]
             fd = finite_diff_grad(_loss_fn(model, x, 1), x, 1e-5)
             assert np.max(np.abs(grad - fd)) < 1e-5
 
@@ -155,7 +156,7 @@ class TestInputGrad:
         base = np.tile(np.array([0.3, 0.7, 0.5]), 3)  # same 3 angles per qubit
         model = model.with_params(base * np.pi)
         x = np.array([0.4, 0.6, 0.6])
-        grad = input_grad(model, x, 0)
+        grad = input_grads(model, x[None, :], lambda s: cross_entropy_grad(s, [0]))[1][0]
         assert abs(grad[1] - grad[2]) < 1e-9
 
     def test_zero_amplitude_input_rejected(self):
@@ -163,7 +164,7 @@ class TestInputGrad:
             EncoderSpec("amplitude", 4), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0
         )
         with pytest.raises(GradientError):
-            score_input_grads(model, np.zeros(4))
+            input_grads(model, np.zeros((2, 4)), lambda s: np.eye(2))
 
     def test_gradient_small_at_scanned_minimum(self):
         # vary one feature, locate the interior loss minimum by scanning for
@@ -173,7 +174,8 @@ class TestInputGrad:
         )
 
         def deriv(t):
-            return input_grad(model, np.array([t, 0.5]), 0)[0]
+            xs = np.array([[t, 0.5]])
+            return input_grads(model, xs, lambda s: cross_entropy_grad(s, [0]))[1][0, 0]
 
         grid = np.linspace(0.01, 0.99, 99)
         vals = [deriv(t) for t in grid]
@@ -321,9 +323,10 @@ class TestAdjointSweep:
             min(q, 2), seed=int(rng.integers(1 << 30)),
         )
         x = rng.uniform(0.1, 0.9, d)
-        jac = score_input_grads(model, x)
-        for c in range(model.num_classes):
-            fd = finite_diff_grad(lambda v, c=c: float(forward(model, v)[1][c]), x, 1e-5)
+        k = model.num_classes
+        jac = input_grads(model, np.repeat(x[None, :], k, axis=0), lambda s: np.eye(k))[1]
+        for c in range(k):
+            fd = finite_diff_grad(lambda v, c=c: float(forward_batch(model, v[None, :])[1][0, c]), x, 1e-5)
             assert np.max(np.abs(jac[c] - fd)) < 1e-7
 
     @pytest.mark.parametrize("layers", [1, 2, 3])

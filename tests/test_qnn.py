@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,44 +19,54 @@ from statecov.qnn import (
     build_model,
     encode_batch,
     entanglement_pairs,
-    forward,
     forward_batch,
     load_model,
-    predict,
     save_model,
+    scores_from_probs,
     softmax,
     train,
     z_sign_matrix,
 )
+from statecov.coverage import collect_prob_vectors
 from statecov.sim import BLOCK_QUBITS, Gate, _blocks, sample_frequencies
 
 
 class TestEncoding:
     def test_amplitude_basis_vector(self):
-        state = encode_batch(EncoderSpec("amplitude", 4), [1, 0, 0, 0], 2)[0]
+        state = encode_batch(EncoderSpec("amplitude", 4), [[1, 0, 0, 0]], 2)[0]
         assert np.allclose(state, [1, 0, 0, 0], atol=1e-12)
 
     def test_amplitude_normalization(self):
-        state = encode_batch(EncoderSpec("amplitude", 2), [0.3, 0.4], 1)[0]
+        state = encode_batch(EncoderSpec("amplitude", 2), [[0.3, 0.4]], 1)[0]
         assert np.allclose(state, [0.6, 0.8], atol=1e-12)
 
     def test_angle_all_ones_is_all_excited(self):
-        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [1, 1, 1], 3)[0]) ** 2
+        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [[1, 1, 1]], 3)[0]) ** 2
         assert probs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_angle_bit_order_big_endian(self):
         # only qubit 0 excited -> index 100 (binary) = 4
-        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [1, 0, 0], 3)[0]) ** 2
+        probs = np.abs(encode_batch(EncoderSpec("angle", 3), [[1, 0, 0]], 3)[0]) ** 2
         assert probs[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitude_zero_vector_rejected(self):
         with pytest.raises(EncodingError):
-            encode_batch(EncoderSpec("amplitude", 2), [0, 0], 1)
+            encode_batch(EncoderSpec("amplitude", 2), [[0, 0]], 1)
 
     def test_amplitude_padding(self):
-        state = encode_batch(EncoderSpec("amplitude", 3), [0.5, 0.5, 0.5], 2)[0]
+        state = encode_batch(EncoderSpec("amplitude", 3), [[0.5, 0.5, 0.5]], 2)[0]
         assert state[3] == 0
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), ()])
+    def test_feature_matrix_must_be_2d(self, shape):
+        model = build_model(
+            EncoderSpec("angle", 3), AnsatzSpec("layered", 1, "linear"), 3, 2, seed=0
+        )
+        xs = np.full(shape, 0.5)
+        for call in (lambda: encode_batch(model.encoder, xs, 3), lambda: forward_batch(model, xs)):
+            with pytest.raises(EncodingError, match=rf"2-D .* got shape {re.escape(str(shape))}"):
+                call()
 
 
 class TestAnsatzExpansion:
@@ -90,17 +102,16 @@ class TestForward:
             EncoderSpec("angle", 3), AnsatzSpec("layered", 2, "linear"), 3, 2, seed=0
         )
         model = model.with_params(np.zeros_like(model.params))
-        _, scores = forward(model, [0.0, 0.0, 0.0])
-        assert np.allclose(scores, [1.0, 1.0], atol=1e-12)
+        _, scores = forward_batch(model, [[0.0, 0.0, 0.0]])
+        assert np.allclose(scores, [[1.0, 1.0]], atol=1e-12)
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(0)
         model = build_model(
             EncoderSpec("angle", 3), AnsatzSpec("entangling", 2, "star"), 3, 3, seed=1
         )
-        for _ in range(10):
-            _, scores = forward(model, rng.uniform(0, 1, 3))
-            assert np.all(scores >= -1.0 - 1e-12) and np.all(scores <= 1.0 + 1e-12)
+        _, scores = forward_batch(model, rng.uniform(0, 1, (10, 3)))
+        assert np.all(scores >= -1.0 - 1e-12) and np.all(scores <= 1.0 + 1e-12)
 
     def test_marginal_consistency(self):
         # scores from the probability vector equal <Z> from the statevector
@@ -110,7 +121,7 @@ class TestForward:
             EncoderSpec("angle", 4), AnsatzSpec("layered", 2, "cyclic"), 4, 2, seed=2
         )
         x = np.array([0.1, 0.6, 0.3, 0.9])
-        _, scores = forward(model, x)
+        scores = forward_batch(model, x[None, :])[1][0]
         state = apply_circuit_batch(
             encode_batch(model.encoder, x[None, :], 4), model.circuit, model.params
         )[0]
@@ -123,11 +134,12 @@ class TestForward:
         model = build_model(
             EncoderSpec("angle", 3), AnsatzSpec("layered", 2, "linear"), 3, 2, seed=4
         )
-        x = [0.2, 0.8, 0.5]
-        probs, exact = forward(model, x)
-        freqs, sampled = forward(model, x, shots=1_000_000, seed=1)
+        data = LabeledDataset([[0.2, 0.8, 0.5]], [0])
+        probs, exact = forward_batch(model, data.features)
+        freqs = collect_prob_vectors(model, data, shots=1_000_000, seed=1)
+        sampled = scores_from_probs(freqs, model.readout_qubits, 3)
         assert np.max(np.abs(exact - sampled)) < 0.005
-        assert np.array_equal(freqs, sample_frequencies(probs, 1_000_000, 1))
+        assert np.array_equal(freqs[0], sample_frequencies(probs[0], 1_000_000, 1))
 
     @given(
         encoder=st.sampled_from(["angle", "amplitude"]),
@@ -155,26 +167,10 @@ class TestForward:
         xs = rng.uniform(0.05, 1.0, (n, d))
         probs, scores = forward_batch(model, xs)
         for i in range(n):
-            p, s = forward_batch(model, xs[i])
+            p, s = forward_batch(model, xs[i : i + 1])
             assert np.array_equal(p[0], probs[i]) and np.array_equal(s[0], scores[i])
-            assert np.array_equal(forward(model, xs[i])[1], scores[i])
         # a sub-batch at an offset reduces its rows the same way
         assert np.array_equal(forward_batch(model, xs[1:])[1], scores[1:])
-
-
-class TestPredict:
-    def test_forced_cases(self, monkeypatch):
-        import statecov.qnn as qnn_mod
-
-        model = build_model(
-            EncoderSpec("angle", 2), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0
-        )
-        cases = [((0.9, -0.1), 0), ((-0.5, -0.2), 1), ((0.3, 0.3), 0)]
-        for scores, expected in cases:
-            monkeypatch.setattr(
-                qnn_mod, "forward", lambda m, x, s=scores: (None, np.array(s))
-            )
-            assert qnn_mod.predict(model, [0.1, 0.2]) == expected
 
 
 class TestTrain:
@@ -312,8 +308,8 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-        _, s1 = forward(model, x)
-        _, s2 = forward(loaded, x)
+        _, s1 = forward_batch(model, x[None, :])
+        _, s2 = forward_batch(loaded, x[None, :])
         assert np.max(np.abs(s1 - s2)) < 1e-15
 
     def test_truncated_file_rejected(self, tmp_path):
