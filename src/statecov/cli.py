@@ -20,6 +20,7 @@ from .attacks import AttackConfig, attack_suite, save_attack_suite
 from .coverage import (
     CoverageConfig,
     StateProfile,
+    _check_profile,
     collect_prob_vectors,
     coverage_suite,
     mad_refine,
@@ -124,6 +125,11 @@ def _load(loader, path, what):
         raise ConfigError(f"{what} not found: {path}")
     except ValueError as exc:  # malformed file: a usage error, not an internal one
         raise ConfigError(str(exc))
+
+
+def _load_profile(path, model):
+    """The profile at path; one whose state count is not the model's is a usage error."""
+    return _load(lambda p: _check_profile(model, StateProfile.from_json(p)), path, "profile")
 
 
 def cmd_train(args) -> int:
@@ -240,7 +246,7 @@ def cmd_coverage(args) -> int:
         },
     )
     model = _load(load_model, cfg["model"], "model")
-    prof = _load(StateProfile.from_json, cfg["profile"], "profile")
+    prof = _load_profile(cfg["profile"], model)
     suite = _load(load_csv, cfg["suite"], "dataset")
     ccfg = CoverageConfig(
         k_cells=int(cfg["k"]), top_k=int(cfg["top_k"]), boundary_mode=cfg["boundary_mode"]
@@ -313,7 +319,7 @@ def cmd_fuzz(args) -> int:
         },
     )
     model = _load(load_model, cfg["model"], "model")
-    prof = _load(StateProfile.from_json, cfg["profile"], "profile")
+    prof = _load_profile(cfg["profile"], model)
     seeds = _load(load_csv, cfg["seeds"], "dataset")
     fcfg = FuzzConfig(
         criterion=cfg["criterion"],

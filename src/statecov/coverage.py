@@ -13,9 +13,16 @@ CoverageTracker is batch-first. locate() places an (n, S) matrix of
 probability vectors in one vectorized pass (cell per state, corner masks,
 stable top-k) and commit() sets every bit those hits reach, so a whole suite
 folds in as commit(locate(pvs)), with no per-input loop and with the same
-bits as adding its rows one at a time. row_opens() says, for every row of a
-batch at once, whether adding the rows in order would see it set a new bit of
-one kind; add_input() and peek_input() are batches of one.
+bits as adding its rows one at a time. fold() does that over row blocks of
+about qnn.BLOCK_AMPS entries: commit is a monotone OR, so the bits are the
+same, and locate's (n, S) temporaries stay block-sized. row_opens() says,
+for every row of a batch at once, whether adding the rows in order would see
+it set a new bit of one kind; add_input() and peek_input() are batches of
+one.
+
+Memory: a stage holds the one (n, S) float64 probability matrix that
+collect_prob_vectors returns (shots overwrite it row by row) plus O(block)
+buffers; mad_refine works over blocks of state columns the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .qnn import LabeledDataset, QnnModel, _typed_list, forward_batch
+from .qnn import LabeledDataset, QnnModel, _row_blocks, _typed_list, forward_batch
 from .sim import sample_frequencies
 
 __all__ = [
@@ -220,7 +227,7 @@ class CoverageTracker:
         self.top_states = np.zeros(s, dtype=bool)
         self.num_inputs = 0
 
-    def locate(self, pvs) -> Hits:
+    def locate(self, pvs, first_row: int = 0) -> Hits:
         """Hits of an (n, S) matrix of probability vectors, without committing.
 
         One vectorized pass: each state inside its major region gets the cell
@@ -228,6 +235,7 @@ class CoverageTracker:
         has the one cell 0, hit only within epsilon of its boundary), the
         others fall in a corner, and the top-k states are those a stable
         argsort on -pv puts first: probability ties break by ascending index.
+        An error names a row as first_row plus its index in pvs.
         """
         pvs = np.asarray(pvs, dtype=np.float64)
         s = self.profile.num_states
@@ -238,7 +246,8 @@ class CoverageTracker:
         bad = ~np.isfinite(pvs).all(axis=1)
         if bad.any():
             raise ValueError(
-                f"probability vector {int(np.argmax(bad))} contains NaN or infinite entries"
+                f"probability vector {first_row + int(np.argmax(bad))} contains NaN or "
+                "infinite entries"
             )
         k = self.config.k_cells
         eps = self.config.epsilon_degenerate
@@ -299,6 +308,11 @@ class CoverageTracker:
         self.top_states |= hits.top.any(axis=0)
         self.num_inputs += hits.cells.shape[0]
 
+    def fold(self, pvs: np.ndarray) -> None:
+        """commit(locate(pvs)) over row blocks of pvs, with the same bits."""
+        for rows in _row_blocks(len(pvs), self.profile.num_states):
+            self.commit(self.locate(pvs[rows], first_row=rows.start))
+
     def peek_input(self, pv) -> dict:
         """Delta flags this vector would produce, without mutating the tracker."""
         hits = self.locate([pv])
@@ -336,15 +350,15 @@ def collect_prob_vectors(
     shots: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Measured probability vectors for every dataset row, as a (n, 2^q) matrix."""
+    """Measured probability vectors for every dataset row, as a (n, 2^q)
+    matrix; with shots, row i is replaced in place by its frequencies under
+    seed + i."""
     probs, _ = forward_batch(model, data.features)
-    if shots is None:
-        return probs
-    base = 0 if seed is None else seed
-    sampled = np.empty_like(probs)
-    for i, row in enumerate(probs):
-        sampled[i] = sample_frequencies(row, shots, base + i)
-    return sampled
+    if shots is not None:
+        base = 0 if seed is None else seed
+        for i, row in enumerate(probs):
+            probs[i] = sample_frequencies(row, shots, base + i)
+    return probs
 
 
 def profile(
@@ -380,7 +394,9 @@ def mad_refine(
     Per state, samples whose modified z-score 0.6745 |x - m| / MAD exceeds
     the two-sided normal quantile at the given confidence are discarded; the
     refined bounds are the min/max of the survivors. A zero MAD keeps only
-    samples equal to the median.
+    samples equal to the median. Each state's bounds depend on its own
+    column only, so the work runs over blocks of columns of about
+    qnn.BLOCK_AMPS samples.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 3:
@@ -389,24 +405,28 @@ def mad_refine(
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     base = profile_from_samples(samples, provenance=provenance)
-    m = np.median(samples, axis=0)
-    dev = np.abs(samples - m)
-    mad = np.median(dev, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keep = np.where(mad == 0.0, samples == m, 0.6745 * dev / mad <= z_cut)
-    return replace(
-        base,
-        mad_lower=np.min(samples, axis=0, where=keep, initial=np.inf),
-        mad_upper=np.max(samples, axis=0, where=keep, initial=-np.inf),
-    )
+    n, s = samples.shape
+    lower, upper = np.empty(s), np.empty(s)
+    for cols in _row_blocks(s, n):
+        block = samples[:, cols]
+        m = np.median(block, axis=0)
+        dev = np.abs(block - m)
+        mad = np.median(dev, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep = np.where(mad == 0.0, block == m, 0.6745 * dev / mad <= z_cut)
+        lower[cols] = np.min(block, axis=0, where=keep, initial=np.inf)
+        upper[cols] = np.max(block, axis=0, where=keep, initial=-np.inf)
+    return replace(base, mad_lower=lower, mad_upper=upper)
 
 
-def _check_profile(model: QnnModel, prof: StateProfile) -> None:
+def _check_profile(model: QnnModel, prof: StateProfile) -> StateProfile:
+    """prof, if it has one state per basis state of the model."""
     if prof.num_states != 2**model.num_qubits:
         raise ValueError(
             f"profile has {prof.num_states} states but model produces "
             f"{2**model.num_qubits}"
         )
+    return prof
 
 
 def coverage_suite(
@@ -420,5 +440,5 @@ def coverage_suite(
     """Coverage report for a whole suite, folded in as one batch."""
     _check_profile(model, prof)
     tracker = CoverageTracker(prof, config)
-    tracker.commit(tracker.locate(collect_prob_vectors(model, suite, shots=shots, seed=seed)))
+    tracker.fold(collect_prob_vectors(model, suite, shots=shots, seed=seed))
     return tracker.report()

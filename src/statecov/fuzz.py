@@ -179,7 +179,7 @@ def _run_loop(
     seeds = _initial_queue(model, initial_seeds)
 
     tracker = CoverageTracker(prof, config.coverage)
-    tracker.commit(tracker.locate(collect_prob_vectors(model, initial_seeds)))
+    tracker.fold(collect_prob_vectors(model, initial_seeds))
     coverage_before = tracker.report()
 
     queue = deque(seeds)
@@ -221,7 +221,7 @@ def _run_loop(
             re_enqueued += int(np.count_nonzero(keep))
             todo = todo[done:]
     if failed_probs:
-        tracker.commit(tracker.locate(np.stack(failed_probs)))
+        tracker.fold(np.stack(failed_probs))
     failing_origins = {m.origin for m in failed}
 
     num_initial = len(seeds)

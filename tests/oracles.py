@@ -8,9 +8,12 @@ and the suite diversity figures; the one-row evaluation drives the
 sequential fuzz reference loop, merge is the bitwise union of two coverage
 trackers, and save_csv_rows and load_csv_rows are the csv-module writer and
 row-by-row reader that the columnar save_csv and load_csv must agree with.
+mad_bounds_whole is the MAD refinement over the whole sample matrix at once,
+which mad_refine's column blocks must reproduce.
 """
 
 import csv
+import statistics
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -130,6 +133,20 @@ def merge(tracker: CoverageTracker, other: CoverageTracker) -> None:
     tracker.corners |= other.corners
     tracker.top_states |= other.top_states
     tracker.num_inputs += other.num_inputs
+
+
+def mad_bounds_whole(samples: np.ndarray, confidence: float = 0.99) -> tuple:
+    """(mad_lower, mad_upper) of mad_refine, from whole-matrix temporaries."""
+    z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    m = np.median(samples, axis=0)
+    dev = np.abs(samples - m)
+    mad = np.median(dev, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = np.where(mad == 0.0, samples == m, 0.6745 * dev / mad <= z_cut)
+    return (
+        np.min(samples, axis=0, where=keep, initial=np.inf),
+        np.max(samples, axis=0, where=keep, initial=-np.inf),
+    )
 
 
 def save_csv_rows(data: LabeledDataset, path) -> None:

@@ -491,6 +491,14 @@ class TestBoundaryValidation:
             ("profile", "sigma", 0.5, "sigma must be a list, got 0.5"),
             ("profile", "mad_lower.3", "0", "mad_lower: entry 3 must be a number, got '0'"),
             ("profile", "mad_upper.3", False, "mad_upper: entry 3 must be a number, got False"),
+            pytest.param(
+                "model", "params.0", 10**400, "params: entry 0 is outside the float range",
+                id="model-params.0-10**400",
+            ),
+            pytest.param(
+                "profile", "lower.0", -(10**400), "lower: entry 0 is outside the float range",
+                id="profile-lower.0--10**400",
+            ),
         ],
     )
     def test_wrongly_typed_file_field_is_config_error(
@@ -528,8 +536,8 @@ class TestBoundaryValidation:
         inputs = ["--model", str(trained_dir / "model.json"), "--profile", str(prof)]
         inputs += ["--suite" if command == "coverage" else "--seeds", str(data_csv)]
         out = tmp_path / "out"
-        assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 1
-        assert "profile has 8 states but model produces 16" in capsys.readouterr().err
+        assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
+        assert "error: profile has 8 states but model produces 16" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from statecov.coverage import (
     CoverageConfig,
     CoverageTracker,
     StateProfile,
+    collect_prob_vectors,
     coverage_suite,
     mad_refine,
     profile,
@@ -21,9 +24,19 @@ from statecov.fixtures import (
     reference_input_vector,
     reference_two_qubit_profile,
 )
+from statecov.datasets import gaussian_blobs
+from statecov.qnn import (
+    BLOCK_AMPS,
+    AnsatzSpec,
+    EncoderSpec,
+    LabeledDataset,
+    _row_blocks,
+    build_model,
+    forward_batch,
+)
 
 from conftest import brute_force_coverage, random_profile_and_suite
-from oracles import merge
+from oracles import mad_bounds_whole, merge
 
 
 class TestStateProfile:
@@ -517,3 +530,89 @@ class TestSuiteEvaluation:
                 old.append(rng.multinomial(shots, squared / squared.sum()) / shots)
             new = collect_prob_vectors(toy4_model, data, shots=shots, seed=seed)
             assert np.array_equal(new, np.array(old))
+
+
+class TestRowBlocks:
+    """The coverage stages walk their matrices in blocks of about BLOCK_AMPS
+    entries; the blocks must not change a bit."""
+
+    def test_suite_over_three_locate_blocks_matches_brute_force(self, toy4_model, toy4_train_data):
+        # each of the three blocks sets cells no earlier one set
+        suite = gaussian_blobs(2, 9000, 4, spread=0.1, seed=12)
+        assert len(_row_blocks(len(suite), 16)) == 3
+        prof = profile(toy4_model, toy4_train_data)
+        config = CoverageConfig(k_cells=1000, top_k=2)
+        pvs = collect_prob_vectors(toy4_model, suite)
+        oracle = brute_force_coverage(prof, config, pvs)
+        rep = coverage_suite(toy4_model, suite, prof, config)
+        assert (rep.ksc, rep.scc, rep.tsc) == (oracle["ksc"], oracle["scc"], oracle["tsc"])
+        assert rep.num_inputs == len(suite)
+        assert 0 < rep.ksc < 100 and 0 < rep.tsc < 100
+        tracker = CoverageTracker(prof, config)
+        tracker.fold(pvs)
+        assert set(zip(*map(list, np.nonzero(tracker.cells)))) == oracle["cells"]
+        assert set(np.flatnonzero(tracker.top_states).tolist()) == oracle["tops"]
+
+    def test_fold_names_the_row_of_the_whole_matrix(self):
+        prof = StateProfile(lower=np.zeros(4), upper=np.ones(4))
+        pvs = np.full((3 * BLOCK_AMPS // 4, 4), 0.25)
+        pvs[BLOCK_AMPS // 4 + 5, 2] = np.nan
+        with pytest.raises(ValueError, match=f"probability vector {BLOCK_AMPS // 4 + 5} contains"):
+            CoverageTracker(prof, CoverageConfig()).fold(pvs)
+
+    @pytest.mark.parametrize("n, s", [(64, 4096), (3000, 128)])
+    def test_mad_refine_over_column_blocks_equals_whole_matrix(self, n, s):
+        assert len(_row_blocks(s, n)) >= 2
+        rng = np.random.default_rng(n)
+        samples = rng.dirichlet(np.ones(s), size=n)
+        samples[:, ::3] = np.round(samples[:, ::3] * 200) / 200  # ties, so some MADs are 0
+        samples[rng.integers(n, size=s), np.arange(s)] = rng.uniform(0.5, 1.0, s)  # outliers
+        prof = mad_refine(samples)
+        lower, upper = mad_bounds_whole(samples)
+        assert np.array_equal(prof.mad_lower, lower) and np.array_equal(prof.mad_upper, upper)
+        assert np.any(prof.mad_upper < prof.upper)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlockMemory:
+    """At q = 14 and 64 rows each stage holds the one (n, 2^q) float64
+    matrix plus a few block buffers (one encoded block and the kernel's two
+    work buffers)."""
+
+    BLOCK = 16 * BLOCK_AMPS  # one complex128 block
+
+    @pytest.fixture(scope="class")
+    def q14(self):
+        model = build_model(EncoderSpec("angle", 14), AnsatzSpec("layered", 2, "linear"), 14, 2, seed=0)
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(rng.uniform(0, 1, (64, 14)), np.zeros(64, dtype=np.int64))
+        forward_batch(model, data.features[:1])  # builds and keeps the block matrices
+        return model, data, collect_prob_vectors(model, data)
+
+    def test_collect_prob_vectors(self, q14):
+        model, data, probs = q14
+        for shots in (None, 1000):
+            peak = _traced_peak(lambda: collect_prob_vectors(model, data, shots=shots, seed=1))
+            assert peak <= probs.nbytes + 3 * self.BLOCK + (1 << 16)
+
+    def test_mad_refine(self, q14):
+        # profile_from_samples' std keeps one samples-sized temporary
+        _, _, probs = q14
+        assert _traced_peak(lambda: mad_refine(probs)) <= probs.nbytes + self.BLOCK // 2
+
+    def test_coverage_suite(self, q14):
+        # plus the tracker's bits: S x k_cells bools and the boundaries
+        model, data, probs = q14
+        prof = mad_refine(probs)
+        config = CoverageConfig(boundary_mode="mad")
+        bits = probs.shape[1] * (config.k_cells + 2 * 8 + 3)
+        peak = _traced_peak(lambda: coverage_suite(model, data, prof, config))
+        assert peak <= probs.nbytes + 3 * self.BLOCK + bits + (1 << 16)

@@ -88,6 +88,20 @@ def toy_setup(toy4_model, toy4_train_data):
     return toy4_model, seeds, prof
 
 
+@pytest.fixture(scope="module")
+def boundary_setup(toy4_model, toy4_train_data):
+    """toy_setup with the 10 training rows of smallest score margin as seeds:
+    from the first 10 rows no SCC, KSC or TSC run at seeds 1-2 finds a
+    failure, and from these the SCC run at seed 1 and the KSC run at seed 2
+    each find one."""
+    from statecov.qnn import forward_batch
+
+    _, scores = forward_batch(toy4_model, toy4_train_data.features)
+    assert np.array_equal(np.argmax(scores, axis=1), toy4_train_data.labels)
+    nearest = np.argsort(np.abs(scores[:, 0] - scores[:, 1]), kind="stable")[:10]
+    return toy4_model, toy4_train_data.subset(nearest), profile(toy4_model, toy4_train_data)
+
+
 class TestFuzzLoop:
     def test_deterministic_per_seed(self, toy_setup):
         model, seeds, prof = toy_setup
@@ -108,15 +122,17 @@ class TestFuzzLoop:
         rnd = random_test(model, seeds, prof, cfg)
         assert rnd.iterations == 150  # unit re-enqueue keeps the queue alive
 
-    def test_failed_cases_all_misclassify(self, toy_setup):
-        model, seeds, prof = toy_setup
+    def test_failed_cases_all_misclassify(self, boundary_setup):
+        model, seeds, prof = boundary_setup
         out = fuzz(model, seeds, prof, FuzzConfig(criterion="scc", max_iterations=400, seed=1))
+        assert out.failed_cases
         for case in out.failed_cases:
             assert _eval_one(model, case.features)[1] != case.label
 
-    def test_tsr_definition(self, toy_setup):
-        model, seeds, prof = toy_setup
+    def test_tsr_definition(self, boundary_setup):
+        model, seeds, prof = boundary_setup
         out = fuzz(model, seeds, prof, FuzzConfig(criterion="ksc", max_iterations=400, seed=2))
+        assert out.failed_cases
         origins = {c.origin for c in out.failed_cases}
         assert out.tsr == pytest.approx(100.0 * len(origins) / out.num_initial_seeds)
         assert 0.0 <= out.tsr <= 100.0

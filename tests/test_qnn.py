@@ -15,6 +15,7 @@ from statecov.qnn import (
     LabeledDataset,
     ModelFormatError,
     TrainConfig,
+    _row_blocks,
     build_ansatz_circuit,
     build_model,
     encode_batch,
@@ -171,6 +172,17 @@ class TestForward:
             assert np.array_equal(p[0], probs[i]) and np.array_equal(s[0], scores[i])
         # a sub-batch at an offset reduces its rows the same way
         assert np.array_equal(forward_batch(model, xs[1:])[1], scores[1:])
+
+    @pytest.mark.parametrize("encoder, d", [("angle", 10), ("amplitude", 700)])
+    def test_row_blocks_equal_rows_bit_for_bit(self, encoder, d):
+        # 300 rows of 2^10 amplitudes run as three row blocks
+        assert len(_row_blocks(300, 2**10)) == 3
+        model = build_model(EncoderSpec(encoder, d), AnsatzSpec("entangling", 2, "full"), 10, 3, seed=5)
+        xs = np.random.default_rng(5).uniform(0.05, 1.0, (300, d))
+        probs, scores = forward_batch(model, xs)
+        for i in range(300):
+            p, s = forward_batch(model, xs[i : i + 1])
+            assert np.array_equal(p[0], probs[i]) and np.array_equal(s[0], scores[i])
 
 
 class TestTrain:

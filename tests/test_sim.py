@@ -254,14 +254,13 @@ class TestBlocks:
         assert peaks[0] <= 2 * states.nbytes + (1 << 19)
         assert peaks[1] <= 2 * states.nbytes + (1 << 16)
 
-    def test_public_entry_points_called_once_per_pass(self, monkeypatch):
-        # wrapped the way an outside tracer wraps them, in every statecov
-        # module that holds them: internal work must not go through them
-        from statecov.datasets import gaussian_blobs
-        from statecov.qnn import EncoderSpec, _backprop, build_model, cross_entropy_grad, encode_batch, forward_batch
+    @staticmethod
+    def _count_calls(monkeypatch, names) -> dict:
+        """Calls of each named sim function, wrapped the way an outside
+        tracer wraps them, in every statecov module that holds them."""
         import statecov.sim as sim
 
-        calls = {"apply_circuit_batch": 0, "adjoint_sweep": 0}
+        calls = dict.fromkeys(names, 0)
         for name in calls:
             original = getattr(sim, name)
 
@@ -272,6 +271,14 @@ class TestBlocks:
             for modname, mod in list(sys.modules.items()):
                 if modname.startswith("statecov") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_public_entry_points_called_once_per_pass(self, monkeypatch):
+        # internal work must not go through the wrapped entry points
+        from statecov.datasets import gaussian_blobs
+        from statecov.qnn import EncoderSpec, _backprop, build_model, cross_entropy_grad, encode_batch, forward_batch
+
+        calls = self._count_calls(monkeypatch, ("apply_circuit_batch", "adjoint_sweep"))
         model = build_model(EncoderSpec("angle", 8), AnsatzSpec("layered", 2, "cyclic"), 8, 2, seed=0)
         data = gaussian_blobs(2, 5, 8, seed=0)
         forward_batch(model, data.features)
@@ -279,6 +286,15 @@ class TestBlocks:
         states = encode_batch(model.encoder, data.features, 8)
         _backprop(model, states, model.params, lambda s: cross_entropy_grad(s, data.labels))
         assert calls == {"apply_circuit_batch": 2, "adjoint_sweep": 1}
+
+    def test_forward_calls_the_kernel_once_per_row_block(self, monkeypatch):
+        from statecov.qnn import BLOCK_AMPS, EncoderSpec, build_model, forward_batch
+
+        calls = self._count_calls(monkeypatch, ("apply_circuit_batch",))
+        model = build_model(EncoderSpec("angle", 10), AnsatzSpec("layered", 2, "cyclic"), 10, 2, seed=0)
+        rows = 2 * (BLOCK_AMPS >> 10) + 1  # two full blocks and one row
+        forward_batch(model, np.random.default_rng(0).uniform(0, 1, (rows, 10)))
+        assert calls == {"apply_circuit_batch": 3}
 
 
 class TestGateOpValidation:
