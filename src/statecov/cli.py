@@ -4,6 +4,11 @@ Subcommands: train, profile, coverage, attack, fuzz, diversity. Every run
 writes a resolved-config JSON next to its outputs so that re-running the
 file reproduces the results. Exit codes: 0 success, 1 internal error,
 2 usage/config error.
+
+OPTIONS declares every option once, as OPTIONS[command][key] = (kind,
+default) in resolved-config order. The kind is int, float or str, a tuple of
+choices, or bool for a flag that takes no value. The flags, the config-file
+checks and the resolved config are all made from it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, attack_suite, save_attack_suite
+from .attacks import ATTACK_KINDS, AttackConfig, attack_suite, save_attack_suite
 from .coverage import (
+    BOUNDARY_MODES,
     CoverageConfig,
     StateProfile,
     _check_profile,
@@ -28,8 +34,12 @@ from .coverage import (
 )
 from .datasets import load_csv
 from .diversity import suite_diversity
-from .fuzz import FuzzConfig, fuzz, random_test, save_outcome
+from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test, save_outcome
 from .qnn import (
+    ANSATZ_PRESETS,
+    ENCODER_KINDS,
+    ENTANGLEMENTS,
+    OPTIMIZERS,
     AnsatzSpec,
     EncoderSpec,
     TrainConfig,
@@ -38,6 +48,87 @@ from .qnn import (
     save_model,
     train,
 )
+
+_COVERAGE_OPTIONS = {
+    "k": (int, CoverageConfig.k_cells),
+    "top_k": (int, CoverageConfig.top_k),
+    "boundary_mode": (BOUNDARY_MODES, CoverageConfig.boundary_mode),
+}
+
+OPTIONS = {
+    "train": {
+        "dataset": (str, None),
+        "out_dir": (str, "train_out"),
+        "encoder": (ENCODER_KINDS, "angle"),
+        "qubits": (int, 4),
+        "layers": (int, 2),
+        "preset": (ANSATZ_PRESETS, "layered"),
+        "entanglement": (ENTANGLEMENTS, "linear"),
+        "classes": (int, 2),
+        "epochs": (int, TrainConfig.epochs),
+        "learning_rate": (float, TrainConfig.learning_rate),
+        "batch_size": (int, TrainConfig.batch_size),
+        "optimizer": (OPTIMIZERS, TrainConfig.optimizer),
+        "seed": (int, TrainConfig.seed),
+    },
+    "profile": {
+        "model": (str, None),
+        "dataset": (str, None),
+        "out_dir": (str, "profile_out"),
+        "shots": (int, None),
+        "seed": (int, 0),
+        "mad": (bool, False),
+        "per_class_cap": (int, 100),
+        "confidence": (float, 0.99),
+    },
+    "coverage": {
+        "model": (str, None),
+        "profile": (str, None),
+        "suite": (str, None),
+        "out_dir": (str, "coverage_out"),
+        **_COVERAGE_OPTIONS,
+        "shots": (int, None),
+        "seed": (int, 0),
+    },
+    "attack": {
+        "model": (str, None),
+        "dataset": (str, None),
+        "out_dir": (str, "attack_out"),
+        "kind": (ATTACK_KINDS, AttackConfig.kind),
+        "epsilon": (float, AttackConfig.epsilon),
+        "theta": (float, AttackConfig.theta),
+        "gamma": (float, AttackConfig.gamma),
+        "seed": (int, AttackConfig.seed),
+    },
+    "fuzz": {
+        "model": (str, None),
+        "profile": (str, None),
+        "seeds": (str, None),
+        "out_dir": (str, "fuzz_out"),
+        "criterion": (CRITERIA, FuzzConfig.criterion),
+        "max_iterations": (int, FuzzConfig.max_iterations),
+        "alpha": (float, FuzzConfig.alpha),
+        "seed": (int, FuzzConfig.seed),
+        **_COVERAGE_OPTIONS,
+        "random_baseline": (bool, False),
+        "reenqueue_prob": (float, 1.0),
+    },
+    "diversity": {
+        "model": (str, None),
+        "suite": (str, None),
+        "out_dir": (str, "diversity_out"),
+        "seed": (int, 0),
+    },
+}
+
+_HELP = {
+    "train": "train a classifier on a CSV dataset",
+    "profile": "profile per-state probability boundaries",
+    "coverage": "evaluate a test suite against a profile",
+    "attack": "generate adversarial or noisy inputs",
+    "fuzz": "coverage-guided fuzzing of a trained model",
+    "diversity": "suite diversity vs. a Haar baseline",
+}
 
 
 class ConfigError(Exception):
@@ -59,40 +150,42 @@ def _load_file_config(path):
     return doc
 
 
-def _check_file_value(key, value, default, action) -> None:
+def _check_file_value(key, value, kind, default) -> None:
     """Reject a config-file value that its flag would not accept."""
     if value is None and default is None:
         return
-    if action.const is True:
+    if kind is bool:
         want, ok = "true or false", isinstance(value, bool)
-    elif action.type is int:
+    elif kind is int:
         want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif action.type is float:
+    elif kind is float:
         want, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         want, ok = "a string", isinstance(value, str)
-    if ok and action.choices and value not in action.choices:
-        want, ok = "one of " + ", ".join(action.choices), False
+    if ok and isinstance(kind, tuple) and value not in kind:
+        want, ok = "one of " + ", ".join(kind), False
     if not ok:
         raise ConfigError(f"config file: {key} must be {want}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config-file > built-in default, for every known key; unknown file keys are errors."""
-    file_cfg = _load_file_config(getattr(args, "config", None))
+def _resolve(args: argparse.Namespace) -> dict:
+    """Flag > config-file > built-in default, for every option of the
+    command; unknown file keys are errors."""
+    file_cfg = _load_file_config(args.config)
     command = file_cfg.pop("command", args.command)
     if command != args.command:
         raise ConfigError(f"config file: command {command!r} does not match {args.command}")
+    options = OPTIONS[args.command]
     for key in file_cfg:
-        if key not in defaults:
+        if key not in options:
             raise ConfigError(f"config file: unknown key {key} for {args.command}")
     resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
+    for key, (kind, default) in options.items():
+        flag_val = getattr(args, key)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
-            _check_file_value(key, file_cfg[key], default, args.flags[key])
+            _check_file_value(key, file_cfg[key], kind, default)
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
@@ -107,11 +200,9 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_resolved(cfg: dict, out: Path, command: str) -> None:
-    doc = {"command": command}
-    doc.update(cfg)
-    with open(out / "resolved_config.json", "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -132,37 +223,29 @@ def _load_profile(path, model):
     return _load(lambda p: _check_profile(model, StateProfile.from_json(p)), path, "profile")
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "dataset": None,
-            "out_dir": "train_out",
-            "encoder": "angle",
-            "qubits": 4,
-            "layers": 2,
-            "preset": "layered",
-            "entanglement": "linear",
-            "classes": 2,
-            "epochs": 100,
-            "learning_rate": 0.1,
-            "batch_size": None,
-            "optimizer": "adam",
-            "seed": 0,
-        },
-    )
+def _load_data(path, model):
+    """The dataset at path; one whose feature count is not the model's
+    encoder.input_dim is a usage error."""
+    data, dim = _load(load_csv, path, "dataset"), model.encoder.input_dim
+    if data.features.shape[1] != dim:
+        raise ConfigError(
+            f"dataset {path} has {data.features.shape[1]} features but the model's "
+            f"encoder.input_dim is {dim}"
+        )
+    return data
+
+
+def cmd_train(cfg) -> int:
     data = _load(load_csv, cfg["dataset"], "dataset")
     encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
-    ansatz = AnsatzSpec(
-        preset=cfg["preset"], num_layers=int(cfg["layers"]), entanglement=cfg["entanglement"]
-    )
-    model = build_model(encoder, ansatz, int(cfg["qubits"]), int(cfg["classes"]), seed=int(cfg["seed"]))
+    ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])
+    model = build_model(encoder, ansatz, cfg["qubits"], cfg["classes"], seed=cfg["seed"])
     tcfg = TrainConfig(
-        epochs=int(cfg["epochs"]),
+        epochs=cfg["epochs"],
         learning_rate=float(cfg["learning_rate"]),
-        batch_size=None if cfg["batch_size"] is None else int(cfg["batch_size"]),
+        batch_size=cfg["batch_size"],
         optimizer=cfg["optimizer"],
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     trained, history = train(model, data, tcfg)
     out = _out_dir(cfg)
@@ -172,34 +255,15 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "loss"])
         for epoch, loss in enumerate(history["loss"]):
             writer.writerow([epoch, repr(loss)])
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {"train_accuracy": history["train_accuracy"], "final_loss": history["loss"][-1]},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    _write_resolved(cfg, out, "train")
+    summary = {"train_accuracy": history["train_accuracy"], "final_loss": history["loss"][-1]}
+    _write_json(out / "summary.json", summary)
     print(f"train accuracy: {history['train_accuracy']:.4f}")
     return 0
 
 
-def cmd_profile(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": None,
-            "dataset": None,
-            "out_dir": "profile_out",
-            "shots": None,
-            "seed": 0,
-            "mad": False,
-            "per_class_cap": 100,
-            "confidence": 0.99,
-        },
-    )
+def cmd_profile(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    data = _load(load_csv, cfg["dataset"], "dataset")
+    data = _load_data(cfg["dataset"], model)
 
     if model.train_data_digest and model.train_data_digest != data.digest():
         print(
@@ -208,7 +272,7 @@ def cmd_profile(args) -> int:
         )
 
     # cap the profiling sample per class
-    cap = int(cfg["per_class_cap"])
+    cap = cfg["per_class_cap"]
     if cap < 1:
         raise ValueError(f"per_class_cap must be >= 1, got {cap}")
     keep = []
@@ -217,126 +281,70 @@ def cmd_profile(args) -> int:
         keep.extend(idx.tolist())
     data = data.subset(sorted(keep))
 
-    shots = None if cfg["shots"] is None else int(cfg["shots"])
-    samples = collect_prob_vectors(model, data, shots=shots, seed=int(cfg["seed"]))
+    samples = collect_prob_vectors(model, data, shots=cfg["shots"], seed=cfg["seed"])
     if cfg["mad"]:
         prof = mad_refine(samples, confidence=float(cfg["confidence"]), provenance=data.digest())
     else:
         prof = profile_from_samples(samples, provenance=data.digest())
-    out = _out_dir(cfg)
-    prof.to_json(out / "profile.json")
-    _write_resolved(cfg, out, "profile")
+    prof.to_json(_out_dir(cfg) / "profile.json")
     print(f"profiled {len(data)} inputs over {prof.num_states} basis states")
     return 0
 
 
-def cmd_coverage(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": None,
-            "profile": None,
-            "suite": None,
-            "out_dir": "coverage_out",
-            "k": 100,
-            "top_k": 1,
-            "boundary_mode": "raw",
-            "shots": None,
-            "seed": 0,
-        },
-    )
+def _coverage_config(cfg) -> CoverageConfig:
+    return CoverageConfig(k_cells=cfg["k"], top_k=cfg["top_k"], boundary_mode=cfg["boundary_mode"])
+
+
+def cmd_coverage(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
-    suite = _load(load_csv, cfg["suite"], "dataset")
-    ccfg = CoverageConfig(
-        k_cells=int(cfg["k"]), top_k=int(cfg["top_k"]), boundary_mode=cfg["boundary_mode"]
+    suite = _load_data(cfg["suite"], model)
+    report = coverage_suite(
+        model, suite, prof, _coverage_config(cfg), shots=cfg["shots"], seed=cfg["seed"]
     )
-    shots = None if cfg["shots"] is None else int(cfg["shots"])
-    report = coverage_suite(model, suite, prof, ccfg, shots=shots, seed=int(cfg["seed"]))
     out = _out_dir(cfg)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "report.json", report.to_dict())
     report.to_csv(out / "report.csv")
-    _write_resolved(cfg, out, "coverage")
     print(f"KSC={report.ksc:.2f}% SCC={report.scc:.2f}% TSC={report.tsc:.2f}%")
     return 0
 
 
-def cmd_attack(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": None,
-            "dataset": None,
-            "out_dir": "attack_out",
-            "kind": "fgsm",
-            "epsilon": 64.0 / 255.0,
-            "theta": 1.0,
-            "gamma": 0.1,
-            "seed": 0,
-        },
-    )
+def cmd_attack(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    data = _load(load_csv, cfg["dataset"], "dataset")
+    data = _load_data(cfg["dataset"], model)
     acfg = AttackConfig(
         kind=cfg["kind"],
         epsilon=float(cfg["epsilon"]),
         theta=float(cfg["theta"]),
         gamma=float(cfg["gamma"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     adv, asr = attack_suite(model, data, acfg)
     out = _out_dir(cfg)
     save_attack_suite(
         adv, acfg, data.digest(), out / "adversarial.csv", out / "provenance.json", asr=asr
     )
-    with open(out / "summary.json", "w") as fh:
-        json.dump({"asr": asr, "num_inputs": len(data)}, fh, indent=2)
-        fh.write("\n")
-    _write_resolved(cfg, out, "attack")
+    _write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
     print(f"attack success rate: {100.0 * asr:.1f}%")
     return 0
 
 
-def cmd_fuzz(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": None,
-            "profile": None,
-            "seeds": None,
-            "out_dir": "fuzz_out",
-            "criterion": "ksc",
-            "max_iterations": 2000,
-            "alpha": 0.2,
-            "seed": 0,
-            "k": 100,
-            "top_k": 1,
-            "boundary_mode": "raw",
-            "random_baseline": False,
-            "reenqueue_prob": 1.0,
-        },
-    )
+def cmd_fuzz(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
-    seeds = _load(load_csv, cfg["seeds"], "dataset")
+    seeds = _load_data(cfg["seeds"], model)
     fcfg = FuzzConfig(
         criterion=cfg["criterion"],
-        max_iterations=int(cfg["max_iterations"]),
+        max_iterations=cfg["max_iterations"],
         alpha=float(cfg["alpha"]),
-        seed=int(cfg["seed"]),
-        coverage=CoverageConfig(
-            k_cells=int(cfg["k"]), top_k=int(cfg["top_k"]), boundary_mode=cfg["boundary_mode"]
-        ),
+        seed=cfg["seed"],
+        coverage=_coverage_config(cfg),
     )
     if cfg["random_baseline"]:
         outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=float(cfg["reenqueue_prob"]))
     else:
         outcome = fuzz(model, seeds, prof, fcfg)
-    out = _out_dir(cfg)
-    save_outcome(outcome, fcfg, out)
-    _write_resolved(cfg, out, "fuzz")
+    save_outcome(outcome, fcfg, _out_dir(cfg))
     print(
         f"TSR={outcome.tsr:.1f}% failures={len(outcome.failed_cases)} "
         f"iterations={outcome.iterations}"
@@ -344,36 +352,18 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
-def cmd_diversity(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": None,
-            "suite": None,
-            "out_dir": "diversity_out",
-            "seed": 0,
-        },
-    )
+def cmd_diversity(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    suite = _load(load_csv, cfg["suite"], "dataset")
+    suite = _load_data(cfg["suite"], model)
     summary, suite_hist, haar_hist = suite_diversity(
-        model.encoder, model.num_qubits, suite.features, seed=int(cfg["seed"])
+        model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    with open(out / "diversity.json", "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "diversity.json", summary.to_dict())
     suite_hist.to_csv(out / "suite_histogram.csv")
     haar_hist.to_csv(out / "haar_histogram.csv")
-    _write_resolved(cfg, out, "diversity")
     print(f"js_vs_haar={summary.js_vs_haar:.4f} mean_fidelity={summary.mean_fidelity:.4f}")
     return 0
-
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,90 +373,31 @@ def build_parser() -> argparse.ArgumentParser:
         "suites against them with state-coverage criteria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a classifier on a CSV dataset")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--encoder", choices=["amplitude", "angle"])
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--preset", choices=["layered", "entangling"])
-    p.add_argument("--entanglement", choices=["linear", "cyclic", "star", "full"])
-    p.add_argument("--classes", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("profile", help="profile per-state probability boundaries")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--dataset")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--mad", action="store_const", const=True, default=None)
-    p.add_argument("--per-class-cap", dest="per_class_cap", type=int)
-    p.add_argument("--confidence", type=float)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("coverage", help="evaluate a test suite against a profile")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--profile")
-    p.add_argument("--suite")
-    p.add_argument("--k", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--boundary-mode", dest="boundary_mode", choices=["raw", "sigma", "mad"])
-    p.add_argument("--shots", type=int)
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("attack", help="generate adversarial or noisy inputs")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--dataset")
-    p.add_argument("--kind", choices=["random", "fgsm", "jsma"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("fuzz", help="coverage-guided fuzzing of a trained model")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--profile")
-    p.add_argument("--seeds")
-    p.add_argument("--criterion", choices=["ksc", "scc", "tsc"])
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--boundary-mode", dest="boundary_mode", choices=["raw", "sigma", "mad"])
-    p.add_argument(
-        "--random-baseline",
-        dest="random_baseline",
-        action="store_const",
-        const=True,
-        default=None,
-    )
-    p.add_argument("--reenqueue-prob", dest="reenqueue_prob", type=float)
-    p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("diversity", help="suite diversity vs. a Haar baseline")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--suite")
-    p.set_defaults(func=cmd_diversity)
-
-    for p in sub.choices.values():  # config-file values are checked against these
-        p.set_defaults(flags={a.dest: a for a in p._actions})
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        # --out-dir and --seed come first in every usage line
+        for key in sorted(options, key=lambda key: key not in ("out_dir", "seed")):
+            kind, flag = options[key][0], "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            elif kind in (int, float):
+                p.add_argument(flag, type=kind)
+            else:  # a string, free or one of the choices
+                p.add_argument(flag, choices=kind if isinstance(kind, tuple) else None)
+        # looked up by name now, so a handler replaced on this module is the one run
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        code = args.func(cfg)
+        if code == 0:
+            _write_json(_out_dir(cfg) / "resolved_config.json", {"command": args.command, **cfg})
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,8 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile
-from .coverage import _check_profile, collect_prob_vectors
+from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
 from .qnn import LabeledDataset, QnnModel, _check_labels, forward_batch
 
 __all__ = [
@@ -149,12 +148,13 @@ def mutate(seed: FuzzSeed, rng: np.random.Generator, alpha: float) -> FuzzSeed:
 
 
 def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
-    """Correctly classified initial seeds, as FuzzSeed objects; every label
-    must lie in [0, num_classes)."""
+    """(correctly classified initial seeds as FuzzSeed objects, the
+    probability vectors of all initial seeds); every label must lie in
+    [0, num_classes)."""
     if len(initial_seeds) == 0:
         raise ValueError("initial seed set is empty")
     _check_labels(initial_seeds.labels, model.num_classes)
-    _, scores = forward_batch(model, initial_seeds.features)
+    probs, scores = forward_batch(model, initial_seeds.features)
     preds = np.argmax(scores, axis=1)
     queue = []
     for i in range(len(initial_seeds)):
@@ -163,7 +163,7 @@ def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
             queue.append(FuzzSeed(x.copy(), int(initial_seeds.labels[i]), x.copy(), 0, i))
     if not queue:
         raise ValueError("no correctly classified initial seeds to fuzz")
-    return queue
+    return queue, probs
 
 
 def _run_loop(
@@ -176,10 +176,10 @@ def _run_loop(
 ) -> FuzzOutcome:
     _check_profile(model, prof)
     rng = np.random.default_rng(config.seed)
-    seeds = _initial_queue(model, initial_seeds)
+    seeds, initial_probs = _initial_queue(model, initial_seeds)
 
     tracker = CoverageTracker(prof, config.coverage)
-    tracker.fold(collect_prob_vectors(model, initial_seeds))
+    tracker.fold(initial_probs)
     coverage_before = tracker.report()
 
     queue = deque(seeds)

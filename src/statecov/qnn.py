@@ -60,6 +60,7 @@ BLOCK_AMPS = 1 << 17
 ENCODER_KINDS = ("amplitude", "angle")
 ANSATZ_PRESETS = ("layered", "entangling")
 ENTANGLEMENTS = ("linear", "cyclic", "star", "full")
+OPTIMIZERS = ("sgd", "adam")
 
 
 class EncodingError(ValueError):
@@ -344,12 +345,6 @@ def forward_batch(
     return probs, scores_from_probs(probs, model.readout_qubits, q)
 
 
-def _forward_states(model: QnnModel, states: np.ndarray, params: np.ndarray) -> tuple:
-    """forward_batch on already encoded (n, 2^q) amplitude rows."""
-    probs = np.abs(apply_circuit_batch(states, model.circuit, params)) ** 2
-    return probs, scores_from_probs(probs, model.readout_qubits, model.num_qubits)
-
-
 def softmax(scores: np.ndarray) -> np.ndarray:
     z = np.asarray(scores, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
@@ -373,7 +368,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -455,14 +450,14 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
                 mhat = m / (1 - beta1**step)
                 vhat = v / (1 - beta2**step)
                 params = params - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        loss = _batch_loss(_forward_states(model, states, params), labels)
+        loss = _batch_loss(forward_batch(model, data.features, params), labels)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         losses.append(loss)
 
     trained = model.with_params(params)
     trained.train_data_digest = data.digest()
-    _, scores = _forward_states(trained, states, params)
+    _, scores = forward_batch(trained, data.features)
     accuracy = float((np.argmax(scores, axis=1) == labels).mean())
     return trained, {"loss": losses, "train_accuracy": accuracy}
 

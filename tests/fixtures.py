@@ -1,4 +1,4 @@
-"""Bundled reference fixtures for quick smoke checks.
+"""The bundled 2-qubit worked example of the coverage criteria.
 
 The two-qubit fixture pins down the criteria arithmetic: with k=5 cells the
 reference input covers three major-region cells (KSC 15%), one lower corner
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import CoverageConfig, StateProfile
+from statecov.coverage import CoverageConfig, StateProfile
 
 __all__ = [
     "reference_two_qubit_profile",

@@ -17,12 +17,6 @@ from statecov.coverage import (
     profile,
 )
 from statecov.datasets import gaussian_blobs, synthetic_grid_digits
-from statecov.fixtures import (
-    REFERENCE_EXPECTED,
-    reference_coverage_config,
-    reference_input_vector,
-    reference_two_qubit_profile,
-)
 from statecov.fuzz import FuzzConfig, fuzz, random_test
 from statecov.gradients import input_grads
 from statecov.qnn import (
@@ -49,6 +43,12 @@ from conftest import (
     dense_circuit_matrix,
     random_circuit,
     random_profile_and_suite,
+)
+from fixtures import (
+    REFERENCE_EXPECTED,
+    reference_coverage_config,
+    reference_input_vector,
+    reference_two_qubit_profile,
 )
 from oracles import cross_entropy, finite_diff_grad, haar_random_state, param_shift_grad
 

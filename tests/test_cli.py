@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statecov.cli import main
+from statecov.cli import build_parser, main
 from statecov.coverage import StateProfile
 from statecov.datasets import gaussian_blobs, save_csv
 from statecov.diversity import NUM_BINS, FidelityHistogram
@@ -297,6 +299,78 @@ class TestDiversity:
         assert exc.value.code == 2
 
 
+# resolved_config.json keys of each subcommand, after "command", in the order written
+_RESOLVED_KEYS = {
+    "train": [
+        "dataset", "out_dir", "encoder", "qubits", "layers", "preset", "entanglement",
+        "classes", "epochs", "learning_rate", "batch_size", "optimizer", "seed",
+    ],
+    "profile": [
+        "model", "dataset", "out_dir", "shots", "seed", "mad", "per_class_cap", "confidence",
+    ],
+    "coverage": [
+        "model", "profile", "suite", "out_dir", "k", "top_k", "boundary_mode", "shots", "seed",
+    ],
+    "attack": ["model", "dataset", "out_dir", "kind", "epsilon", "theta", "gamma", "seed"],
+    "fuzz": [
+        "model", "profile", "seeds", "out_dir", "criterion", "max_iterations", "alpha", "seed",
+        "k", "top_k", "boundary_mode", "random_baseline", "reenqueue_prob",
+    ],
+    "diversity": ["model", "suite", "out_dir", "seed"],
+}
+
+
+def _parser_actions():
+    """{command: {key: argparse action}} for every flag but --help and --config."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {
+        command: {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+        for command, parser in sub.choices.items()
+    }
+
+
+def _wrong_file_value(action):
+    """A config-file value of a JSON type that the flag would not accept."""
+    if action.const is True:
+        return "yes"
+    return {int: 1.5, float: "0.5"}.get(action.type, 7)
+
+
+def test_one_flag_per_resolved_key():
+    flags = {c: sorted(a.option_strings for a in acts.values()) for c, acts in _parser_actions().items()}
+    keys = {c: sorted(["--" + k.replace("_", "-")] for k in ks) for c, ks in _RESOLVED_KEYS.items()}
+    assert flags == keys
+
+
+def test_resolved_config_key_order(trained_dir, profile_dir, data_csv, tmp_path):
+    model, data = str(trained_dir / "model.json"), str(data_csv)
+    prof = str(profile_dir / "profile.json")
+    runs = {
+        "train": ["--dataset", data, "--epochs", "1"],
+        "profile": ["--model", model, "--dataset", data],
+        "coverage": ["--model", model, "--profile", prof, "--suite", data],
+        "attack": ["--model", model, "--dataset", data],
+        "fuzz": ["--model", model, "--profile", prof, "--seeds", data, "--max-iterations", "5"],
+        "diversity": ["--model", model, "--suite", data],
+    }
+    for command, keys in _RESOLVED_KEYS.items():
+        out = tmp_path / command
+        assert main([command, *runs[command], "--out-dir", str(out)]) == 0, command
+        doc = json.loads((out / "resolved_config.json").read_text())
+        assert list(doc) == ["command", *keys], command
+
+
+def test_readme_cli_lines_parse():
+    """Every statecov line of README's CLI block parses, so the docs keep to the options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    lines = [line for line in lines if line.startswith("statecov")]
+    parser = build_parser()
+    commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert sorted(commands) == sorted(_RESOLVED_KEYS)
+
+
 class TestConfigFile:
     def test_flag_overrides_config_file(self, data_csv, tmp_path):
         cfg = {"dataset": str(data_csv), "epochs": 2, "out_dir": str(tmp_path / "a")}
@@ -327,6 +401,11 @@ class TestConfigFile:
             ("profile", "mad", "yes"),
             ("coverage", "k", [10]),
             ("fuzz", "reenqueue_prob", "0.5"),
+            *(
+                pytest.param(command, key, _wrong_file_value(action), id=f"every-{command}-{key}")
+                for command, actions in _parser_actions().items()
+                for key, action in actions.items()
+            ),
         ],
     )
     def test_wrong_type_in_config_file_is_config_error(self, tmp_path, capsys, command, key, value):
@@ -334,7 +413,7 @@ class TestConfigFile:
         # (test_invalid_epsilon_internal_error); a config-file value that its
         # flag would not parse is a usage error
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), key: value}))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"config file: {key} must be" in capsys.readouterr().err
 
@@ -538,6 +617,27 @@ class TestBoundaryValidation:
         out = tmp_path / "out"
         assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
         assert "error: profile has 8 states but model produces 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "coverage", "fuzz", "profile", "diversity"])
+    def test_dataset_of_another_feature_count(
+        self, command, trained_dir, profile_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data.csv"
+        save_csv(LabeledDataset(np.full((3, 3), 0.5), [0, 1, 0]), data)
+        model = ["--model", str(trained_dir / "model.json")]
+        prof = ["--profile", str(profile_dir / "profile.json")]
+        inputs = {
+            "attack": [*model, "--dataset", str(data)],
+            "coverage": [*model, *prof, "--suite", str(data)],
+            "fuzz": [*model, *prof, "--seeds", str(data)],
+            "profile": [*model, "--dataset", str(data)],
+            "diversity": [*model, "--suite", str(data)],
+        }
+        out = tmp_path / "out"
+        assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
+        message = f"error: dataset {data} has 3 features but the model's encoder.input_dim is 4\n"
+        assert capsys.readouterr().err == message  # and no digest warning before it
         assert not out.exists()
 
 

@@ -18,12 +18,6 @@ from statecov.coverage import (
     profile_from_samples,
     resolve_boundaries,
 )
-from statecov.fixtures import (
-    REFERENCE_EXPECTED,
-    reference_coverage_config,
-    reference_input_vector,
-    reference_two_qubit_profile,
-)
 from statecov.datasets import gaussian_blobs
 from statecov.qnn import (
     BLOCK_AMPS,
@@ -36,6 +30,12 @@ from statecov.qnn import (
 )
 
 from conftest import brute_force_coverage, random_profile_and_suite
+from fixtures import (
+    REFERENCE_EXPECTED,
+    reference_coverage_config,
+    reference_input_vector,
+    reference_two_qubit_profile,
+)
 from oracles import mad_bounds_whole, merge
 
 

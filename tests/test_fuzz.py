@@ -204,7 +204,7 @@ class TestFuzzLoop:
         from collections import deque
 
         rng = np.random.default_rng(cfg.seed)
-        queue = deque(_initial_queue(model, seeds))
+        queue = deque(_initial_queue(model, seeds)[0])
         committed = [pv for pv in collect_prob_vectors(model, seeds)]
         flag = _CRITERION_FLAG[cfg.criterion]
         shadow = CoverageTracker(prof, cfg.coverage)
@@ -263,7 +263,7 @@ def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
     of generations (the queue's contents at the start of each) it went
     through and whether the budget ended one part-way."""
     rng = np.random.default_rng(config.seed)
-    initial = fuzz_module._initial_queue(model, seeds)
+    initial, _ = fuzz_module._initial_queue(model, seeds)
     tracker = CoverageTracker(prof, config.coverage)
     for pv in collect_prob_vectors(model, seeds):
         tracker.add_input(pv)
