@@ -28,6 +28,6 @@ from .coverage import (
 )
 from .diversity import FidelityHistogram, js_divergence, suite_diversity
 from .attacks import AttackConfig, attack_suite
-from .fuzz import FuzzConfig, FuzzOutcome, FuzzSeed, fuzz, mutate, random_test
+from .fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .qnn import (
     AnsatzSpec,
     EncoderSpec,
     TrainConfig,
+    _unencodable,
     build_model,
     load_model,
     save_model,
@@ -223,21 +224,33 @@ def _load_profile(path, model):
     return _load(lambda p: _check_profile(model, StateProfile.from_json(p)), path, "profile")
 
 
+def _check_encodable(data, path, encoder):
+    """data; a row the encoder cannot map to a state is a usage error."""
+    bad = np.flatnonzero(_unencodable(encoder, data.features))
+    if bad.size:
+        raise ConfigError(
+            f"dataset {path}: row {bad[0]} is all zeros, which {encoder.kind} encoding "
+            "cannot map to a state"
+        )
+    return data
+
+
 def _load_data(path, model):
     """The dataset at path; one whose feature count is not the model's
-    encoder.input_dim is a usage error."""
+    encoder.input_dim, or with a row the encoder cannot map, is a usage error."""
     data, dim = _load(load_csv, path, "dataset"), model.encoder.input_dim
     if data.features.shape[1] != dim:
         raise ConfigError(
             f"dataset {path} has {data.features.shape[1]} features but the model's "
             f"encoder.input_dim is {dim}"
         )
-    return data
+    return _check_encodable(data, path, model.encoder)
 
 
 def cmd_train(cfg) -> int:
     data = _load(load_csv, cfg["dataset"], "dataset")
     encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
+    _check_encodable(data, cfg["dataset"], encoder)
     ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])
     model = build_model(encoder, ansatz, cfg["qubits"], cfg["classes"], seed=cfg["seed"])
     tcfg = TrainConfig(
@@ -355,6 +368,8 @@ def cmd_fuzz(cfg) -> int:
 def cmd_diversity(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     suite = _load_data(cfg["suite"], model)
+    if len(suite) < 2:
+        raise ConfigError(f"suite {cfg['suite']} has 1 row but diversity needs at least 2")
     summary, suite_hist, haar_hist = suite_diversity(
         model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )

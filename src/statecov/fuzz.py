@@ -6,40 +6,43 @@ coverage under the chosen criterion are re-enqueued, everything else is
 discarded. A random-testing baseline re-enqueues each surviving mutant with
 a given probability.
 
-The loop runs one generation at a time: the queue's contents when the
-generation starts, cut to the budget left. Mutants it appends are only popped
-after it, so every item is mutated in queue order with the one rng and all
-mutants are evaluated in one forward_batch and located in one batch. The
-gate then decides the whole generation at once: a mutant that neither fails
-nor opens coverage of the gate's kind commits nothing, and every bit of that
-kind it reaches is set already, so mutant i opens exactly where one of its
-unset bits first occurs among the generation's (CoverageTracker.row_opens).
-Failing and accepted mutants are committed in one call. This makes the same
-decisions as taking one mutant at a time.
+The queue holds feature rows and their origins: the initial seeds whose
+features bound their mutations and whose labels they keep. The loop runs
+one generation at a time: the queue's rows when the generation starts, cut
+to the budget left. Mutants it appends are only popped after it, so one
+mutate call draws the generation in queue order from the one rng, one
+forward_batch evaluates it and one locate places it. The gate then decides
+the whole generation at once: a mutant that neither fails nor opens coverage
+of the gate's kind commits nothing, and every bit of that kind it reaches is
+set already, so mutant i opens exactly where one of its unset bits first
+occurs among the generation's (CoverageTracker.row_opens). Failing and
+accepted mutants are committed in one call. This makes the same decisions as
+taking one mutant at a time. Under amplitude encoding a mutant clipped to
+all zeros has no state: it uses its iteration and counts as not failing, but
+is never evaluated, committed or re-enqueued.
 
 The random baseline draws its re-enqueue number only after a mutant that
-does not fail, so it draws speculatively: the rng state is saved before each
-mutant's draw, and at the first failing mutant it is restored and the rest
-of the generation is mutated again from there, at the cost of one more batch
-per failure. It never reads the tracker, so its failing mutants are
-committed once, at the end.
+does not fail, so it draws speculatively, right after each mutant's own
+draws, and keeps the rng state before each such draw. At the first failing
+mutant it restores that state and mutates the rest of the generation again,
+at the cost of one more batch per failure. It never reads the tracker, so
+its failing mutants are committed once, at the end.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from pathlib import Path
 
 import numpy as np
 
 from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
-from .qnn import LabeledDataset, QnnModel, _check_labels, forward_batch
+from .datasets import save_csv
+from .qnn import LabeledDataset, QnnModel, _check_labels, _unencodable, forward_batch
 
 __all__ = [
-    "FuzzSeed",
     "FuzzConfig",
     "FuzzOutcome",
     "mutate",
@@ -52,19 +55,6 @@ CRITERIA = ("ksc", "scc", "tsc")
 _CRITERION_FLAG = {"ksc": "new_cell", "scc": "new_corner", "tsc": "new_top"}
 
 NUM_MUTATION_OPS = 4
-
-
-@dataclass
-class FuzzSeed:
-    features: np.ndarray
-    label: int
-    reference: np.ndarray  # original ancestor features
-    mutation_depth: int = 0
-    origin: int = 0  # index of the initial seed this descends from
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.reference = np.asarray(self.reference, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -88,7 +78,8 @@ class FuzzConfig:
 
 @dataclass
 class FuzzOutcome:
-    failed_cases: List[FuzzSeed]
+    failed_cases: LabeledDataset  # failing mutants, each with its initial seed's label
+    failed_origins: np.ndarray  # per failing mutant, the index of its initial seed
     tsr: float
     iterations: int
     coverage_before: CoverageReport
@@ -97,83 +88,72 @@ class FuzzOutcome:
     reenqueue_rate: float = 0.0  # re-enqueued / non-failing mutants
 
 
-def _grid_side(d: int) -> Optional[int]:
-    side = int(round(math.sqrt(d)))
-    return side if side * side == d else None
+def _translations(d: int) -> np.ndarray:
+    """(4, d) source index of each feature after a one-step translation, by
+    2 * axis + (step == +1); index d reads a zero. A square grid moves by
+    rows (axis 0) or columns (axis 1), any other row by index on either axis."""
+    side = math.isqrt(d)
+    grid = side * side == d
+    pad = np.pad(np.arange(d).reshape((side, side) if grid else (1, d)), 1, constant_values=d)
+    cols = [pad[1:-1, 2:], pad[1:-1, :-2]]
+    return np.stack(([pad[2:, 1:-1], pad[:-2, 1:-1]] if grid else cols) + cols).reshape(4, d)
 
 
-def mutate(seed: FuzzSeed, rng: np.random.Generator, alpha: float) -> FuzzSeed:
-    """One metamorphic mutation, clipped to [0,1] and the ancestor budget.
+def mutate(
+    xs: np.ndarray, refs: np.ndarray, rng: np.random.Generator, alpha: float, gate: bool = False
+):
+    """Mutants of the rows xs, clipped to [0, 1] and to the L-inf budget
+    alpha around their ancestors, the rows of refs.
 
-    Operators (drawn uniformly): per-feature uniform noise, brightness shift,
-    contrast scaling about 0.5, and one-step row/column translation when the
-    feature vector is a square grid (plain index shift otherwise).
+    Row by row, rng draws an operator uniformly and then its parameters:
+    per-feature uniform noise, brightness shift, contrast scaling about 0.5,
+    or a one-step row/column translation when the row is a square grid
+    (plain index shift otherwise). With gate, a row's draws are followed by
+    one rng.random(), and (mutants, those numbers, the rng state before
+    each) is returned.
     """
-    x = seed.features
-    op = int(rng.integers(NUM_MUTATION_OPS))
-    if op == 0:
-        out = x + rng.uniform(-0.05, 0.05, size=x.shape)
-    elif op == 1:
-        out = x + rng.uniform(-0.1, 0.1)
-    elif op == 2:
-        out = 0.5 + float(rng.uniform(0.8, 1.25)) * (x - 0.5)
-    else:
-        side = _grid_side(x.size)
-        axis = int(rng.integers(2))
-        step = 1 if rng.integers(2) else -1
-        if side is not None:
-            img = x.reshape(side, side)
-            shifted = np.zeros_like(img)
-            if axis == 0:
-                if step == 1:
-                    shifted[1:, :] = img[:-1, :]
-                else:
-                    shifted[:-1, :] = img[1:, :]
-            else:
-                if step == 1:
-                    shifted[:, 1:] = img[:, :-1]
-                else:
-                    shifted[:, :-1] = img[:, 1:]
-            out = shifted.reshape(-1)
+    n, d = xs.shape
+    ops = np.empty((n, 1), dtype=np.int64)
+    noise = np.zeros((n, d))  # operator 0's per-feature noise, operator 1's shift
+    scale = np.ones((n, 1))
+    moves = np.zeros(n, dtype=np.int64)
+    draws, states = np.empty(n), []
+    for i in range(n):
+        op = ops[i] = rng.integers(NUM_MUTATION_OPS)
+        if op == 0:
+            noise[i] = rng.uniform(-0.05, 0.05, size=d)
+        elif op == 1:
+            noise[i] = rng.uniform(-0.1, 0.1)
+        elif op == 2:
+            scale[i] = rng.uniform(0.8, 1.25)
         else:
-            shifted = np.zeros_like(x)
-            if step == 1:
-                shifted[1:] = x[:-1]
-            else:
-                shifted[:-1] = x[1:]
-            out = shifted
-    out = np.clip(out, seed.reference - alpha, seed.reference + alpha)
-    out = np.clip(out, 0.0, 1.0)
-    return FuzzSeed(out, seed.label, seed.reference, seed.mutation_depth + 1, seed.origin)
+            axis = rng.integers(2)
+            moves[i] = 2 * axis + rng.integers(2)
+        if gate:
+            states.append(rng.bit_generator.state)
+            draws[i] = rng.random()
+    moved = np.take_along_axis(np.hstack([xs, np.zeros((n, 1))]), _translations(d)[moves], axis=1)
+    out = np.select([ops <= 1, ops == 2], [xs + noise, 0.5 + scale * (xs - 0.5)], moved)
+    out = np.clip(out, refs - alpha, refs + alpha)
+    np.clip(out, 0.0, 1.0, out=out)
+    return (out, draws, states) if gate else out
 
 
 def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
-    """(correctly classified initial seeds as FuzzSeed objects, the
-    probability vectors of all initial seeds); every label must lie in
-    [0, num_classes)."""
+    """(indices of the correctly classified initial seeds, the probability
+    vectors of all initial seeds); every label must lie in [0, num_classes)."""
     if len(initial_seeds) == 0:
         raise ValueError("initial seed set is empty")
     _check_labels(initial_seeds.labels, model.num_classes)
     probs, scores = forward_batch(model, initial_seeds.features)
-    preds = np.argmax(scores, axis=1)
-    queue = []
-    for i in range(len(initial_seeds)):
-        if preds[i] == initial_seeds.labels[i]:
-            x = initial_seeds.features[i]
-            queue.append(FuzzSeed(x.copy(), int(initial_seeds.labels[i]), x.copy(), 0, i))
-    if not queue:
+    origins = np.flatnonzero(np.argmax(scores, axis=1) == initial_seeds.labels)
+    if not origins.size:
         raise ValueError("no correctly classified initial seeds to fuzz")
-    return queue, probs
+    return origins, probs
 
 
-def _run_loop(
-    model: QnnModel,
-    initial_seeds: LabeledDataset,
-    prof: StateProfile,
-    config: FuzzConfig,
-    guided: bool,
-    reenqueue_prob: float = 1.0,
-) -> FuzzOutcome:
+def _run_loop(model, initial_seeds, prof, config: FuzzConfig, reenqueue_prob=None) -> FuzzOutcome:
+    """Guided fuzzing, or with a reenqueue_prob the random baseline."""
     _check_profile(model, prof)
     rng = np.random.default_rng(config.seed)
     seeds, initial_probs = _initial_queue(model, initial_seeds)
@@ -182,56 +162,59 @@ def _run_loop(
     tracker.fold(initial_probs)
     coverage_before = tracker.report()
 
-    queue = deque(seeds)
-    failed: List[FuzzSeed] = []
+    queue, origins = initial_seeds.features[seeds], seeds
+    failed, failed_origins = [], []
     failed_probs = []  # the random baseline's, committed once at the end
     flag = _CRITERION_FLAG[config.criterion]
-    iterations = 0
-    non_failing = 0
-    re_enqueued = 0
-    while queue and iterations < config.max_iterations:
+    iterations = non_failing = re_enqueued = 0
+    while len(queue) and iterations < config.max_iterations:
         # one generation: mutants it appends are only popped after it
-        todo = [queue.popleft() for _ in range(min(len(queue), config.max_iterations - iterations))]
-        iterations += len(todo)
-        while todo:
-            mutants, draws, draw_states = [], [], []
-            for s in todo:
-                mutants.append(mutate(s, rng, config.alpha))
-                if not guided:  # speculate that the mutant survives and draws its gate
-                    draw_states.append(rng.bit_generator.state)
-                    draws.append(rng.random())
-            probs, scores = forward_batch(model, np.stack([m.features for m in mutants]))
-            failing = np.argmax(scores, axis=1) != [m.label for m in mutants]
-            if guided:
+        size = min(len(queue), config.max_iterations - iterations)
+        todo, todo_origins = queue[:size], origins[:size]
+        queue, origins = queue[size:], origins[size:]
+        iterations += size
+        while len(todo):
+            refs, labels = initial_seeds.features[todo_origins], initial_seeds.labels[todo_origins]
+            if reenqueue_prob is None:
+                mutants = mutate(todo, refs, rng, config.alpha)
+            else:  # speculate that every mutant survives and draws its gate
+                mutants, draws, states = mutate(todo, refs, rng, config.alpha, gate=True)
+            live = ~_unencodable(model.encoder, mutants)
+            probs, scores = forward_batch(model, mutants[live])
+            failing, keep = np.zeros(len(todo), dtype=bool), np.zeros(len(todo), dtype=bool)
+            failing[live] = np.argmax(scores, axis=1) != labels[live]
+            if reenqueue_prob is None:
                 hits = tracker.locate(probs)
-                keep = ~failing & tracker.row_opens(hits, flag)
-                tracker.commit(hits.rows(failing | keep))
+                keep[live] = ~failing[live] & tracker.row_opens(hits, flag)
+                tracker.commit(hits.rows((failing | keep)[live]))
                 done = len(todo)
             else:
+                keep = live & ~failing & (draws < reenqueue_prob)
                 # no gate draw after a failure: rewind to the first one and re-mutate the rest
                 done = int(np.argmax(failing)) + 1 if failing.any() else len(todo)
-                failing = failing[:done]
-                keep = ~failing & (np.array(draws[:done]) < reenqueue_prob)
-                if failing[-1]:
-                    failed_probs.append(probs[done - 1])
-                    rng.bit_generator.state = draw_states[done - 1]
-            failed += [m for m, f in zip(mutants, failing) if f]
-            queue.extend(m for m, k in zip(mutants, keep) if k)
+                if failing[done - 1]:
+                    failed_probs.append(probs[np.count_nonzero(live[:done]) - 1])
+                    rng.bit_generator.state = states[done - 1]
+            failing, keep = failing[:done], keep[:done]
+            failed.append(mutants[:done][failing])
+            failed_origins.append(todo_origins[:done][failing])
+            queue = np.concatenate([queue, mutants[:done][keep]])
+            origins = np.concatenate([origins, todo_origins[:done][keep]])
             non_failing += int(np.count_nonzero(~failing))
             re_enqueued += int(np.count_nonzero(keep))
-            todo = todo[done:]
+            todo, todo_origins = todo[done:], todo_origins[done:]
     if failed_probs:
         tracker.fold(np.stack(failed_probs))
-    failing_origins = {m.origin for m in failed}
+    failed_origins = np.concatenate(failed_origins)
 
-    num_initial = len(seeds)
     return FuzzOutcome(
-        failed_cases=failed,
-        tsr=100.0 * len(failing_origins) / num_initial,
+        failed_cases=LabeledDataset(np.concatenate(failed), initial_seeds.labels[failed_origins]),
+        failed_origins=failed_origins,
+        tsr=100.0 * np.unique(failed_origins).size / len(seeds),
         iterations=iterations,
         coverage_before=coverage_before,
         coverage_after=tracker.report(),
-        num_initial_seeds=num_initial,
+        num_initial_seeds=len(seeds),
         reenqueue_rate=re_enqueued / non_failing if non_failing else 0.0,
     )
 
@@ -243,7 +226,7 @@ def fuzz(
     config: FuzzConfig,
 ) -> FuzzOutcome:
     """Coverage-guided fuzzing; misclassified initial seeds are excluded."""
-    return _run_loop(model, initial_seeds, prof, config, guided=True)
+    return _run_loop(model, initial_seeds, prof, config)
 
 
 def random_test(
@@ -261,23 +244,15 @@ def random_test(
     """
     if not (0 <= reenqueue_prob <= 1):
         raise ValueError(f"reenqueue_prob must be in [0, 1], got {reenqueue_prob}")
-    return _run_loop(
-        model, initial_seeds, prof, config, guided=False, reenqueue_prob=reenqueue_prob
-    )
+    return _run_loop(model, initial_seeds, prof, config, reenqueue_prob)
 
 
 def save_outcome(outcome: FuzzOutcome, config: FuzzConfig, out_dir) -> None:
     """Persist failed cases (CSV), a JSON summary and a reproducibility manifest."""
-    from pathlib import Path
-
-    from .datasets import save_csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if outcome.failed_cases:
-        feats = np.stack([f.features for f in outcome.failed_cases])
-        labels = np.array([f.label for f in outcome.failed_cases])
-        save_csv(LabeledDataset(feats, labels), out_dir / "failed_cases.csv")
+    if len(outcome.failed_cases):
+        save_csv(outcome.failed_cases, out_dir / "failed_cases.csv")
     summary = {
         "tsr": outcome.tsr,
         "iterations": outcome.iterations,

@@ -279,6 +279,14 @@ def _feature_matrix(encoder: EncoderSpec, xs) -> np.ndarray:
     return xs
 
 
+def _unencodable(encoder: EncoderSpec, xs: np.ndarray) -> np.ndarray:
+    """Per row of the (n, input_dim) matrix xs, whether encode_batch refuses
+    it: a row of zero norm under amplitude encoding."""
+    if encoder.kind != "amplitude":
+        return np.zeros(len(xs), dtype=bool)
+    return np.linalg.norm(xs, axis=1) == 0
+
+
 def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
     """Vectorized encoding of feature rows into a (n, 2^q) amplitude matrix."""
     xs = _feature_matrix(encoder, xs)
@@ -390,13 +398,6 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
-def _batch_loss(probs_scores, labels):
-    _, scores = probs_scores
-    p = softmax(scores)
-    n = labels.shape[0]
-    return float(-np.log(np.maximum(p[np.arange(n), labels], 1e-300)).mean())
-
-
 def _backprop(model, states, params, weigh) -> tuple:
     """One forward pass and one adjoint sweep over an encoded batch for
     sum_rc w[r, c] score_c(row r), with w = weigh(scores) read off the same
@@ -450,14 +451,15 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
                 mhat = m / (1 - beta1**step)
                 vhat = v / (1 - beta2**step)
                 params = params - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        loss = _batch_loss(forward_batch(model, data.features, params), labels)
+        _, scores = forward_batch(model, data.features, params)
+        loss = float(-np.log(np.maximum(softmax(scores)[np.arange(n), labels], 1e-300)).mean())
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         losses.append(loss)
 
     trained = model.with_params(params)
     trained.train_data_digest = data.digest()
-    _, scores = forward_batch(trained, data.features)
+    # the last loss pass ran at the trained parameters over the same rows
     accuracy = float((np.argmax(scores, axis=1) == labels).mean())
     return trained, {"loss": losses, "train_accuracy": accuracy}
 

@@ -4,7 +4,8 @@ Parameter-shift and finite-difference gradients, the latter of the one-row
 cross-entropy, check the adjoint sweep and the input gradients; seeded
 Haar-random states feed the dense-matrix simulator check and, through the
 pair-fidelity histogram of an amplitude array, the closed-form Haar baseline
-and the suite diversity figures; the one-row evaluation drives the
+and the suite diversity figures; the one-row mutation is what each row of
+a fuzz.mutate batch must equal, the one-row evaluation drives the
 sequential fuzz reference loop, merge is the bitwise union of two coverage
 trackers, and save_csv_rows and load_csv_rows are the csv-module writer and
 row-by-row reader that the columnar save_csv and load_csv must agree with.
@@ -117,6 +118,41 @@ def pairwise_fidelity_hist(
         raise ValueError("need at least 2 states for pairwise fidelities")
     amps = np.asarray(states, dtype=np.complex128)
     return FidelityHistogram.from_fidelities(_pair_fidelities(amps, max_pairs, seed))
+
+
+def mutate_row(x: np.ndarray, ref: np.ndarray, rng: np.random.Generator, alpha: float) -> np.ndarray:
+    """One mutant of the feature vector x, worked out on the one row with
+    its operator's own branch: what fuzz.mutate must give each row."""
+    op = int(rng.integers(4))
+    if op == 0:
+        out = x + rng.uniform(-0.05, 0.05, size=x.shape)
+    elif op == 1:
+        out = x + rng.uniform(-0.1, 0.1)
+    elif op == 2:
+        out = 0.5 + float(rng.uniform(0.8, 1.25)) * (x - 0.5)
+    else:
+        side = int(round(np.sqrt(x.size)))
+        axis = int(rng.integers(2))
+        step = 1 if rng.integers(2) else -1
+        if side * side == x.size:
+            img = x.reshape(side, side)
+            shifted = np.zeros_like(img)
+            if axis == 0 and step == 1:
+                shifted[1:, :] = img[:-1, :]
+            elif axis == 0:
+                shifted[:-1, :] = img[1:, :]
+            elif step == 1:
+                shifted[:, 1:] = img[:, :-1]
+            else:
+                shifted[:, :-1] = img[:, 1:]
+            out = shifted.reshape(-1)
+        else:
+            out = np.zeros_like(x)
+            if step == 1:
+                out[1:] = x[:-1]
+            else:
+                out[:-1] = x[1:]
+    return np.clip(np.clip(out, ref - alpha, ref + alpha), 0.0, 1.0)
 
 
 def _eval_one(model: QnnModel, features: np.ndarray):

@@ -9,7 +9,7 @@ from statecov.cli import build_parser, main
 from statecov.coverage import StateProfile
 from statecov.datasets import gaussian_blobs, save_csv
 from statecov.diversity import NUM_BINS, FidelityHistogram
-from statecov.qnn import LabeledDataset
+from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, build_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,16 @@ class TestDiversity:
         assert main(["diversity", "--config", str(cfg_path)]) == 0
         for name in ("diversity.json", "suite_histogram.csv", "haar_histogram.csv"):
             assert (first / name).read_text() == (tmp_path / "rerun" / name).read_text()
+
+    def test_one_row_suite_is_config_error(self, trained_dir, tmp_path, capsys):
+        suite = tmp_path / "suite.csv"
+        save_csv(LabeledDataset(np.full((1, 4), 0.5), [0]), suite)
+        out = tmp_path / "out"
+        argv = ["--model", str(trained_dir / "model.json"), "--suite", str(suite)]
+        assert main(["diversity", *argv, "--out-dir", str(out)]) == 2
+        message = f"error: suite {suite} has 1 row but diversity needs at least 2\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_haar_samples_flag_is_gone(self, trained_dir, data_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -638,6 +648,34 @@ class TestBoundaryValidation:
         assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
         message = f"error: dataset {data} has 3 features but the model's encoder.input_dim is 4\n"
         assert capsys.readouterr().err == message  # and no digest warning before it
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command", ["attack", "coverage", "diversity", "fuzz", "profile", "train"]
+    )
+    def test_all_zero_row_for_amplitude_encoding(self, command, tmp_path, capsys):
+        model, prof, data = tmp_path / "model.json", tmp_path / "profile.json", tmp_path / "data.csv"
+        save_model(build_model(EncoderSpec("amplitude", 4), AnsatzSpec("layered", 1, "linear"), 2, 2), model)
+        StateProfile(lower=np.zeros(4), upper=np.ones(4)).to_json(prof)
+        feats = np.full((3, 4), 0.5)
+        feats[1] = 0.0
+        save_csv(LabeledDataset(feats, [0, 1, 0]), data)
+        inputs = {
+            "attack": ["--model", str(model), "--dataset", str(data)],
+            "coverage": ["--model", str(model), "--profile", str(prof), "--suite", str(data)],
+            "diversity": ["--model", str(model), "--suite", str(data)],
+            "fuzz": ["--model", str(model), "--profile", str(prof), "--seeds", str(data)],
+            "profile": ["--model", str(model), "--dataset", str(data)],
+            "train": ["--dataset", str(data), "--encoder", "amplitude", "--qubits", "2"],
+        }
+        out = tmp_path / "out"
+        assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
+        message = (
+            f"error: dataset {data}: row 1 is all zeros, which amplitude encoding "
+            "cannot map to a state\n"
+        )
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 

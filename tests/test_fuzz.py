@@ -1,53 +1,58 @@
+import copy
 import importlib
 import json
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecov.coverage import CoverageConfig, CoverageTracker, collect_prob_vectors, profile
 from statecov.datasets import gaussian_blobs
-from statecov.fuzz import (
-    FuzzConfig,
-    FuzzOutcome,
-    FuzzSeed,
-    fuzz,
-    mutate,
-    random_test,
-    save_outcome,
+from statecov.datasets import load_csv
+from statecov.fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test, save_outcome
+from statecov.qnn import (
+    AnsatzSpec,
+    EncoderSpec,
+    LabeledDataset,
+    TrainConfig,
+    build_model,
+    forward_batch,
+    train,
 )
-from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, TrainConfig, build_model, train
 
-from oracles import _eval_one
+from oracles import _eval_one, mutate_row
 
 fuzz_module = importlib.import_module("statecov.fuzz")  # the package re-exports fuzz()
-
-
-def _seed(x, label=0, reference=None):
-    x = np.asarray(x, dtype=np.float64)
-    return FuzzSeed(x.copy(), label, x.copy() if reference is None else reference)
 
 
 class TestMutate:
     def test_stays_in_unit_box_and_budget(self):
         rng = np.random.default_rng(0)
-        base = _seed(rng.uniform(0, 1, 16))
+        ref = rng.uniform(0, 1, (1, 16))
         alpha = 0.15
-        cur = base
+        cur = ref
         for _ in range(50):
-            cur = mutate(cur, rng, alpha)
-            assert np.all(cur.features >= 0) and np.all(cur.features <= 1)
-            assert np.max(np.abs(cur.features - base.reference)) <= alpha + 1e-12
+            cur = mutate(cur, ref, rng, alpha)
+            assert np.all(cur >= 0) and np.all(cur <= 1)
+            assert np.max(np.abs(cur - ref)) <= alpha + 1e-12
 
-    def test_depth_and_lineage_tracked(self):
+    def test_lineage_tracked(self, boundary_setup):
+        # mutate leaves its rows and their ancestors as they were; the loop
+        # gives each failing mutant its initial seed's label, and the seed
+        # it names is the ancestor whose budget bounds it
         rng = np.random.default_rng(1)
-        s = _seed(np.full(9, 0.5), label=1)
-        s.origin = 7
-        m = mutate(mutate(s, rng, 0.3), rng, 0.3)
-        assert m.mutation_depth == 2
-        assert m.label == 1
-        assert m.origin == 7
-        assert np.array_equal(m.reference, s.reference)
+        xs = np.full((1, 9), 0.5)
+        mutate(mutate(xs, xs, rng, 0.3), xs, rng, 0.3)
+        assert np.array_equal(xs, np.full((1, 9), 0.5))
+        model, seeds, prof = boundary_setup
+        cfg = FuzzConfig(criterion="scc", max_iterations=400, seed=1)
+        out = fuzz(model, seeds, prof, cfg)
+        assert len(out.failed_cases)
+        assert np.array_equal(out.failed_cases.labels, seeds.labels[out.failed_origins])
+        ancestors = seeds.features[out.failed_origins]
+        assert np.max(np.abs(out.failed_cases.features - ancestors)) <= cfg.alpha + 1e-12
 
     def test_operator_mix_is_uniform(self):
         # chi-squared over 4 operators at 2000 draws; crit value 16.27 (p=0.001)
@@ -66,9 +71,9 @@ class TestMutate:
         img[5] = 1.0  # row 1, col 1 of a 4x4 grid
         found_shift = False
         for _ in range(100):
-            m = mutate(_seed(img), rng, 1.0)
-            if np.count_nonzero(m.features) == 1 and m.features[5] == 0:
-                moved = int(np.flatnonzero(m.features)[0])
+            m = mutate(img[None, :], img[None, :], rng, 1.0)[0]
+            if np.count_nonzero(m) == 1 and m[5] == 0:
+                moved = int(np.flatnonzero(m)[0])
                 assert moved in (1, 9, 4, 6)  # up, down, left, right
                 found_shift = True
                 break
@@ -76,9 +81,40 @@ class TestMutate:
 
     def test_alpha_zero_pins_to_reference(self):
         rng = np.random.default_rng(4)
-        s = _seed(np.full(4, 0.4))
-        m = mutate(s, rng, 0.0)
-        assert np.array_equal(m.features, s.reference)
+        s = np.full((1, 4), 0.4)
+        m = mutate(s, s, rng, 0.0)
+        assert np.array_equal(m, s)
+
+    @given(
+        width=st.sampled_from([4, 5, 16, 64]),
+        n=st.integers(1, 12),
+        alpha=st.sampled_from([0.0, 0.15, 1.0]),
+        gate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_batches_of_one(self, width, n, alpha, gate, seed):
+        # n rows draw and mutate bit for bit as n batch-of-one calls and as
+        # the one-row oracle, and leave the rng in the same state
+        data = np.random.default_rng(seed)
+        refs = data.uniform(0, 1, (n, width))
+        xs = np.clip(refs + data.uniform(-alpha, alpha, (n, width)), 0, 1)
+        rng = np.random.default_rng(seed + 1)
+        one, oracle = copy.deepcopy(rng), copy.deepcopy(rng)
+        got = mutate(xs, refs, rng, alpha, gate=gate)
+        singles = [mutate(xs[i : i + 1], refs[i : i + 1], one, alpha, gate=gate) for i in range(n)]
+        rows = []
+        for i in range(n):
+            rows.append(mutate_row(xs[i], refs[i], oracle, alpha))
+            if gate:
+                oracle.random()
+        if gate:
+            got, draws, states = got
+            assert draws.tobytes() == np.concatenate([s[1] for s in singles]).tobytes()
+            assert states == [state for s in singles for state in s[2]]
+            singles = [s[0] for s in singles]
+        assert got.tobytes() == np.concatenate(singles).tobytes() == np.stack(rows).tobytes()
+        assert rng.bit_generator.state == one.bit_generator.state == oracle.bit_generator.state
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +146,8 @@ class TestFuzzLoop:
         b = fuzz(model, seeds, prof, cfg)
         assert a.tsr == b.tsr
         assert a.iterations == b.iterations
-        assert len(a.failed_cases) == len(b.failed_cases)
-        for fa, fb in zip(a.failed_cases, b.failed_cases):
-            assert np.array_equal(fa.features, fb.features)
+        assert np.array_equal(a.failed_cases.features, b.failed_cases.features)
+        assert np.array_equal(a.failed_origins, b.failed_origins)
 
     def test_budget_respected(self, toy_setup):
         model, seeds, prof = toy_setup
@@ -125,15 +160,15 @@ class TestFuzzLoop:
     def test_failed_cases_all_misclassify(self, boundary_setup):
         model, seeds, prof = boundary_setup
         out = fuzz(model, seeds, prof, FuzzConfig(criterion="scc", max_iterations=400, seed=1))
-        assert out.failed_cases
-        for case in out.failed_cases:
-            assert _eval_one(model, case.features)[1] != case.label
+        assert len(out.failed_cases)
+        for x, label in zip(out.failed_cases.features, out.failed_cases.labels):
+            assert _eval_one(model, x)[1] != label
 
     def test_tsr_definition(self, boundary_setup):
         model, seeds, prof = boundary_setup
         out = fuzz(model, seeds, prof, FuzzConfig(criterion="ksc", max_iterations=400, seed=2))
-        assert out.failed_cases
-        origins = {c.origin for c in out.failed_cases}
+        assert len(out.failed_cases)
+        origins = set(out.failed_origins.tolist())
         assert out.tsr == pytest.approx(100.0 * len(origins) / out.num_initial_seeds)
         assert 0.0 <= out.tsr <= 100.0
 
@@ -163,7 +198,7 @@ class TestFuzzLoop:
         prof = profile(model, seeds)
         out = fuzz(model, seeds, prof, FuzzConfig(criterion="ksc", alpha=0.0, max_iterations=100, seed=0))
         assert out.tsr == 0.0
-        assert out.failed_cases == []
+        assert len(out.failed_cases) == 0 and out.failed_origins.size == 0
 
     def test_misclassified_seeds_excluded(self, toy4_model, toy4_train_data):
         from statecov.qnn import forward_batch
@@ -204,7 +239,7 @@ class TestFuzzLoop:
         from collections import deque
 
         rng = np.random.default_rng(cfg.seed)
-        queue = deque(_initial_queue(model, seeds)[0])
+        queue = deque((seeds.features[o], o) for o in _initial_queue(model, seeds)[0])
         committed = [pv for pv in collect_prob_vectors(model, seeds)]
         flag = _CRITERION_FLAG[cfg.criterion]
         shadow = CoverageTracker(prof, cfg.coverage)
@@ -214,17 +249,17 @@ class TestFuzzLoop:
         extra = []
         while queue and it < cfg.max_iterations:
             it += 1
-            s = queue.popleft()
-            m = _mutate(s, rng, cfg.alpha)
-            pv, pred = _eval_one(model, m.features)
-            if pred != m.label:
+            x, o = queue.popleft()
+            m = _mutate(x[None, :], seeds.features[o][None, :], rng, cfg.alpha)[0]
+            pv, pred = _eval_one(model, m)
+            if pred != seeds.labels[o]:
                 shadow.add_input(pv)
                 extra.append(pv)
                 continue
             if shadow.peek_input(pv)[flag]:
                 shadow.add_input(pv)
                 extra.append(pv)
-                queue.append(m)
+                queue.append((m, o))
 
         batch = CoverageTracker(prof, cfg.coverage)
         for pv in committed + extra:
@@ -253,23 +288,29 @@ class TestFuzzLoop:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["criterion"] == "tsc"
         assert manifest["seed"] == 6
-        if out.failed_cases:
-            assert (tmp_path / "failed_cases.csv").exists()
+        if len(out.failed_cases):
+            saved = load_csv(tmp_path / "failed_cases.csv")
+            assert np.array_equal(saved.features, out.failed_cases.features)
+            assert np.array_equal(saved.labels, out.failed_cases.labels)
+        else:
+            assert not (tmp_path / "failed_cases.csv").exists()
 
 
 def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
-    """Reference loop: pop one seed, mutate it, evaluate it as a one-row
-    batch, gate it with peek_input/add_input. Returns the outcome, the number
-    of generations (the queue's contents at the start of each) it went
-    through and whether the budget ended one part-way."""
+    """Reference loop: pop one (features, origin) row, mutate it as a batch
+    of one, evaluate it as a one-row batch, gate it with
+    peek_input/add_input. An all-zero mutant of an amplitude model is not
+    evaluated and counts as not failing. Returns the outcome, the number of
+    generations (the queue's contents at the start of each) it went through
+    and whether the budget ended one part-way."""
     rng = np.random.default_rng(config.seed)
     initial, _ = fuzz_module._initial_queue(model, seeds)
     tracker = CoverageTracker(prof, config.coverage)
     for pv in collect_prob_vectors(model, seeds):
         tracker.add_input(pv)
     before = tracker.report()
-    queue = deque(initial)
-    failed, origins = [], set()
+    queue = deque((seeds.features[o], o) for o in initial)
+    failed, origins = [], []
     flag = fuzz_module._CRITERION_FLAG[config.criterion]
     iterations = non_failing = re_enqueued = generations = gen_left = 0
     while queue and iterations < config.max_iterations:
@@ -278,25 +319,34 @@ def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
             gen_left = len(queue)
         gen_left -= 1
         iterations += 1
-        m = mutate(queue.popleft(), rng, config.alpha)
-        pv, pred = _eval_one(model, m.features)
-        if pred != m.label:
+        x, o = queue.popleft()
+        m = mutate(x[None, :], seeds.features[o][None, :], rng, config.alpha)[0]
+        if model.encoder.kind == "amplitude" and not m.any():
+            non_failing += 1
+            if not guided:
+                rng.random()
+            continue
+        pv, pred = _eval_one(model, m)
+        if pred != seeds.labels[o]:
             tracker.add_input(pv)
             failed.append(m)
-            origins.add(m.origin)
+            origins.append(o)
             continue
         non_failing += 1
         if guided:
             if tracker.peek_input(pv)[flag]:
                 tracker.add_input(pv)
-                queue.append(m)
+                queue.append((m, o))
                 re_enqueued += 1
         elif rng.random() < reenqueue_prob:
-            queue.append(m)
+            queue.append((m, o))
             re_enqueued += 1
+    origins = np.array(origins, dtype=np.int64)
+    d = seeds.features.shape[1]
     outcome = FuzzOutcome(
-        failed_cases=failed,
-        tsr=100.0 * len(origins) / len(initial),
+        failed_cases=LabeledDataset(np.reshape(failed, (-1, d)), seeds.labels[origins]),
+        failed_origins=origins,
+        tsr=100.0 * len(set(origins.tolist())) / len(initial),
         iterations=iterations,
         coverage_before=before,
         coverage_after=tracker.report(),
@@ -313,10 +363,9 @@ def _assert_same_outcome(got, ref):
     assert got.num_initial_seeds == ref.num_initial_seeds
     assert got.coverage_before == ref.coverage_before
     assert got.coverage_after == ref.coverage_after
-    assert len(got.failed_cases) == len(ref.failed_cases)
-    for a, b in zip(got.failed_cases, ref.failed_cases):
-        assert np.array_equal(a.features, b.features)
-        assert (a.label, a.origin, a.mutation_depth) == (b.label, b.origin, b.mutation_depth)
+    assert got.failed_cases.features.tobytes() == ref.failed_cases.features.tobytes()
+    assert np.array_equal(got.failed_cases.labels, ref.failed_cases.labels)
+    assert np.array_equal(got.failed_origins, ref.failed_origins)
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +390,7 @@ class TestGenerationBatching:
         model, data, prof = weak_setup
         cfg = FuzzConfig(criterion=criterion, max_iterations=budget, alpha=0.3, seed=3, coverage=coverage)
         ref, _, cut = _sequential_loop(model, data, prof, cfg, guided=True)
-        assert ref.failed_cases
+        assert len(ref.failed_cases)
         assert cut or budget != 20
         _assert_same_outcome(fuzz(model, data, prof, cfg), ref)
 
@@ -352,7 +401,7 @@ class TestGenerationBatching:
         model, data, prof = weak_setup
         cfg = FuzzConfig(criterion=criterion, max_iterations=budget, alpha=0.3, seed=4)
         ref, _, _ = _sequential_loop(model, data, prof, cfg, guided=False, reenqueue_prob=reenqueue_prob)
-        assert ref.failed_cases
+        assert len(ref.failed_cases)
         _assert_same_outcome(random_test(model, data, prof, cfg, reenqueue_prob), ref)
 
     @pytest.fixture
@@ -383,8 +432,41 @@ class TestGenerationBatching:
         _, generations, _ = _sequential_loop(model, data, prof, cfg, guided=False)
         counted.clear()
         out = random_test(model, data, prof, cfg)
-        assert out.failed_cases
+        assert len(out.failed_cases)
         assert 1 + generations <= len(counted) <= 1 + generations + len(out.failed_cases)
+
+
+class TestAmplitudeAllZeroMutant:
+    """Faint seeds of an amplitude model: a brightness step clips a mutant to
+    all zeros, which the encoder cannot map to a state. Such a mutant uses
+    its iteration and counts as not failing, but is never evaluated,
+    committed or re-enqueued; the random baseline still draws its gate."""
+
+    @pytest.fixture(scope="class")
+    def faint_setup(self):
+        model = build_model(EncoderSpec("amplitude", 4), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0)
+        feats = np.random.default_rng(12).uniform(0.02, 0.08, (6, 4))
+        _, scores = forward_batch(model, feats)
+        seeds = LabeledDataset(feats, np.argmax(scores, axis=1))
+        return model, seeds, profile(model, seeds)
+
+    @pytest.mark.parametrize("guided", [True, False], ids=["guided", "random"])
+    def test_dropped_before_evaluation(self, faint_setup, guided, monkeypatch):
+        model, seeds, prof = faint_setup
+        cfg = FuzzConfig(max_iterations=500, seed=1)
+        dropped = []
+        inner = fuzz_module._unencodable
+
+        def counting(encoder, xs):
+            mask = inner(encoder, xs)
+            dropped.append(int(mask.sum()))
+            return mask
+
+        monkeypatch.setattr(fuzz_module, "_unencodable", counting)
+        out = fuzz(model, seeds, prof, cfg) if guided else random_test(model, seeds, prof, cfg)
+        assert sum(dropped) > 0
+        ref, _, _ = _sequential_loop(model, seeds, prof, cfg, guided=guided)
+        _assert_same_outcome(out, ref)
 
 
 class TestConfigValidation:

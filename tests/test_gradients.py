@@ -351,5 +351,6 @@ class TestAdjointSweep:
         )
         data = gaussian_blobs(2, 4, 3, seed=0)
         train(model, data, TrainConfig(epochs=1, batch_size=2, seed=0))
-        # 4 steps of one pass, one loss pass per epoch, one accuracy pass
-        assert calls == {"apply": 4 + 1 + 1, "sweep": 4}
+        # 4 steps of one pass, one loss pass per epoch; the last loss pass
+        # gives the accuracy too
+        assert calls == {"apply": 4 + 1, "sweep": 4}

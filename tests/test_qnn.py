@@ -246,6 +246,27 @@ class TestTrain:
         loss = float(-np.log(p).mean())
         assert history["loss"][-1] == loss
 
+    @pytest.mark.parametrize("batch_size", [None, 8], ids=["full", "minibatch"])
+    def test_one_forward_batch_per_epoch(self, batch_size, monkeypatch):
+        # each epoch's loss pass is train's only forward_batch call: the
+        # final accuracy is read off the last one, at the trained parameters
+        import statecov.qnn as qnn
+
+        calls = []
+        inner = qnn.forward_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(qnn, "forward_batch", counting)
+        data = gaussian_blobs(2, 10, 4, seed=2)
+        model = build_model(
+            EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2, seed=0
+        )
+        train(model, data, TrainConfig(epochs=4, batch_size=batch_size, seed=0))
+        assert len(calls) == 4
+
     def test_loss_mostly_non_increasing(self):
         # stochastic optimizers may wobble; demand non-increase in >= 80% of runs
         ok = 0
