@@ -3,15 +3,17 @@ driven by the simulator's input gradients. All outputs stay in [0, 1]^d."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from .files import write_json
 from .gradients import input_grads
-from .qnn import LabeledDataset, QnnModel, _check_labels, cross_entropy_grad, forward_batch
+from .qnn import (
+    LabeledDataset, QnnModel, _check_labels, _unencodable, cross_entropy_grad, forward_batch,
+)
 
 __all__ = [
     "AttackConfig",
@@ -125,6 +127,9 @@ def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
         adv = _fgsm_rows(model, xs, labels, config.epsilon)
     else:
         adv = _jsma_rows(model, xs, labels, config.theta, config.gamma)
+    # a row clipped to all zeros has no amplitude-encoded state: it keeps its clean features
+    dead = _unencodable(model.encoder, adv)
+    adv[dead] = xs[dead]
     asr = float(_flipped(model, adv, labels).mean()) if len(data) else 0.0
     return LabeledDataset(adv, labels.copy(), data.class_names), asr
 
@@ -140,15 +145,4 @@ def save_attack_suite(
     from .datasets import save_csv
 
     save_csv(adv, csv_path)
-    doc = {
-        "kind": config.kind,
-        "epsilon": config.epsilon,
-        "theta": config.theta,
-        "gamma": config.gamma,
-        "seed": config.seed,
-        "source_digest": source_digest,
-        "asr": asr,
-    }
-    with open(provenance_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(provenance_path, {**asdict(config), "source_digest": source_digest, "asr": asr})

@@ -34,6 +34,7 @@ from .coverage import (
 )
 from .datasets import load_csv
 from .diversity import suite_diversity
+from .files import write_json
 from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test, save_outcome
 from .qnn import (
     ANSATZ_PRESETS,
@@ -201,12 +202,6 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _load(loader, path, what):
     """loader(path); a missing path, a missing file and a malformed file are usage errors."""
     if path is None:
@@ -269,7 +264,7 @@ def cmd_train(cfg) -> int:
         for epoch, loss in enumerate(history["loss"]):
             writer.writerow([epoch, repr(loss)])
     summary = {"train_accuracy": history["train_accuracy"], "final_loss": history["loss"][-1]}
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(f"train accuracy: {history['train_accuracy']:.4f}")
     return 0
 
@@ -316,7 +311,7 @@ def cmd_coverage(cfg) -> int:
         model, suite, prof, _coverage_config(cfg), shots=cfg["shots"], seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    _write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", report.to_dict())
     report.to_csv(out / "report.csv")
     print(f"KSC={report.ksc:.2f}% SCC={report.scc:.2f}% TSC={report.tsc:.2f}%")
     return 0
@@ -337,7 +332,7 @@ def cmd_attack(cfg) -> int:
     save_attack_suite(
         adv, acfg, data.digest(), out / "adversarial.csv", out / "provenance.json", asr=asr
     )
-    _write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
+    write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
     print(f"attack success rate: {100.0 * asr:.1f}%")
     return 0
 
@@ -374,7 +369,7 @@ def cmd_diversity(cfg) -> int:
         model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    _write_json(out / "diversity.json", summary.to_dict())
+    write_json(out / "diversity.json", summary.to_dict())
     suite_hist.to_csv(out / "suite_histogram.csv")
     haar_hist.to_csv(out / "haar_histogram.csv")
     print(f"js_vs_haar={summary.js_vs_haar:.4f} mean_fidelity={summary.mean_fidelity:.4f}")
@@ -411,7 +406,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         code = args.func(cfg)
         if code == 0:
-            _write_json(_out_dir(cfg) / "resolved_config.json", {"command": args.command, **cfg})
+            write_json(_out_dir(cfg) / "resolved_config.json", {"command": args.command, **cfg})
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,14 +28,14 @@ buffers; mad_refine works over blocks of state columns the same way.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .qnn import LabeledDataset, QnnModel, _row_blocks, _typed_list, forward_batch
+from . import files
+from .qnn import LabeledDataset, QnnModel, _row_blocks, forward_batch
 from .sim import sample_frequencies
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 
 BOUNDARY_MODES = ("raw", "sigma", "mad")
 DELTA_FLAGS = ("new_cell", "new_corner", "new_top")
-PROFILE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -66,10 +65,7 @@ class StateProfile:
     provenance: str = ""
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower/upper length mismatch")
+        self.lower = np.asarray(self.lower, dtype=np.float64)  # the shape every list must have
         for name in ("lower", "upper", "sigma", "mad_lower", "mad_upper"):
             val = getattr(self, name)
             if val is not None:
@@ -97,40 +93,12 @@ class StateProfile:
         return self.lower.shape[0]
 
     def to_json(self, path) -> None:
-        doc = {
-            "format_version": PROFILE_FORMAT_VERSION,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "sigma": None if self.sigma is None else self.sigma.tolist(),
-            "mad_lower": None if self.mad_lower is None else self.mad_lower.tolist(),
-            "mad_upper": None if self.mad_upper is None else self.mad_upper.tolist(),
-            "provenance": self.provenance,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        files.write(path, files.PROFILE, self)
 
     @classmethod
     def from_json(cls, path) -> "StateProfile":
-        with open(path) as fh:
-            doc = json.load(fh)
-        version = doc.get("format_version") if isinstance(doc, dict) else None
-        if type(version) is not int or version != PROFILE_FORMAT_VERSION:
-            raise ValueError(f"format_version: unsupported profile version {version!r}")
-        for key in ("lower", "upper"):
-            if key not in doc:
-                raise ValueError(f"missing field: {key}")
-        for key in ("lower", "upper", "sigma", "mad_lower", "mad_upper"):
-            if key in ("lower", "upper") or doc.get(key) is not None:
-                _typed_list(key, doc[key], error=ValueError)
-        return cls(
-            lower=doc["lower"],
-            upper=doc["upper"],
-            sigma=doc.get("sigma"),
-            mad_lower=doc.get("mad_lower"),
-            mad_upper=doc.get("mad_upper"),
-            provenance=doc.get("provenance", ""),
-        )
+        """The profile at path; FileFormatError names the file and the bad field."""
+        return files.read(path, files.PROFILE, lambda fields: cls(**fields))
 
 
 @dataclass(frozen=True)

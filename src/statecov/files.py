@@ -1,0 +1,121 @@
+"""The model and profile files: one field table each, one reader, and the
+package's one JSON writer.
+
+A table lists a file's fields in order as (path, kind) or (path, kind,
+absent); the dotted path is the JSON location and the attribute path on the
+object written. A kind is int, str, [int] or [float] (JSON numbers within the
+float range); int takes JSON integers only, never true or 4.0. A field with a
+third entry may be null, and reads as that entry when absent.
+"""
+
+import json
+import sys
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
+
+
+class FileFormatError(ValueError):
+    """A malformed model or profile file; the message names the file and the field."""
+
+
+class Schema(NamedTuple):
+    what: str  # the file's name in messages
+    version: int
+    fields: tuple
+
+
+MODEL = Schema("model", 1, (
+    ("encoder.kind", str),
+    ("encoder.input_dim", int),
+    ("ansatz.preset", str),
+    ("ansatz.num_layers", int),
+    ("ansatz.entanglement", str),
+    ("num_qubits", int),
+    ("num_classes", int),
+    ("readout_qubits", [int]),
+    ("params", [float]),
+    ("train_data_digest", str, None),
+))
+
+PROFILE = Schema("profile", 1, (
+    ("lower", [float]),
+    ("upper", [float]),
+    ("sigma", [float], None),
+    ("mad_lower", [float], None),
+    ("mad_upper", [float], None),
+    ("provenance", str, ""),
+))
+
+_NOUNS = {int: "an integer", str: "a string", float: "a number"}
+
+
+def write_json(path, doc) -> None:
+    """doc as two-space indented JSON plus a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def write(path, schema: Schema, obj) -> None:
+    """format_version, then each field read off obj by its path; arrays as lists."""
+    doc = {"format_version": schema.version}
+    for name, kind, *_ in schema.fields:
+        value = attrgetter(name)(obj)
+        if isinstance(kind, list) and value is not None:
+            value = np.asarray(value, dtype=kind[0]).tolist()
+        *parents, last = name.split(".")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = value
+    write_json(path, doc)
+
+
+def _field(doc: dict, name: str, kind, *absent):
+    """The value of field name in doc, checked against kind; ValueError names the field."""
+    *parents, last = name.split(".")
+    for i, key in enumerate(parents):
+        doc = doc.get(key, {})
+        if type(doc) is not dict:
+            raise ValueError(f"{'.'.join(parents[: i + 1])} must be an object, got {doc!r}")
+    if last not in doc:
+        if absent:
+            return absent[0]
+        raise ValueError(f"missing field: {name}")
+    value, listed = doc[last], isinstance(kind, list)
+    if value is None and absent:
+        return None
+    if listed and type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    entry, values = (kind[0], value) if listed else (kind, [value])
+    allowed = {int, float} if entry is float else {entry}
+    types = set(map(type, values))  # exact types: JSON's true and false load as bool, an int
+    if not types <= allowed:
+        i = next(i for i, v in enumerate(values) if type(v) not in allowed)
+        name += f": entry {i}" if listed else ""
+        raise ValueError(f"{name} must be {_NOUNS[entry]}, got {values[i]!r}")
+    if entry is float and int in types:  # JSON integers are unbounded
+        i = next((i for i, v in enumerate(values) if abs(v) > sys.float_info.max), None)
+        if i is not None:
+            raise ValueError(f"{name}: entry {i} is outside the float range")
+    return value
+
+
+def read(path, schema: Schema, build):
+    """build({path: checked value}) over the schema's fields of the file at
+    path. Any ValueError, build's included, is raised as FileFormatError
+    naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if type(doc) is not dict:
+            raise ValueError("must hold a JSON object")
+        if _field(doc, "format_version", int) != schema.version:
+            raise ValueError(f"unsupported format_version: {doc['format_version']}")
+        return build({field[0]: _field(doc, *field) for field in schema.fields})
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{schema.what} {path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{schema.what} {path}: {exc}") from exc

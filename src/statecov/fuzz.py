@@ -31,7 +31,6 @@ its failing mutants are committed once, at the end.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +39,7 @@ import numpy as np
 
 from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
 from .datasets import save_csv
+from .files import write_json
 from .qnn import LabeledDataset, QnnModel, _check_labels, _unencodable, forward_batch
 
 __all__ = [
@@ -261,9 +261,7 @@ def save_outcome(outcome: FuzzOutcome, config: FuzzConfig, out_dir) -> None:
         "coverage_before": outcome.coverage_before.to_dict(),
         "coverage_after": outcome.coverage_after.to_dict(),
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "summary.json", summary)
     manifest = {
         "criterion": config.criterion,
         "max_iterations": config.max_iterations,
@@ -275,6 +273,4 @@ def save_outcome(outcome: FuzzOutcome, config: FuzzConfig, out_dir) -> None:
             "boundary_mode": config.coverage.boundary_mode,
         },
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)

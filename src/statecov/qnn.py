@@ -13,13 +13,13 @@ matrix it returns, and the coverage stages walk that matrix in blocks too.
 
 from __future__ import annotations
 
-import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import files
+from .files import FileFormatError as ModelFormatError  # one error type for both files
 from .sim import (
     CircuitSpec,
     Gate,
@@ -51,7 +51,6 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
 # Work-buffer size, in matrix entries, of the row-blocked inference stages.
 # A 64-row forward pass at q = 14, timed at 2^15 to 2^19, ran fastest from
 # 2^16 to 2^18, and a 20 000-row pass at q = 4 slowed below 2^17.
@@ -69,10 +68,6 @@ class EncodingError(ValueError):
 
 class TrainingError(RuntimeError):
     """Raised when the optimizer diverges."""
-
-
-class ModelFormatError(ValueError):
-    """Raised on malformed model files; the message names the bad field."""
 
 
 @dataclass(frozen=True)
@@ -184,16 +179,7 @@ class QnnModel:
             )
 
     def with_params(self, params: np.ndarray) -> "QnnModel":
-        return QnnModel(
-            self.encoder,
-            self.ansatz,
-            self.num_qubits,
-            self.circuit,
-            np.array(params, dtype=np.float64),
-            self.readout_qubits,
-            self.num_classes,
-            self.train_data_digest,
-        )
+        return replace(self, params=np.array(params, dtype=np.float64))
 
 
 def build_model(
@@ -465,80 +451,17 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
 
 
 def save_model(model: QnnModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "encoder": {"kind": model.encoder.kind, "input_dim": model.encoder.input_dim},
-        "ansatz": {
-            "preset": model.ansatz.preset,
-            "num_layers": model.ansatz.num_layers,
-            "entanglement": model.ansatz.entanglement,
-        },
-        "num_qubits": model.num_qubits,
-        "num_classes": model.num_classes,
-        "readout_qubits": list(model.readout_qubits),
-        "params": [float(p) for p in model.params],
-        "train_data_digest": model.train_data_digest,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _require(doc: dict, path: str, integer: bool = False):
-    node = doc
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ModelFormatError(f"missing or malformed field: {path}")
-        node = node[key]
-    if integer and type(node) is not int:  # JSON's true and false load as bool, an int subclass
-        raise ModelFormatError(f"{path} must be an integer, got {node!r}")
-    return node
-
-
-def _typed_list(name: str, values, kinds=(int, float), error=ModelFormatError) -> list:
-    """values, if it is a list whose entries all have one of the exact types
-    kinds (so no bool and no string) and, where floats are allowed, lie in
-    the float range; otherwise error naming the field."""
-    if not isinstance(values, list):
-        raise error(f"{name} must be a list, got {values!r}")
-    types = set(map(type, values))
-    if not types <= set(kinds):
-        bad = next(i for i, v in enumerate(values) if type(v) not in kinds)
-        what = "a number" if float in kinds else "an integer"
-        raise error(f"{name}: entry {bad} must be {what}, got {values[bad]!r}")
-    if float in kinds and int in types:  # JSON integers are unbounded
-        bad = next((i for i, v in enumerate(values) if abs(v) > sys.float_info.max), None)
-        if bad is not None:
-            raise error(f"{name}: entry {bad} is outside the float range")
-    return values
+    files.write(path, files.MODEL, model)
 
 
 def load_model(path) -> QnnModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    version = _require(doc, "format_version", integer=True)
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version: {version}")
-    encoder = EncoderSpec(
-        kind=_require(doc, "encoder.kind"), input_dim=_require(doc, "encoder.input_dim", integer=True)
-    )
-    ansatz = AnsatzSpec(
-        preset=_require(doc, "ansatz.preset"),
-        num_layers=_require(doc, "ansatz.num_layers", integer=True),
-        entanglement=_require(doc, "ansatz.entanglement"),
-    )
-    num_qubits = _require(doc, "num_qubits", integer=True)
-    circuit = build_ansatz_circuit(ansatz, num_qubits)
-    return QnnModel(
-        encoder=encoder,
-        ansatz=ansatz,
-        num_qubits=num_qubits,
-        circuit=circuit,
-        params=_typed_list("params", _require(doc, "params")),
-        readout_qubits=tuple(_typed_list("readout_qubits", _require(doc, "readout_qubits"), (int,))),
-        num_classes=_require(doc, "num_classes", integer=True),
-        train_data_digest=doc.get("train_data_digest"),
-    )
+    """The model at path; FileFormatError names the file and the bad field."""
+
+    def build(f):
+        encoder = EncoderSpec(f["encoder.kind"], f["encoder.input_dim"])
+        ansatz = AnsatzSpec(f["ansatz.preset"], f["ansatz.num_layers"], f["ansatz.entanglement"])
+        circuit = build_ansatz_circuit(ansatz, f["num_qubits"])
+        return QnnModel(encoder, ansatz, f["num_qubits"], circuit, f["params"],
+                        tuple(f["readout_qubits"]), f["num_classes"], f["train_data_digest"])
+
+    return files.read(path, files.MODEL, build)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from statecov.attacks import AttackConfig, attack_suite, save_attack_suite
-from statecov.qnn import LabeledDataset, forward_batch
+from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, build_model, forward_batch
 
 
 def _one_row(x, label=0):
@@ -194,3 +194,22 @@ class TestBatchedEqualsPerRow:
         for cfg in (AttackConfig(kind="fgsm"), AttackConfig(kind="jsma", gamma=1.0)):
             adv, _ = attack_suite(toy4_model, toy4_train_data, cfg)
             assert np.array_equal(adv.features[:, 3], toy4_train_data.features[:, 3])
+
+
+def test_random_row_clipped_to_zeros_keeps_clean_features():
+    """Under amplitude encoding an all-zero row has no state, so a perturbed
+    row that clips to zeros is written and scored with its clean features."""
+    model = build_model(EncoderSpec("amplitude", 4), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0)
+    data = LabeledDataset(np.random.default_rng(0).uniform(0.02, 0.08, (300, 4)), np.zeros(300))
+    adv, asr = attack_suite(model, data, AttackConfig(kind="random", epsilon=0.1, seed=0))
+    noisy = np.clip(
+        data.features
+        + np.array([np.random.default_rng(i).uniform(-0.1, 0.1, 4) for i in range(300)]),
+        0.0, 1.0,
+    )
+    dead = ~noisy.any(axis=1)
+    assert dead.any()
+    assert np.array_equal(adv.features[dead], data.features[dead])
+    assert np.array_equal(adv.features[~dead], noisy[~dead])
+    _, scores = forward_batch(model, adv.features)
+    assert asr == float((np.argmax(scores, axis=1) != 0).mean())

@@ -572,7 +572,10 @@ class TestBoundaryValidation:
             ("model", "params.1", True, "params: entry 1 must be a number, got True"),
             ("model", "readout_qubits", [0.0, 1.9], "readout_qubits: entry 0 must be an integer"),
             ("model", "readout_qubits", 5, "readout_qubits must be a list, got 5"),
-            ("profile", "format_version", True, "unsupported profile version True"),
+            ("model", "encoder.kind", ["angle"], "encoder.kind must be a string, got ['angle']"),
+            ("model", "train_data_digest", {"a": 1}, "train_data_digest must be a string, got {'a': 1}"),
+            ("profile", "format_version", True, "format_version must be an integer, got True"),
+            ("profile", "provenance", [1, 2], "provenance must be a string, got [1, 2]"),
             ("profile", "lower.0", "0.1", "lower: entry 0 must be a number, got '0.1'"),
             ("profile", "lower.1", True, "lower: entry 1 must be a number, got True"),
             ("profile", "lower", {"a": 1}, "lower must be a list, got {'a': 1}"),
@@ -610,6 +613,20 @@ class TestBoundaryValidation:
         argv = ["--model", str(paths["model"]), "--profile", str(paths["profile"])]
         assert main(["coverage", *argv, "--suite", str(data_csv), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["model", "profile"])
+    def test_truncated_file_is_config_error_naming_it(
+        self, kind, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        paths = {"model": trained_dir / "model.json", "profile": profile_dir / "profile.json"}
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(paths[kind].read_bytes()[:300])
+        paths[kind] = bad
+        out = tmp_path / "out"
+        argv = ["--model", str(paths["model"]), "--profile", str(paths["profile"])]
+        assert main(["coverage", *argv, "--suite", str(data_csv), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {kind} {bad}: not valid JSON: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
