@@ -23,7 +23,6 @@ from .coverage import (
     CoverageTracker,
     StateProfile,
     coverage_suite,
-    mad_refine,
     profile,
 )
 from .diversity import FidelityHistogram, js_divergence, suite_diversity

@@ -131,7 +131,7 @@ def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
     dead = _unencodable(model.encoder, adv)
     adv[dead] = xs[dead]
     asr = float(_flipped(model, adv, labels).mean()) if len(data) else 0.0
-    return LabeledDataset(adv, labels.copy(), data.class_names), asr
+    return LabeledDataset(adv, labels.copy()), asr
 
 
 def save_attack_suite(

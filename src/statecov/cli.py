@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,8 @@ from .coverage import (
     CoverageConfig,
     StateProfile,
     _check_profile,
-    collect_prob_vectors,
     coverage_suite,
-    mad_refine,
-    profile_from_samples,
+    profile,
 )
 from .datasets import load_csv
 from .diversity import suite_diversity
@@ -289,11 +288,8 @@ def cmd_profile(cfg) -> int:
         keep.extend(idx.tolist())
     data = data.subset(sorted(keep))
 
-    samples = collect_prob_vectors(model, data, shots=cfg["shots"], seed=cfg["seed"])
-    if cfg["mad"]:
-        prof = mad_refine(samples, confidence=float(cfg["confidence"]), provenance=data.digest())
-    else:
-        prof = profile_from_samples(samples, provenance=data.digest())
+    confidence = float(cfg["confidence"]) if cfg["mad"] else None
+    prof = profile(model, data, shots=cfg["shots"], seed=cfg["seed"], confidence=confidence)
     prof.to_json(_out_dir(cfg) / "profile.json")
     print(f"profiled {len(data)} inputs over {prof.num_states} basis states")
     return 0
@@ -311,7 +307,7 @@ def cmd_coverage(cfg) -> int:
         model, suite, prof, _coverage_config(cfg), shots=cfg["shots"], seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", asdict(report))
     report.to_csv(out / "report.csv")
     print(f"KSC={report.ksc:.2f}% SCC={report.scc:.2f}% TSC={report.tsc:.2f}%")
     return 0
@@ -369,7 +365,7 @@ def cmd_diversity(cfg) -> int:
         model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    write_json(out / "diversity.json", summary.to_dict())
+    write_json(out / "diversity.json", asdict(summary))
     suite_hist.to_csv(out / "suite_histogram.csv")
     haar_hist.to_csv(out / "haar_histogram.csv")
     print(f"js_vs_haar={summary.js_vs_haar:.4f} mean_fidelity={summary.mean_fidelity:.4f}")

@@ -20,22 +20,27 @@ for every row of a batch at once, whether adding the rows in order would see
 it set a new bit of one kind; add_input() and peek_input() are batches of
 one.
 
+profile() is the one profiling call: it collects a dataset's probability
+vectors and hands them to profile_from_samples, which computes every state's
+min, max and standard deviation, and with a confidence its MAD bounds, in one
+pass over blocks of state columns.
+
 Memory: a stage holds the one (n, S) float64 probability matrix that
 collect_prob_vectors returns (shots overwrite it row by row) plus O(block)
-buffers; mad_refine works over blocks of state columns the same way.
+buffers, in profiling as in coverage.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import files
-from .qnn import LabeledDataset, QnnModel, _row_blocks, forward_batch
+from .qnn import BLOCK_AMPS, LabeledDataset, QnnModel, _row_blocks, forward_batch
 from .sim import sample_frequencies
 
 __all__ = [
@@ -45,12 +50,13 @@ __all__ = [
     "CoverageReport",
     "collect_prob_vectors",
     "profile",
-    "mad_refine",
+    "profile_from_samples",
     "coverage_suite",
 ]
 
 BOUNDARY_MODES = ("raw", "sigma", "mad")
 DELTA_FLAGS = ("new_cell", "new_corner", "new_top")
+EPS_DEGENERATE = 1e-12  # a major region narrower than this is one degenerate cell
 
 
 @dataclass
@@ -106,13 +112,10 @@ class CoverageConfig:
     k_cells: int = 100
     top_k: int = 1
     boundary_mode: str = "raw"  # "raw" | "sigma" | "mad"
-    epsilon_degenerate: float = 1e-12
 
     def __post_init__(self):
         if self.k_cells < 1 or self.top_k < 1:
             raise ValueError("k_cells and top_k must be >= 1")
-        if not (0 <= self.epsilon_degenerate < np.inf):
-            raise ValueError("epsilon_degenerate must be finite and >= 0")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
 
@@ -129,24 +132,11 @@ class CoverageReport:
     k_cells: int
     num_inputs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ksc": self.ksc,
-            "scc": self.scc,
-            "tsc": self.tsc,
-            "covered_cells": self.covered_cells,
-            "covered_corners": self.covered_corners,
-            "covered_top_states": self.covered_top_states,
-            "num_states": self.num_states,
-            "k_cells": self.k_cells,
-            "num_inputs": self.num_inputs,
-        }
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            for key, value in self.to_dict().items():
+            for key, value in asdict(self).items():
                 writer.writerow([key, value])
 
 
@@ -199,8 +189,8 @@ class CoverageTracker:
         """Hits of an (n, S) matrix of probability vectors, without committing.
 
         One vectorized pass: each state inside its major region gets the cell
-        its probability falls in (a state narrower than epsilon_degenerate
-        has the one cell 0, hit only within epsilon of its boundary), the
+        its probability falls in (a state narrower than EPS_DEGENERATE has
+        the one cell 0, hit only within epsilon of its boundary), the
         others fall in a corner, and the top-k states are those a stable
         argsort on -pv puts first: probability ties break by ascending index.
         An error names a row as first_row plus its index in pvs.
@@ -218,7 +208,6 @@ class CoverageTracker:
                 "infinite entries"
             )
         k = self.config.k_cells
-        eps = self.config.epsilon_degenerate
         width = self.ub - self.lb
 
         below = pvs < self.lb
@@ -226,8 +215,8 @@ class CoverageTracker:
         inside = ~(below | above)
 
         cells = np.full(pvs.shape, -1, dtype=np.int64)
-        degenerate = inside & (width < eps)
-        cells[degenerate & (np.abs(pvs - self.lb) <= eps)] = 0
+        degenerate = inside & (width < EPS_DEGENERATE)
+        cells[degenerate & (np.abs(pvs - self.lb) <= EPS_DEGENERATE)] = 0
         regular = inside & ~degenerate
         with np.errstate(all="ignore"):  # the degenerate states' quotients are unused
             idx = np.floor((pvs - self.lb) / (width / k))
@@ -316,16 +305,15 @@ def collect_prob_vectors(
     model: QnnModel,
     data: LabeledDataset,
     shots: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Measured probability vectors for every dataset row, as a (n, 2^q)
     matrix; with shots, row i is replaced in place by its frequencies under
     seed + i."""
     probs, _ = forward_batch(model, data.features)
     if shots is not None:
-        base = 0 if seed is None else seed
         for i, row in enumerate(probs):
-            probs[i] = sample_frequencies(row, shots, base + i)
+            probs[i] = sample_frequencies(row, shots, seed + i)
     return probs
 
 
@@ -333,58 +321,63 @@ def profile(
     model: QnnModel,
     data: LabeledDataset,
     shots: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
+    confidence: Optional[float] = None,
 ) -> StateProfile:
-    """Elementwise min/max (and std) of probability vectors over a dataset."""
-    if len(data) == 0:
-        raise ValueError("cannot profile an empty dataset")
+    """profile_from_samples of the dataset's probability vectors, with the
+    dataset's digest as provenance."""
     samples = collect_prob_vectors(model, data, shots=shots, seed=seed)
-    return profile_from_samples(samples, provenance=data.digest())
+    return profile_from_samples(samples, provenance=data.digest(), confidence=confidence)
 
 
-def profile_from_samples(samples: np.ndarray, provenance: str = "") -> StateProfile:
-    samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[0]
-    sigma = samples.std(axis=0, ddof=1) if n > 1 else np.zeros(samples.shape[1])
-    return StateProfile(
-        lower=samples.min(axis=0),
-        upper=samples.max(axis=0),
-        sigma=sigma,
-        provenance=provenance,
-    )
-
-
-def mad_refine(
-    samples: np.ndarray, confidence: float = 0.99, provenance: str = ""
+def profile_from_samples(
+    samples: np.ndarray, provenance: str = "", confidence: Optional[float] = None
 ) -> StateProfile:
-    """Profile with outlier-robust boundaries via the median absolute deviation.
+    """Per-state min, max and standard deviation (ddof=1, or 0 for one row)
+    of an (n, S) sample matrix, and with a confidence the MAD bounds.
 
-    Per state, samples whose modified z-score 0.6745 |x - m| / MAD exceeds
-    the two-sided normal quantile at the given confidence are discarded; the
-    refined bounds are the min/max of the survivors. A zero MAD keeps only
-    samples equal to the median. Each state's bounds depend on its own
-    column only, so the work runs over blocks of columns of about
-    qnn.BLOCK_AMPS samples.
+    The MAD bounds are outlier-robust: per state, samples whose modified
+    z-score 0.6745 |x - m| / MAD exceeds the two-sided normal quantile at
+    the given confidence are discarded, and the bounds are the min/max of
+    the survivors. A zero MAD keeps only samples equal to the median. Every
+    figure of a state depends on its own column only, so one pass over
+    blocks of columns of about qnn.BLOCK_AMPS samples computes them all,
+    with the bits numpy gives over the whole row-major matrix.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[0] < 3:
-        raise ValueError("MAD refinement needs at least 3 samples per state")
-    if not (0 < confidence < 1):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    base = profile_from_samples(samples, provenance=provenance)
     n, s = samples.shape
-    lower, upper = np.empty(s), np.empty(s)
-    for cols in _row_blocks(s, n):
+    if n == 0:
+        raise ValueError("cannot profile an empty dataset")
+    lower, upper, sigma = np.empty(s), np.empty(s), np.zeros(s)
+    mad_lower = mad_upper = None
+    if confidence is not None:
+        if n < 3:
+            raise ValueError(f"MAD refinement needs at least 3 samples per state, got {n}")
+        if not (0 < confidence < 1):
+            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+        z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        mad_lower, mad_upper = np.empty(s), np.empty(s)
+    # numpy sums a one-column block pairwise but wider ones (and the whole
+    # matrix) row by row, so every block is at least two columns wide
+    for cols in _row_blocks(s, min(n, BLOCK_AMPS // 2)):
+        if cols.start == s - 1 > 0:  # a one-column last block
+            cols = slice(s - 2, s)
         block = samples[:, cols]
-        m = np.median(block, axis=0)
-        dev = np.abs(block - m)
-        mad = np.median(dev, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep = np.where(mad == 0.0, block == m, 0.6745 * dev / mad <= z_cut)
-        lower[cols] = np.min(block, axis=0, where=keep, initial=np.inf)
-        upper[cols] = np.max(block, axis=0, where=keep, initial=-np.inf)
-    return replace(base, mad_lower=lower, mad_upper=upper)
+        lower[cols], upper[cols] = block.min(axis=0), block.max(axis=0)
+        if n > 1:
+            sigma[cols] = block.std(axis=0, ddof=1)
+        if confidence is not None:
+            m = np.median(block, axis=0)
+            dev = block - m  # |x - m|, then in place the modified z-scores
+            np.abs(dev, out=dev)
+            mad = np.median(dev, axis=0)
+            dev *= 0.6745
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dev /= mad
+            keep = np.where(mad == 0.0, block == m, dev <= z_cut)
+            mad_lower[cols] = np.min(block, axis=0, where=keep, initial=np.inf)
+            mad_upper[cols] = np.max(block, axis=0, where=keep, initial=-np.inf)
+    return StateProfile(lower, upper, sigma, mad_lower, mad_upper, provenance)
 
 
 def _check_profile(model: QnnModel, prof: StateProfile) -> StateProfile:
@@ -403,7 +396,7 @@ def coverage_suite(
     prof: StateProfile,
     config: CoverageConfig,
     shots: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> CoverageReport:
     """Coverage report for a whole suite, folded in as one batch."""
     _check_profile(model, prof)

@@ -106,13 +106,6 @@ class DiversitySummary:
     mean_fidelity: float
     closest_neighbor_fidelity: float
 
-    def to_dict(self) -> dict:
-        return {
-            "js_vs_haar": self.js_vs_haar,
-            "mean_fidelity": self.mean_fidelity,
-            "closest_neighbor_fidelity": self.closest_neighbor_fidelity,
-        }
-
 
 def suite_diversity(
     encoder: EncoderSpec,

@@ -32,7 +32,7 @@ its failing mutants are committed once, at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -258,19 +258,8 @@ def save_outcome(outcome: FuzzOutcome, config: FuzzConfig, out_dir) -> None:
         "iterations": outcome.iterations,
         "num_failed_cases": len(outcome.failed_cases),
         "num_initial_seeds": outcome.num_initial_seeds,
-        "coverage_before": outcome.coverage_before.to_dict(),
-        "coverage_after": outcome.coverage_after.to_dict(),
+        "coverage_before": asdict(outcome.coverage_before),
+        "coverage_after": asdict(outcome.coverage_after),
     }
     write_json(out_dir / "summary.json", summary)
-    manifest = {
-        "criterion": config.criterion,
-        "max_iterations": config.max_iterations,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "coverage": {
-            "k_cells": config.coverage.k_cells,
-            "top_k": config.coverage.top_k,
-            "boundary_mode": config.coverage.boundary_mode,
-        },
-    }
-    write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", asdict(config))

@@ -207,7 +207,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    class_names: Optional[tuple] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -221,9 +220,7 @@ class LabeledDataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(
-            self.features[indices], self.labels[indices], self.class_names
-        )
+        return LabeledDataset(self.features[indices], self.labels[indices])
 
     def digest(self) -> str:
         import hashlib

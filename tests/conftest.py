@@ -146,12 +146,12 @@ def random_circuit(rng, q, num_gates=12, wide=0):
 
 def brute_force_coverage(profile, config, pvs):
     """From-scratch, loop-based recomputation of the three criteria."""
-    from statecov.coverage import resolve_boundaries
+    from statecov.coverage import EPS_DEGENERATE, resolve_boundaries
 
     lb, ub = resolve_boundaries(profile, config)
     s_count = profile.num_states
     k = config.k_cells
-    eps = config.epsilon_degenerate
+    eps = EPS_DEGENERATE
     cells = set()
     corners = set()
     tops = set()

@@ -10,7 +10,7 @@ sequential fuzz reference loop, merge is the bitwise union of two coverage
 trackers, and save_csv_rows and load_csv_rows are the csv-module writer and
 row-by-row reader that the columnar save_csv and load_csv must agree with.
 mad_bounds_whole is the MAD refinement over the whole sample matrix at once,
-which mad_refine's column blocks must reproduce.
+which profile_from_samples' column blocks must reproduce.
 """
 
 import csv
@@ -172,7 +172,7 @@ def merge(tracker: CoverageTracker, other: CoverageTracker) -> None:
 
 
 def mad_bounds_whole(samples: np.ndarray, confidence: float = 0.99) -> tuple:
-    """(mad_lower, mad_upper) of mad_refine, from whole-matrix temporaries."""
+    """(mad_lower, mad_upper) of profile_from_samples, from whole-matrix temporaries."""
     z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     m = np.median(samples, axis=0)
     dev = np.abs(samples - m)

@@ -13,8 +13,8 @@ from statecov.coverage import (
     CoverageTracker,
     collect_prob_vectors,
     coverage_suite,
-    mad_refine,
     profile,
+    profile_from_samples,
 )
 from statecov.datasets import gaussian_blobs, synthetic_grid_digits
 from statecov.fuzz import FuzzConfig, fuzz, random_test
@@ -414,7 +414,7 @@ def test_criterion_10_mad_stabilization(toy4_model, toy4_train_data):
         }
         raw_k, raw_s, mad_k, mad_s = [], [], [], []
         for idx in selections.values():
-            prof = mad_refine(pvs[idx])
+            prof = profile_from_samples(pvs[idx], confidence=0.99)
             nesting_ok = nesting_ok and bool(
                 np.all(prof.mad_lower >= prof.lower)
                 and np.all(prof.mad_upper <= prof.upper)

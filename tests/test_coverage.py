@@ -13,7 +13,6 @@ from statecov.coverage import (
     StateProfile,
     collect_prob_vectors,
     coverage_suite,
-    mad_refine,
     profile,
     profile_from_samples,
     resolve_boundaries,
@@ -165,14 +164,14 @@ class TestMadRefine:
     def test_single_outlier_discarded(self):
         col = np.array([0.50, 0.51, 0.49, 0.50, 0.90])
         samples = np.stack([col, 1 - col], axis=1)
-        prof = mad_refine(samples)
+        prof = profile_from_samples(samples, confidence=0.99)
         assert prof.mad_upper[0] == pytest.approx(0.51)
         assert prof.upper[0] == pytest.approx(0.90)
 
     def test_zero_mad_keeps_median_equal_only(self):
         col = np.array([0.5, 0.5, 0.5, 0.9])
         samples = np.stack([col, 1 - col], axis=1)
-        prof = mad_refine(samples)
+        prof = profile_from_samples(samples, confidence=0.99)
         assert prof.mad_lower[0] == 0.5
         assert prof.mad_upper[0] == 0.5
 
@@ -180,7 +179,7 @@ class TestMadRefine:
         rng = np.random.default_rng(3)
         col = rng.uniform(0.4, 0.6, 30)
         samples = np.stack([col, 1 - col], axis=1)
-        prof = mad_refine(samples)
+        prof = profile_from_samples(samples, confidence=0.99)
         assert prof.mad_lower[0] == prof.lower[0]
         assert prof.mad_upper[0] == prof.upper[0]
 
@@ -188,13 +187,13 @@ class TestMadRefine:
         rng = np.random.default_rng(4)
         for _ in range(20):
             samples = rng.dirichlet(np.ones(4), size=int(rng.integers(3, 40)))
-            prof = mad_refine(samples)
+            prof = profile_from_samples(samples, confidence=0.99)
             assert np.all(prof.mad_lower >= prof.lower)
             assert np.all(prof.mad_upper <= prof.upper)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            mad_refine(np.ones((2, 4)) * 0.25)
+        with pytest.raises(ValueError, match="at least 3 samples per state, got 2"):
+            profile_from_samples(np.ones((2, 4)) * 0.25, confidence=0.99)
 
 
 class TestBoundaryModes:
@@ -208,7 +207,7 @@ class TestBoundaryModes:
 
     def test_mad_narrows(self):
         rng = np.random.default_rng(6)
-        prof = mad_refine(rng.dirichlet(np.ones(4), size=25))
+        prof = profile_from_samples(rng.dirichlet(np.ones(4), size=25), confidence=0.99)
         lb_raw, ub_raw = resolve_boundaries(prof, CoverageConfig(boundary_mode="raw"))
         lb_mad, ub_mad = resolve_boundaries(prof, CoverageConfig(boundary_mode="mad"))
         assert np.all(lb_mad >= lb_raw) and np.all(ub_mad <= ub_raw)
@@ -560,14 +559,24 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match=f"probability vector {BLOCK_AMPS // 4 + 5} contains"):
             CoverageTracker(prof, CoverageConfig()).fold(pvs)
 
-    @pytest.mark.parametrize("n, s", [(64, 4096), (3000, 128)])
+    # (100, 1311) leaves a one-column last block; one or two rows get no MAD bounds
+    @pytest.mark.parametrize(
+        "n, s", [(64, 4096), (3000, 128), (100, 1311), (1, 1 << 18), (2, 1 << 17)]
+    )
     def test_mad_refine_over_column_blocks_equals_whole_matrix(self, n, s):
         assert len(_row_blocks(s, n)) >= 2
         rng = np.random.default_rng(n)
         samples = rng.dirichlet(np.ones(s), size=n)
         samples[:, ::3] = np.round(samples[:, ::3] * 200) / 200  # ties, so some MADs are 0
         samples[rng.integers(n, size=s), np.arange(s)] = rng.uniform(0.5, 1.0, s)  # outliers
-        prof = mad_refine(samples)
+        prof = profile_from_samples(samples, confidence=0.99 if n >= 3 else None)
+        assert np.array_equal(prof.lower, samples.min(axis=0))
+        assert np.array_equal(prof.upper, samples.max(axis=0))
+        sigma = samples.std(axis=0, ddof=1) if n > 1 else np.zeros(s)
+        assert np.array_equal(prof.sigma, sigma)
+        if n < 3:
+            assert prof.mad_lower is None and prof.mad_upper is None
+            return
         lower, upper = mad_bounds_whole(samples)
         assert np.array_equal(prof.mad_lower, lower) and np.array_equal(prof.mad_upper, upper)
         assert np.any(prof.mad_upper < prof.upper)
@@ -604,14 +613,15 @@ class TestRowBlockMemory:
             assert peak <= probs.nbytes + 3 * self.BLOCK + (1 << 16)
 
     def test_mad_refine(self, q14):
-        # profile_from_samples' std keeps one samples-sized temporary
+        # one pass over column blocks: a few block-sized temporaries, none samples-sized
         _, _, probs = q14
-        assert _traced_peak(lambda: mad_refine(probs)) <= probs.nbytes + self.BLOCK // 2
+        peak = _traced_peak(lambda: profile_from_samples(probs, confidence=0.99))
+        assert peak <= 5 * 8 * BLOCK_AMPS
 
     def test_coverage_suite(self, q14):
         # plus the tracker's bits: S x k_cells bools and the boundaries
         model, data, probs = q14
-        prof = mad_refine(probs)
+        prof = profile_from_samples(probs, confidence=0.99)
         config = CoverageConfig(boundary_mode="mad")
         bits = probs.shape[1] * (config.k_cells + 2 * 8 + 3)
         peak = _traced_peak(lambda: coverage_suite(model, data, prof, config))
