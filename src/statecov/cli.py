@@ -7,21 +7,21 @@ file reproduces the results. Exit codes: 0 success, 1 internal error,
 
 OPTIONS declares every option once, as OPTIONS[command][key] = (kind,
 default) in resolved-config order. The kind is int, float or str, a tuple of
-choices, or bool for a flag that takes no value. The flags, the config-file
-checks and the resolved config are all made from it.
+choices, or bool for a flag that takes no value. The flags and the resolved
+config are made from it, and config-file values are checked against it by
+files.check, the model and profile files' kind check.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .attacks import ATTACK_KINDS, AttackConfig, attack_suite, save_attack_suite
 from .coverage import (
     BOUNDARY_MODES,
@@ -136,63 +136,39 @@ class ConfigError(Exception):
     """Bad user-supplied configuration; maps to exit code 2."""
 
 
-def _load_file_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc
-
-
-def _check_file_value(key, value, kind, default) -> None:
-    """Reject a config-file value that its flag would not accept."""
-    if value is None and default is None:
-        return
-    if kind is bool:
-        want, ok = "true or false", isinstance(value, bool)
-    elif kind is int:
-        want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif kind is float:
-        want, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        want, ok = "a string", isinstance(value, str)
-    if ok and isinstance(kind, tuple) and value not in kind:
-        want, ok = "one of " + ", ".join(kind), False
-    if not ok:
-        raise ConfigError(f"config file: {key} must be {want}, got {value!r}")
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """Flag > config-file > built-in default, for every option of the
-    command; unknown file keys are errors."""
-    file_cfg = _load_file_config(args.config)
+    command. Every file value must be of its option's kind, or null where the
+    default is; unknown file keys are errors."""
+    file_cfg = {}
+    if args.config is not None:
+        file_cfg = _load(lambda path: files.load(path, "config file"), args.config, "config file")
     command = file_cfg.pop("command", args.command)
     if command != args.command:
         raise ConfigError(f"config file: command {command!r} does not match {args.command}")
     options = OPTIONS[args.command]
-    for key in file_cfg:
+    for key, value in file_cfg.items():
         if key not in options:
             raise ConfigError(f"config file: unknown key {key} for {args.command}")
+        kind, default = options[key]
+        if value is not None or default is not None:
+            try:
+                file_cfg[key] = files.check(key, value, kind)
+            except ValueError as exc:
+                raise ConfigError(f"config file: {exc}") from None
     resolved = {}
-    for key, (kind, default) in options.items():
-        flag_val = getattr(args, key)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in file_cfg:
-            _check_file_value(key, file_cfg[key], kind, default)
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+    for key, (_, default) in options.items():
+        flag = getattr(args, key)
+        resolved[key] = file_cfg.get(key, default) if flag is None else flag
     if resolved["seed"] < 0:  # every subcommand has one; numpy's own error would not name it
         raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
+
+
+def _config(cls, cfg: dict, **given):
+    """cls from given and, for each other field, cfg's entry of that name."""
+    names = {field.name for field in fields(cls)} - given.keys()
+    return cls(**given, **{name: cfg[name] for name in names})
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -247,21 +223,11 @@ def cmd_train(cfg) -> int:
     _check_encodable(data, cfg["dataset"], encoder)
     ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])
     model = build_model(encoder, ansatz, cfg["qubits"], cfg["classes"], seed=cfg["seed"])
-    tcfg = TrainConfig(
-        epochs=cfg["epochs"],
-        learning_rate=float(cfg["learning_rate"]),
-        batch_size=cfg["batch_size"],
-        optimizer=cfg["optimizer"],
-        seed=cfg["seed"],
-    )
-    trained, history = train(model, data, tcfg)
+    trained, history = train(model, data, _config(TrainConfig, cfg))
     out = _out_dir(cfg)
     save_model(trained, out / "model.json")
-    with open(out / "loss_history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(history["loss"]):
-            writer.writerow([epoch, repr(loss)])
+    losses = ((epoch, repr(loss)) for epoch, loss in enumerate(history["loss"]))
+    files.write_csv(out / "loss_history.csv", ["epoch", "loss"], losses)
     summary = {"train_accuracy": history["train_accuracy"], "final_loss": history["loss"][-1]}
     write_json(out / "summary.json", summary)
     print(f"train accuracy: {history['train_accuracy']:.4f}")
@@ -288,7 +254,7 @@ def cmd_profile(cfg) -> int:
         keep.extend(idx.tolist())
     data = data.subset(sorted(keep))
 
-    confidence = float(cfg["confidence"]) if cfg["mad"] else None
+    confidence = cfg["confidence"] if cfg["mad"] else None
     prof = profile(model, data, shots=cfg["shots"], seed=cfg["seed"], confidence=confidence)
     prof.to_json(_out_dir(cfg) / "profile.json")
     print(f"profiled {len(data)} inputs over {prof.num_states} basis states")
@@ -308,7 +274,7 @@ def cmd_coverage(cfg) -> int:
     )
     out = _out_dir(cfg)
     write_json(out / "report.json", asdict(report))
-    report.to_csv(out / "report.csv")
+    files.write_csv(out / "report.csv", ["metric", "value"], asdict(report).items())
     print(f"KSC={report.ksc:.2f}% SCC={report.scc:.2f}% TSC={report.tsc:.2f}%")
     return 0
 
@@ -316,13 +282,7 @@ def cmd_coverage(cfg) -> int:
 def cmd_attack(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     data = _load_data(cfg["dataset"], model)
-    acfg = AttackConfig(
-        kind=cfg["kind"],
-        epsilon=float(cfg["epsilon"]),
-        theta=float(cfg["theta"]),
-        gamma=float(cfg["gamma"]),
-        seed=cfg["seed"],
-    )
+    acfg = _config(AttackConfig, cfg)
     adv, asr = attack_suite(model, data, acfg)
     out = _out_dir(cfg)
     save_attack_suite(
@@ -337,15 +297,9 @@ def cmd_fuzz(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
     seeds = _load_data(cfg["seeds"], model)
-    fcfg = FuzzConfig(
-        criterion=cfg["criterion"],
-        max_iterations=cfg["max_iterations"],
-        alpha=float(cfg["alpha"]),
-        seed=cfg["seed"],
-        coverage=_coverage_config(cfg),
-    )
+    fcfg = _config(FuzzConfig, cfg, coverage=_coverage_config(cfg))
     if cfg["random_baseline"]:
-        outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=float(cfg["reenqueue_prob"]))
+        outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=cfg["reenqueue_prob"])
     else:
         outcome = fuzz(model, seeds, prof, fcfg)
     save_outcome(outcome, fcfg, _out_dir(cfg))
@@ -366,8 +320,9 @@ def cmd_diversity(cfg) -> int:
     )
     out = _out_dir(cfg)
     write_json(out / "diversity.json", asdict(summary))
-    suite_hist.to_csv(out / "suite_histogram.csv")
-    haar_hist.to_csv(out / "haar_histogram.csv")
+    for name, hist in (("suite", suite_hist), ("haar", haar_hist)):
+        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
+        files.write_csv(out / f"{name}_histogram.csv", ["bin_left", "bin_right", "density"], rows)
     print(f"js_vs_haar={summary.js_vs_haar:.4f} mean_fidelity={summary.mean_fidelity:.4f}")
     return 0
 

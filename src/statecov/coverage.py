@@ -32,9 +32,8 @@ buffers, in profiling as in coverage.
 
 from __future__ import annotations
 
-import csv
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -131,13 +130,6 @@ class CoverageReport:
     num_states: int
     k_cells: int
     num_inputs: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for key, value in asdict(self).items():
-                writer.writerow([key, value])
 
 
 def resolve_boundaries(prof: StateProfile, config: CoverageConfig):

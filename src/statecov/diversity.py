@@ -5,7 +5,6 @@ fidelity, read from the Gram matrix in row blocks of about 2^20 entries."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,13 +55,6 @@ class FidelityHistogram:
         edges = np.linspace(0.0, 1.0, NUM_BINS + 1)
         tail = (1.0 - edges) ** (2**num_qubits - 1)
         return cls(edges, tail[:-1] - tail[1:], None)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "density"])
-            for left, right, d in zip(self.bin_edges[:-1], self.bin_edges[1:], self.densities):
-                writer.writerow([left, right, d])
 
 
 def _pair_fidelities(

@@ -1,13 +1,16 @@
-"""The model and profile files: one field table each, one reader, and the
-package's one JSON writer.
+"""The package's JSON and small-CSV files: the model and profile field
+tables, one reader, one kind check, and one writer for each format.
 
 A table lists a file's fields in order as (path, kind) or (path, kind,
 absent); the dotted path is the JSON location and the attribute path on the
-object written. A kind is int, str, [int] or [float] (JSON numbers within the
-float range); int takes JSON integers only, never true or 4.0. A field with a
-third entry may be null, and reads as that entry when absent.
+object written. A field with a third entry may be null, and reads as that
+entry when absent. check() knows every kind the package reads, the CLI's
+config file included: int, float, str, bool, a tuple of choices, [int] and
+[float]. int takes JSON integers only, never true or 4.0, and float takes
+JSON numbers within the float range.
 """
 
+import csv
 import json
 import sys
 from operator import attrgetter
@@ -48,7 +51,7 @@ PROFILE = Schema("profile", 1, (
     ("provenance", str, ""),
 ))
 
-_NOUNS = {int: "an integer", str: "a string", float: "a number"}
+_NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 def write_json(path, doc) -> None:
@@ -73,6 +76,39 @@ def write(path, schema: Schema, obj) -> None:
     write_json(path, doc)
 
 
+def write_csv(path, header, rows) -> None:
+    """header, then each row, through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def check(name: str, value, kind):
+    """value, a float if kind is float; ValueError naming name if value is not of kind."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    listed = isinstance(kind, list)
+    if listed and type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    entry, values = (kind[0], value) if listed else (kind, [value])
+    allowed = {int, float} if entry is float else {entry}
+    types = set(map(type, values))  # exact types: JSON's true and false load as bool, an int
+    if not types <= allowed:
+        i = next(i for i, v in enumerate(values) if type(v) not in allowed)
+        problem = f"must be {_NOUNS[entry]}, got {values[i]!r}"
+    else:
+        i = None
+        if entry is float and int in types:  # JSON integers are unbounded
+            i = next((i for i, v in enumerate(values) if abs(v) > sys.float_info.max), None)
+        if i is None:
+            return float(value) if kind is float else value
+        problem = "is outside the float range"
+    raise ValueError(f"{name}: entry {i} {problem}" if listed else f"{name} {problem}")
+
+
 def _field(doc: dict, name: str, kind, *absent):
     """The value of field name in doc, checked against kind; ValueError names the field."""
     *parents, last = name.split(".")
@@ -84,38 +120,31 @@ def _field(doc: dict, name: str, kind, *absent):
         if absent:
             return absent[0]
         raise ValueError(f"missing field: {name}")
-    value, listed = doc[last], isinstance(kind, list)
-    if value is None and absent:
+    if doc[last] is None and absent:
         return None
-    if listed and type(value) is not list:
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    entry, values = (kind[0], value) if listed else (kind, [value])
-    allowed = {int, float} if entry is float else {entry}
-    types = set(map(type, values))  # exact types: JSON's true and false load as bool, an int
-    if not types <= allowed:
-        i = next(i for i, v in enumerate(values) if type(v) not in allowed)
-        name += f": entry {i}" if listed else ""
-        raise ValueError(f"{name} must be {_NOUNS[entry]}, got {values[i]!r}")
-    if entry is float and int in types:  # JSON integers are unbounded
-        i = next((i for i, v in enumerate(values) if abs(v) > sys.float_info.max), None)
-        if i is not None:
-            raise ValueError(f"{name}: entry {i} is outside the float range")
-    return value
+    return check(name, doc[last], kind)
+
+
+def load(path, what: str) -> dict:
+    """The JSON object in the file at path; FileFormatError names the file as what path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad text encoding
+        raise FileFormatError(f"{what} {path}: not valid JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise FileFormatError(f"{what} {path}: must hold a JSON object")
+    return doc
 
 
 def read(path, schema: Schema, build):
     """build({path: checked value}) over the schema's fields of the file at
     path. Any ValueError, build's included, is raised as FileFormatError
     naming the file."""
+    doc = load(path, schema.what)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if type(doc) is not dict:
-            raise ValueError("must hold a JSON object")
         if _field(doc, "format_version", int) != schema.version:
             raise ValueError(f"unsupported format_version: {doc['format_version']}")
         return build({field[0]: _field(doc, *field) for field in schema.fields})
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{schema.what} {path}: not valid JSON: {exc}") from exc
     except ValueError as exc:
         raise FileFormatError(f"{schema.what} {path}: {exc}") from exc

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from statecov import cli
 from statecov.cli import build_parser, main
 from statecov.coverage import StateProfile
 from statecov.datasets import gaussian_blobs, save_csv
@@ -426,6 +427,28 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), key: value}))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"config file: {key} must be" in capsys.readouterr().err
+
+    def test_integer_outside_float_range_is_config_error(self, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(data_csv), "learning_rate": 10**400}))
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config file: learning_rate is outside the float range" in err
+
+    def test_integer_for_number_option_resolves_to_float(self, data_csv, tmp_path, monkeypatch):
+        seen, real_train = [], cli.train
+
+        def train(model, data, tcfg):
+            seen.append(tcfg)
+            return real_train(model, data, tcfg)
+
+        monkeypatch.setattr(cli, "train", train)
+        cfg = {"dataset": str(data_csv), "epochs": 1, "learning_rate": 1, "out_dir": str(tmp_path / "o")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert type(seen[0].learning_rate) is float
+        assert '"learning_rate": 1.0,' in (tmp_path / "o" / "resolved_config.json").read_text()
 
     @pytest.mark.parametrize(
         "command, doc, message",

