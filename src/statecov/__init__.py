@@ -25,7 +25,7 @@ from .coverage import (
     coverage_suite,
     profile,
 )
-from .diversity import FidelityHistogram, js_divergence, suite_diversity
+from .diversity import fidelity_densities, haar_densities, js_divergence, suite_diversity
 from .attacks import AttackConfig, attack_suite
 from .fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test
 

@@ -4,12 +4,10 @@ driven by the simulator's input gradients. All outputs stay in [0, 1]^d."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .files import write_json
 from .gradients import input_grads
 from .qnn import (
     LabeledDataset, QnnModel, _check_labels, _unencodable, cross_entropy_grad, forward_batch,
@@ -18,7 +16,6 @@ from .qnn import (
 __all__ = [
     "AttackConfig",
     "attack_suite",
-    "save_attack_suite",
 ]
 
 ATTACK_KINDS = ("random", "fgsm", "jsma")
@@ -132,17 +129,3 @@ def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
     adv[dead] = xs[dead]
     asr = float(_flipped(model, adv, labels).mean()) if len(data) else 0.0
     return LabeledDataset(adv, labels.copy()), asr
-
-
-def save_attack_suite(
-    adv: LabeledDataset,
-    config: AttackConfig,
-    source_digest: str,
-    csv_path,
-    provenance_path,
-    asr: Optional[float] = None,
-) -> None:
-    from .datasets import save_csv
-
-    save_csv(adv, csv_path)
-    write_json(provenance_path, {**asdict(config), "source_digest": source_digest, "asr": asr})

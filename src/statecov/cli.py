@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, profile, coverage, attack, fuzz, diversity. Every run
-writes a resolved-config JSON next to its outputs so that re-running the
-file reproduces the results. Exit codes: 0 success, 1 internal error,
-2 usage/config error.
+Subcommands: train, profile, coverage, attack, fuzz, diversity. The library
+returns values, and this module alone decides which files a run writes.
+Every run writes a resolved-config JSON next to its outputs so that
+re-running the file reproduces the results. Exit codes: 0 success,
+1 internal error, 2 usage/config error.
 
 OPTIONS declares every option once, as OPTIONS[command][key] = (kind,
 default) in resolved-config order. The kind is int, float or str, a tuple of
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .attacks import ATTACK_KINDS, AttackConfig, attack_suite, save_attack_suite
+from .attacks import ATTACK_KINDS, AttackConfig, attack_suite
 from .coverage import (
     BOUNDARY_MODES,
     CoverageConfig,
@@ -31,10 +32,10 @@ from .coverage import (
     coverage_suite,
     profile,
 )
-from .datasets import load_csv
-from .diversity import suite_diversity
+from .datasets import load_csv, save_csv
+from .diversity import BIN_EDGES, suite_diversity
 from .files import write_json
-from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test, save_outcome
+from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test
 from .qnn import (
     ANSATZ_PRESETS,
     ENCODER_KINDS,
@@ -172,19 +173,26 @@ def _config(cls, cfg: dict, **given):
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The output directory, made if missing; a path that cannot be one is a usage error."""
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a file on the way
+        raise ConfigError(f"out_dir {out}: cannot make the directory: {exc.strerror or exc}")
     return out
 
 
 def _load(loader, path, what):
-    """loader(path); a missing path, a missing file and a malformed file are usage errors."""
+    """loader(path); a missing path, a file that cannot be read and a malformed
+    file are usage errors."""
     if path is None:
         raise ConfigError(f"a {what} path is required")
     try:
         return loader(path)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
+    except OSError as exc:  # a directory, say, or no permission
+        raise ConfigError(f"{what} {path}: cannot read the file: {exc.strerror or exc}")
     except ValueError as exc:  # malformed file: a usage error, not an internal one
         raise ConfigError(str(exc))
 
@@ -285,9 +293,9 @@ def cmd_attack(cfg) -> int:
     acfg = _config(AttackConfig, cfg)
     adv, asr = attack_suite(model, data, acfg)
     out = _out_dir(cfg)
-    save_attack_suite(
-        adv, acfg, data.digest(), out / "adversarial.csv", out / "provenance.json", asr=asr
-    )
+    save_csv(adv, out / "adversarial.csv")
+    provenance = {**asdict(acfg), "source_digest": data.digest(), "asr": asr}
+    write_json(out / "provenance.json", provenance)
     write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
     print(f"attack success rate: {100.0 * asr:.1f}%")
     return 0
@@ -302,7 +310,19 @@ def cmd_fuzz(cfg) -> int:
         outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=cfg["reenqueue_prob"])
     else:
         outcome = fuzz(model, seeds, prof, fcfg)
-    save_outcome(outcome, fcfg, _out_dir(cfg))
+    out = _out_dir(cfg)
+    if len(outcome.failed_cases):
+        save_csv(outcome.failed_cases, out / "failed_cases.csv")
+    summary = {
+        "tsr": outcome.tsr,
+        "iterations": outcome.iterations,
+        "num_failed_cases": len(outcome.failed_cases),
+        "num_initial_seeds": outcome.num_initial_seeds,
+        "coverage_before": asdict(outcome.coverage_before),
+        "coverage_after": asdict(outcome.coverage_after),
+    }
+    write_json(out / "summary.json", summary)
+    write_json(out / "manifest.json", asdict(fcfg))
     print(
         f"TSR={outcome.tsr:.1f}% failures={len(outcome.failed_cases)} "
         f"iterations={outcome.iterations}"
@@ -315,13 +335,13 @@ def cmd_diversity(cfg) -> int:
     suite = _load_data(cfg["suite"], model)
     if len(suite) < 2:
         raise ConfigError(f"suite {cfg['suite']} has 1 row but diversity needs at least 2")
-    summary, suite_hist, haar_hist = suite_diversity(
+    summary, suite_densities, haar_densities = suite_diversity(
         model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )
     out = _out_dir(cfg)
     write_json(out / "diversity.json", asdict(summary))
-    for name, hist in (("suite", suite_hist), ("haar", haar_hist)):
-        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
+    for name, densities in (("suite", suite_densities), ("haar", haar_densities)):
+        rows = zip(BIN_EDGES[:-1], BIN_EDGES[1:], densities)
         files.write_csv(out / f"{name}_histogram.csv", ["bin_left", "bin_right", "density"], rows)
     print(f"js_vs_haar={summary.js_vs_haar:.4f} mean_fidelity={summary.mean_fidelity:.4f}")
     return 0

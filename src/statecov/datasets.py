@@ -121,27 +121,30 @@ def load_csv(path) -> LabeledDataset:
 
 
 def _load_rows(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "label":
-            raise ValueError(f"{path}: expected header ending in 'label'")
-        feats = []
-        labels = []
-        linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                feats.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not -(2**63) <= labels[-1] < 2**63:
-                raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
-            linenos.append(lineno)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[-1] != "label":
+                raise ValueError(f"{path}: expected header ending in 'label'")
+            feats = []
+            labels = []
+            linenos = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
+                try:
+                    feats.append([float(v) for v in row[:-1]])
+                    labels.append(int(row[-1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                if not -(2**63) <= labels[-1] < 2**63:
+                    raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:  # bytes that are not text in the locale's encoding
+        raise ValueError(f"{path}: {exc}") from None
     if not feats:
         raise ValueError(f"{path}: no data rows")
     feats = np.asarray(feats)

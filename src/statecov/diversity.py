@@ -6,7 +6,7 @@ fidelity, read from the Gram matrix in row blocks of about 2^20 entries."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -14,47 +14,31 @@ from .qnn import EncoderSpec, encode_batch
 
 __all__ = [
     "NUM_BINS",
-    "FidelityHistogram",
+    "BIN_EDGES",
     "DiversitySummary",
+    "fidelity_densities",
+    "haar_densities",
     "js_divergence",
     "suite_diversity",
 ]
 
 NUM_BINS = 50
+BIN_EDGES = np.linspace(0.0, 1.0, NUM_BINS + 1)  # every histogram's bins on [0, 1]
+BIN_EDGES.flags.writeable = False
 DEFAULT_MAX_PAIRS = 100_000
 GRAM_BLOCK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class FidelityHistogram:
-    """Normalized histogram of pairwise fidelities over 50 uniform bins on [0, 1];
-    sample_count is None for an exact distribution."""
+def fidelity_densities(fids) -> np.ndarray:
+    """The share of the fidelities, clipped to [0, 1], in each bin of BIN_EDGES."""
+    counts, _ = np.histogram(np.clip(np.asarray(fids, dtype=np.float64), 0.0, 1.0), BIN_EDGES)
+    return counts / counts.sum()
 
-    bin_edges: np.ndarray
-    densities: np.ndarray
-    sample_count: Optional[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "bin_edges", np.asarray(self.bin_edges, dtype=np.float64))
-        object.__setattr__(self, "densities", np.asarray(self.densities, dtype=np.float64))
-        if self.bin_edges.shape[0] != self.densities.shape[0] + 1:
-            raise ValueError("bin_edges must have one more entry than densities")
-        if abs(self.densities.sum() - 1.0) > 1e-9:
-            raise ValueError("densities must sum to 1")
-
-    @classmethod
-    def from_fidelities(cls, values: Sequence[float]) -> "FidelityHistogram":
-        values = np.asarray(values, dtype=np.float64)
-        edges = np.linspace(0.0, 1.0, NUM_BINS + 1)
-        counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
-        return cls(edges, counts / counts.sum(), int(values.size))
-
-    @classmethod
-    def haar(cls, num_qubits: int) -> "FidelityHistogram":
-        """Exact Haar histogram at d = 2^q: bin [a, b] holds (1-a)^(d-1) - (1-b)^(d-1)."""
-        edges = np.linspace(0.0, 1.0, NUM_BINS + 1)
-        tail = (1.0 - edges) ** (2**num_qubits - 1)
-        return cls(edges, tail[:-1] - tail[1:], None)
+def haar_densities(num_qubits: int) -> np.ndarray:
+    """Exact Haar densities at d = 2^q: bin [a, b] holds (1-a)^(d-1) - (1-b)^(d-1)."""
+    tail = (1.0 - BIN_EDGES) ** (2**num_qubits - 1)
+    return tail[:-1] - tail[1:]
 
 
 def _pair_fidelities(
@@ -75,21 +59,22 @@ def _pair_fidelities(
     return np.abs(np.sum(amps[i] * amps[j].conj(), axis=1)) ** 2
 
 
-def js_divergence(p: FidelityHistogram, q: FidelityHistogram) -> float:
-    """Jensen-Shannon divergence between two identically binned histograms.
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence between two density arrays over the same bins.
 
     Uses log base 2; bins where both densities vanish contribute nothing, and
     the result is bounded in [0, 1].
     """
-    if not np.array_equal(p.bin_edges, q.bin_edges):
-        raise ValueError("histograms must share the same binning")
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"density arrays of shapes {p.shape} and {q.shape} differ")
 
     def _kl(a: np.ndarray, b: np.ndarray) -> float:
         mask = a > 0
         return float(np.sum(a[mask] * np.log2(a[mask] / b[mask])))
 
-    m = 0.5 * (p.densities + q.densities)
-    return 0.5 * _kl(p.densities, m) + 0.5 * _kl(q.densities, m)
+    m = 0.5 * (p + q)
+    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
 
 
 @dataclass(frozen=True)
@@ -108,9 +93,9 @@ def suite_diversity(
 ) -> tuple:
     """Diversity of an encoded suite against a Haar-random baseline.
 
-    Returns (DiversitySummary, suite histogram, exact Haar histogram). The
-    closest-neighbor figure is the mean over states of the maximum fidelity
-    to any other state in the suite.
+    Returns (DiversitySummary, suite densities, exact Haar densities), both
+    over BIN_EDGES. The closest-neighbor figure is the mean over states of
+    the maximum fidelity to any other state in the suite.
     """
     feats = np.asarray(suite_features, dtype=np.float64)
     if feats.shape[0] < 2:
@@ -118,9 +103,7 @@ def suite_diversity(
     amps = encode_batch(encoder, feats, num_qubits)
 
     fids = _pair_fidelities(amps, max_pairs, seed)
-    suite_hist = FidelityHistogram.from_fidelities(fids)
-
-    haar_hist = FidelityHistogram.haar(num_qubits)
+    suite, haar = fidelity_densities(fids), haar_densities(num_qubits)
 
     step = max(1, GRAM_BLOCK_ENTRIES // len(amps))
     closest = []
@@ -130,8 +113,8 @@ def suite_diversity(
         closest.append(block.max(axis=1))
 
     summary = DiversitySummary(
-        js_vs_haar=js_divergence(suite_hist, haar_hist),
+        js_vs_haar=js_divergence(suite, haar),
         mean_fidelity=float(fids.mean()),
         closest_neighbor_fidelity=float(np.concatenate(closest).mean()),
     )
-    return summary, suite_hist, haar_hist
+    return summary, suite, haar

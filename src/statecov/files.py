@@ -4,10 +4,10 @@ tables, one reader, one kind check, and one writer for each format.
 A table lists a file's fields in order as (path, kind) or (path, kind,
 absent); the dotted path is the JSON location and the attribute path on the
 object written. A field with a third entry may be null, and reads as that
-entry when absent. check() knows every kind the package reads, the CLI's
-config file included: int, float, str, bool, a tuple of choices, [int] and
-[float]. int takes JSON integers only, never true or 4.0, and float takes
-JSON numbers within the float range.
+entry when absent; a key no field declares is an error. check() knows every
+kind the package reads, the CLI's config file included: int, float, str,
+bool, a tuple of choices, [int] and [float]. int takes JSON integers only,
+never true or 4.0, and float takes JSON numbers within the float range.
 """
 
 import csv
@@ -139,12 +139,18 @@ def load(path, what: str) -> dict:
 
 def read(path, schema: Schema, build):
     """build({path: checked value}) over the schema's fields of the file at
-    path. Any ValueError, build's included, is raised as FileFormatError
-    naming the file."""
+    path, which may hold no other key. Any ValueError, build's included, is
+    raised as FileFormatError naming the file."""
     doc = load(path, schema.what)
     try:
         if _field(doc, "format_version", int) != schema.version:
             raise ValueError(f"unsupported format_version: {doc['format_version']}")
-        return build({field[0]: _field(doc, *field) for field in schema.fields})
+        values = {field[0]: _field(doc, *field) for field in schema.fields}
+        nested = {name.split(".")[0] for name in values if "." in name}
+        for key in doc:  # the fields above have checked that nested keys hold objects
+            for name in [f"{key}.{sub}" for sub in doc[key]] if key in nested else [key]:
+                if name not in values and name != "format_version":
+                    raise ValueError(f"unknown field: {name}")
+        return build(values)
     except ValueError as exc:
         raise FileFormatError(f"{schema.what} {path}: {exc}") from exc

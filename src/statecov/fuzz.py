@@ -32,14 +32,11 @@ its failing mutants are committed once, at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
-from .datasets import save_csv
-from .files import write_json
 from .qnn import LabeledDataset, QnnModel, _check_labels, _unencodable, forward_batch
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "mutate",
     "fuzz",
     "random_test",
-    "save_outcome",
 ]
 
 CRITERIA = ("ksc", "scc", "tsc")
@@ -245,21 +241,3 @@ def random_test(
     if not (0 <= reenqueue_prob <= 1):
         raise ValueError(f"reenqueue_prob must be in [0, 1], got {reenqueue_prob}")
     return _run_loop(model, initial_seeds, prof, config, reenqueue_prob)
-
-
-def save_outcome(outcome: FuzzOutcome, config: FuzzConfig, out_dir) -> None:
-    """Persist failed cases (CSV), a JSON summary and a reproducibility manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if len(outcome.failed_cases):
-        save_csv(outcome.failed_cases, out_dir / "failed_cases.csv")
-    summary = {
-        "tsr": outcome.tsr,
-        "iterations": outcome.iterations,
-        "num_failed_cases": len(outcome.failed_cases),
-        "num_initial_seeds": outcome.num_initial_seeds,
-        "coverage_before": asdict(outcome.coverage_before),
-        "coverage_after": asdict(outcome.coverage_after),
-    }
-    write_json(out_dir / "summary.json", summary)
-    write_json(out_dir / "manifest.json", asdict(config))

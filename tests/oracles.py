@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from statecov.coverage import CoverageTracker
-from statecov.diversity import DEFAULT_MAX_PAIRS, FidelityHistogram, _pair_fidelities
+from statecov.diversity import DEFAULT_MAX_PAIRS, _pair_fidelities, fidelity_densities
 from statecov.gradients import GradientError
 from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
 from statecov.sim import CONTROLLED_GATES, ROTATION_GATES, apply_circuit_batch
@@ -112,12 +112,12 @@ def pairwise_fidelity_hist(
     states: np.ndarray,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     seed: Optional[int] = None,
-) -> FidelityHistogram:
-    """Histogram of the pair fidelities of the rows of an (n, 2^q) amplitude array."""
+) -> np.ndarray:
+    """Densities of the pair fidelities of the rows of an (n, 2^q) amplitude array."""
     if len(states) < 2:
         raise ValueError("need at least 2 states for pairwise fidelities")
     amps = np.asarray(states, dtype=np.complex128)
-    return FidelityHistogram.from_fidelities(_pair_fidelities(amps, max_pairs, seed))
+    return fidelity_densities(_pair_fidelities(amps, max_pairs, seed))
 
 
 def mutate_row(x: np.ndarray, ref: np.ndarray, rng: np.random.Generator, alpha: float) -> np.ndarray:
@@ -200,7 +200,7 @@ def load_csv_rows(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[-1] != "label":
+        if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected header ending in 'label'")
         feats = []
         labels = []

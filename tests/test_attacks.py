@@ -1,11 +1,10 @@
-import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from statecov.attacks import AttackConfig, attack_suite, save_attack_suite
+from statecov.attacks import AttackConfig, attack_suite
 from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, build_model, forward_batch
 
 
@@ -129,21 +128,6 @@ class TestAttackSuite:
         b, asr_b = attack_suite(toy4_model, toy4_train_data, cfg)
         assert np.array_equal(a.features, b.features)
         assert asr_a == asr_b
-
-    def test_save_round_trip(self, toy4_model, toy4_train_data, tmp_path):
-        from statecov.datasets import load_csv
-
-        cfg = AttackConfig(kind="fgsm")
-        adv, asr = attack_suite(toy4_model, toy4_train_data, cfg)
-        csv_path = tmp_path / "adv.csv"
-        prov_path = tmp_path / "adv.json"
-        save_attack_suite(adv, cfg, toy4_train_data.digest(), csv_path, prov_path, asr=asr)
-        loaded = load_csv(csv_path)
-        assert np.allclose(loaded.features, adv.features, atol=1e-12)
-        doc = json.loads(prov_path.read_text())
-        assert doc["kind"] == "fgsm"
-        assert doc["source_digest"] == toy4_train_data.digest()
-        assert doc["asr"] == asr
 
 
 def _per_row(model, data, config):

@@ -1,16 +1,21 @@
 import json
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statecov import cli
+from statecov.attacks import AttackConfig, attack_suite
 from statecov.cli import build_parser, main
 from statecov.coverage import StateProfile
-from statecov.datasets import gaussian_blobs, save_csv
-from statecov.diversity import NUM_BINS, FidelityHistogram
-from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, build_model, save_model
+from statecov.datasets import gaussian_blobs, load_csv, save_csv
+from statecov.diversity import BIN_EDGES, NUM_BINS, haar_densities
+from statecov.fuzz import FuzzConfig, fuzz, random_test
+from statecov.qnn import (
+    AnsatzSpec, EncoderSpec, LabeledDataset, build_model, load_model, save_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,11 +191,16 @@ class TestAttack:
             ]
         )
         assert code == 0
+        data = load_csv(data_csv)
+        acfg = AttackConfig(kind=kind)
+        adv, asr = attack_suite(load_model(trained_dir / "model.json"), data, acfg)
         summary = json.loads((tmp_path / kind / "summary.json").read_text())
-        assert 0.0 <= summary["asr"] <= 1.0
+        assert summary == {"asr": asr, "num_inputs": len(data)} and 0.0 <= asr <= 1.0
         prov = json.loads((tmp_path / kind / "provenance.json").read_text())
-        assert prov["kind"] == kind
-        assert (tmp_path / kind / "adversarial.csv").exists()
+        assert prov == {**asdict(acfg), "source_digest": data.digest(), "asr": asr}
+        saved = load_csv(tmp_path / kind / "adversarial.csv")
+        assert np.array_equal(saved.features, adv.features)
+        assert np.array_equal(saved.labels, adv.labels)
 
     def test_invalid_epsilon_internal_error(self, trained_dir, data_csv, tmp_path):
         code = main(
@@ -205,7 +215,31 @@ class TestAttack:
         assert code == 1
 
 
+def _check_fuzz_outputs(out, outcome, fcfg):
+    """The fuzz files in out hold outcome and its config fcfg."""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {
+        "tsr": outcome.tsr,
+        "iterations": outcome.iterations,
+        "num_failed_cases": len(outcome.failed_cases),
+        "num_initial_seeds": outcome.num_initial_seeds,
+        "coverage_before": asdict(outcome.coverage_before),
+        "coverage_after": asdict(outcome.coverage_after),
+    }
+    assert json.loads((out / "manifest.json").read_text()) == asdict(fcfg)
+    if len(outcome.failed_cases):
+        saved = load_csv(out / "failed_cases.csv")
+        assert np.array_equal(saved.features, outcome.failed_cases.features)
+        assert np.array_equal(saved.labels, outcome.failed_cases.labels)
+    else:
+        assert not (out / "failed_cases.csv").exists()
+
+
 class TestFuzz:
+    def _inputs(self, trained_dir, profile_dir, data_csv):
+        model = load_model(trained_dir / "model.json")
+        return model, load_csv(data_csv), StateProfile.from_json(profile_dir / "profile.json")
+
     def test_guided_run(self, trained_dir, profile_dir, data_csv, tmp_path):
         code = main(
             [
@@ -219,10 +253,10 @@ class TestFuzz:
             ]
         )
         assert code == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["iterations"] <= 150
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["criterion"] == "ksc"
+        fcfg = FuzzConfig(criterion="ksc", max_iterations=150)
+        outcome = fuzz(*self._inputs(trained_dir, profile_dir, data_csv), fcfg)
+        assert outcome.iterations <= 150 and len(outcome.failed_cases)
+        _check_fuzz_outputs(tmp_path, outcome, fcfg)
 
     def test_random_baseline_flag(self, trained_dir, profile_dir, data_csv, tmp_path):
         code = main(
@@ -241,6 +275,9 @@ class TestFuzz:
         doc = json.loads((tmp_path / "resolved_config.json").read_text())
         assert doc["random_baseline"] is True
         assert doc["reenqueue_prob"] == 0.5
+        fcfg = FuzzConfig(max_iterations=100)
+        inputs = self._inputs(trained_dir, profile_dir, data_csv)
+        _check_fuzz_outputs(tmp_path, random_test(*inputs, fcfg, reenqueue_prob=0.5), fcfg)
 
 
 def _histogram_csv(path):
@@ -267,9 +304,9 @@ class TestDiversity:
         assert suite_hist.shape == haar.shape == (NUM_BINS, 3)
         assert suite_hist[:, 2].sum() == pytest.approx(1.0, abs=1e-12)
         # the baseline is the exact 4-qubit Haar histogram, written bit for bit
-        exact = FidelityHistogram.haar(4)
-        assert np.array_equal(haar[:, 2], exact.densities)
-        assert np.array_equal(haar[:, 0], exact.bin_edges[:-1])
+        assert np.array_equal(haar[:, 2], haar_densities(4))
+        assert np.array_equal(suite_hist[:, 0], BIN_EDGES[:-1])
+        assert np.array_equal(haar[:, 1], BIN_EDGES[1:])
         resolved = json.loads((tmp_path / "resolved_config.json").read_text())
         assert "haar_samples" not in resolved
 
@@ -717,6 +754,92 @@ class TestBoundaryValidation:
         )
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("model", "extra"), ("model", "encoder.extra"), ("model", "ansatz.extra"),
+         ("profile", "extra")],
+    )
+    def test_unknown_file_field_is_config_error(
+        self, kind, field, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        """A key the file's schema does not declare is refused by name, as
+        an unknown config-file key is."""
+        paths = {"model": trained_dir / "model.json", "profile": profile_dir / "profile.json"}
+        doc = json.loads(paths[kind].read_text())
+        *parent, last = field.split(".")
+        (doc[parent[0]] if parent else doc)[last] = 1
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--model", str(paths["model"]), "--profile", str(paths["profile"])]
+        assert main(["coverage", *argv, "--suite", str(data_csv), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {kind} {paths[kind]}: unknown field: {field}\n"
+        assert not out.exists()
+
+    def test_non_utf8_dataset_is_named(self, trained_dir, tmp_path, capsys):
+        bad = tmp_path / "data.csv"
+        bad.write_bytes(b"f0,f1,f2,f3,label\n0.5,0.5,0.5,0.5,0\n0.5,\xff,0.5,0.5,1\n")
+        out = tmp_path / "out"
+        argv = ["--model", str(trained_dir / "model.json"), "--dataset", str(bad)]
+        assert main(["profile", *argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
+        assert not out.exists()
+
+
+class TestBadPaths:
+    """A path that names the wrong kind of file system entry is a usage
+    error naming the path, and a failed run leaves no output directory."""
+
+    def test_model_path_is_a_directory(self, profile_dir, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--model", str(tmp_path), "--profile", str(profile_dir / "profile.json")]
+        assert main(["coverage", *argv, "--suite", str(data_csv), "--out-dir", str(out)]) == 2
+        message = f"error: model {tmp_path}: cannot read the file: Is a directory\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_dataset_path_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(tmp_path), "--out-dir", str(out)]) == 2
+        message = f"error: dataset {tmp_path}: cannot read the file: Is a directory\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path), "--out-dir", str(out)]) == 2
+        message = f"error: config file {tmp_path}: cannot read the file: Is a directory\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack", "fuzz"])
+    def test_out_dir_is_an_existing_file(
+        self, command, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        model = ["--model", str(trained_dir / "model.json")]
+        inputs = {
+            "train": ["--dataset", str(data_csv), "--epochs", "1"],
+            "attack": [*model, "--dataset", str(data_csv)],
+            "fuzz": [*model, "--profile", str(profile_dir / "profile.json"),
+                     "--seeds", str(data_csv), "--max-iterations", "20"],
+        }
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
+        message = f"error: out_dir {out}: cannot make the directory: File exists\n"
+        assert capsys.readouterr().err == message
+        assert out.read_text() == "kept\n"
+
+    def test_out_dir_under_a_file(self, data_csv, tmp_path, capsys):
+        parent = tmp_path / "taken"
+        parent.write_text("kept\n")
+        out = parent / "sub"
+        assert main(["train", "--dataset", str(data_csv), "--epochs", "1", "--out-dir", str(out)]) == 2
+        message = f"error: out_dir {out}: cannot make the directory: Not a directory\n"
+        assert capsys.readouterr().err == message
+        assert parent.read_text() == "kept\n"
 
 
 def test_seeded_runs_are_byte_identical(data_csv, tmp_path):

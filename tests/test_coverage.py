@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecov.coverage import (
+    BOUNDARY_MODES,
     CoverageConfig,
     CoverageTracker,
     StateProfile,
@@ -474,6 +475,73 @@ class TestAddBatch:
         with pytest.raises(ValueError, match="shape"):
             tracker.add_input(pvs[:2])
         assert tracker.num_inputs == 0 and not tracker.cells.any()
+
+
+@st.composite
+def _choice_case(draw):
+    """(MAD profile of 3-29 Dirichlet rows, 1-40 suite rows) at q = 1-4, the
+    rows rounded to 1-3 decimals in some cases so that ties are common."""
+    s = 2 ** draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.dirichlet(np.ones(s), size=draw(st.integers(3, 29)))
+    suite = rng.dirichlet(np.ones(s), size=draw(st.integers(1, 40)))
+    decimals = draw(st.sampled_from([None, 1, 2, 3]))
+    if decimals is not None:
+        samples, suite = samples.round(decimals), suite.round(decimals)
+    return profile_from_samples(samples, confidence=0.99), suite
+
+
+def _fold(prof, suite, **config):
+    tracker = CoverageTracker(prof, CoverageConfig(**config))
+    tracker.fold(suite)
+    return tracker.report()
+
+
+class TestParameterChoice:
+    """The paper's parameter choices (k, top_k, the boundary mode) as exact
+    invariants of the folded report."""
+
+    @given(case=_choice_case(), k=st.integers(1, 39), mode=st.sampled_from(BOUNDARY_MODES))
+    @settings(max_examples=150, deadline=None)
+    def test_refining_k_splits_cells(self, case, k, mode):
+        # each cell at k is two cells at 2k
+        prof, suite = case
+        coarse = _fold(prof, suite, k_cells=k, boundary_mode=mode).covered_cells
+        fine = _fold(prof, suite, k_cells=2 * k, boundary_mode=mode).covered_cells
+        assert coarse <= fine <= 2 * coarse
+
+    @given(case=_choice_case(), k=st.integers(1, 39))
+    @settings(max_examples=150, deadline=None)
+    def test_tsc_never_falls_as_top_k_grows(self, case, k):
+        prof, suite = case
+        tsc = [_fold(prof, suite, k_cells=k, top_k=t).tsc for t in range(1, prof.num_states + 1)]
+        assert tsc == sorted(tsc) and tsc[-1] == 100.0
+
+    @given(
+        case=_choice_case(),
+        ks=st.tuples(st.integers(1, 39), st.integers(1, 39)),
+        top_ks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        mode=st.sampled_from(BOUNDARY_MODES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scc_does_not_depend_on_k_or_top_k(self, case, ks, top_ks, mode):
+        prof, suite = case
+        a, b = (
+            _fold(prof, suite, k_cells=k, top_k=t, boundary_mode=mode)
+            for k, t in zip(ks, top_ks)
+        )
+        assert (a.scc, a.covered_corners) == (b.scc, b.covered_corners)
+
+    @given(case=_choice_case(), k=st.integers(1, 39), top_k=st.integers(1, 16))
+    @settings(max_examples=150, deadline=None)
+    def test_scc_ordered_sigma_raw_mad(self, case, k, top_k):
+        # sigma bounds contain the raw bounds, which contain the MAD bounds
+        prof, suite = case
+        sigma, raw, mad = (
+            _fold(prof, suite, k_cells=k, top_k=top_k, boundary_mode=mode).scc
+            for mode in ("sigma", "raw", "mad")
+        )
+        assert sigma <= raw <= mad
 
 
 class TestSuiteEvaluation:

@@ -159,3 +159,12 @@ def test_label_outside_int64_is_an_error(tmp_path, loader, label):
     path.write_text(f"f0,label\n0.5,0\n0.5,{label}\n")
     with pytest.raises(ValueError, match=rf"data\.csv:3: label {label} does not fit in int64"):
         loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_csv_rows])
+def test_blank_first_line_is_an_error(tmp_path, loader):
+    # csv.reader gives an empty row for it: no header, so no label column
+    path = tmp_path / "data.csv"
+    path.write_text("\nf0,label\n0.5,0\n")
+    with pytest.raises(ValueError, match=r"data\.csv: expected header ending in 'label'"):
+        loader(path)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from statecov.diversity import (
+    BIN_EDGES,
+    DEFAULT_MAX_PAIRS,
     NUM_BINS,
-    FidelityHistogram,
+    _pair_fidelities,
+    fidelity_densities,
+    haar_densities,
     js_divergence,
     suite_diversity,
 )
@@ -21,7 +25,7 @@ def _sampled_haar_densities(q, num_states=400):
     """Oracle: histogram of all pair fidelities of seeded Haar-random states."""
     return pairwise_fidelity_hist(
         np.stack([haar_random_state(q, s) for s in range(num_states)]), max_pairs=num_states**2
-    ).densities
+    )
 
 
 def _basis(q, idx):
@@ -32,41 +36,42 @@ def _basis(q, idx):
 
 class TestHistogram:
     def test_binning_layout(self):
-        hist = FidelityHistogram.from_fidelities([0.0, 0.5, 1.0])
-        assert hist.bin_edges.shape == (NUM_BINS + 1,)
-        assert hist.densities.shape == (NUM_BINS,)
-        assert hist.densities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert hist.sample_count == 3
+        densities = fidelity_densities([0.0, 0.5, 1.0])
+        assert np.array_equal(BIN_EDGES, np.linspace(0.0, 1.0, NUM_BINS + 1))
+        assert densities.shape == (NUM_BINS,)
+        assert densities.sum() == pytest.approx(1.0, abs=1e-12)
+        # one of the three values in each of the first, middle and closed last bins
+        assert np.flatnonzero(densities).tolist() == [0, NUM_BINS // 2, NUM_BINS - 1]
+        assert densities[[0, NUM_BINS // 2, -1]].tolist() == [1 / 3] * 3
 
     def test_identical_states_mass_in_last_bin(self):
-        hist = pairwise_fidelity_hist(np.stack([_basis(2, 1) for _ in range(5)]))
-        assert hist.densities[-1] == 1.0
+        densities = pairwise_fidelity_hist(np.stack([_basis(2, 1) for _ in range(5)]))
+        assert densities[-1] == 1.0
 
     def test_orthogonal_states_mass_in_first_bin(self):
-        hist = pairwise_fidelity_hist(np.stack([_basis(2, i) for i in range(4)]))
-        assert hist.densities[0] == 1.0
-        assert hist.sample_count == 6
+        states = np.stack([_basis(2, i) for i in range(4)])
+        assert pairwise_fidelity_hist(states)[0] == 1.0
+        assert len(_pair_fidelities(states, DEFAULT_MAX_PAIRS, None)) == 6
 
     def test_too_few_states(self):
         with pytest.raises(ValueError):
             pairwise_fidelity_hist(_basis(1, 0)[None])
 
     def test_mismatched_shapes_rejected(self):
-        edges = np.linspace(0, 1, NUM_BINS + 1)
-        with pytest.raises(ValueError):
-            FidelityHistogram(edges, np.zeros(NUM_BINS - 1), 0)
+        with pytest.raises(ValueError, match="shapes"):
+            js_divergence(fidelity_densities([0.5]), np.full(NUM_BINS - 1, 1 / (NUM_BINS - 1)))
 
     def test_subsampled_pairs_deterministic(self):
         states = np.stack([haar_random_state(2, s) for s in range(40)])
         a = pairwise_fidelity_hist(states, max_pairs=100, seed=7)
         b = pairwise_fidelity_hist(states, max_pairs=100, seed=7)
-        assert np.array_equal(a.densities, b.densities)
-        assert a.sample_count == 100
+        assert np.array_equal(a, b)
+        assert len(_pair_fidelities(states, 100, 7)) == 100
 
     def test_csv_export(self, tmp_path):
-        hist = FidelityHistogram.from_fidelities([0.1, 0.2, 0.9])
+        densities = fidelity_densities([0.1, 0.2, 0.9])
         path = tmp_path / "hist.csv"
-        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
+        rows = zip(BIN_EDGES[:-1], BIN_EDGES[1:], densities)
         write_csv(path, ["bin_left", "bin_right", "density"], rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,density"
@@ -75,40 +80,40 @@ class TestHistogram:
 
 class TestJsDivergence:
     def test_self_is_zero(self):
-        hist = FidelityHistogram.from_fidelities(np.linspace(0, 1, 200))
-        assert js_divergence(hist, hist) == pytest.approx(0.0, abs=1e-15)
+        densities = fidelity_densities(np.linspace(0, 1, 200))
+        assert js_divergence(densities, densities) == pytest.approx(0.0, abs=1e-15)
 
     def test_disjoint_is_one(self):
-        low = FidelityHistogram.from_fidelities([0.01, 0.02, 0.03])
-        high = FidelityHistogram.from_fidelities([0.97, 0.98, 0.99])
+        low = fidelity_densities([0.01, 0.02, 0.03])
+        high = fidelity_densities([0.97, 0.98, 0.99])
         assert js_divergence(low, high) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self):
-        a = FidelityHistogram.from_fidelities(np.random.default_rng(0).uniform(0, 1, 500))
-        b = FidelityHistogram.from_fidelities(np.random.default_rng(1).beta(2, 5, 500))
+        a = fidelity_densities(np.random.default_rng(0).uniform(0, 1, 500))
+        b = fidelity_densities(np.random.default_rng(1).beta(2, 5, 500))
         assert js_divergence(a, b) == pytest.approx(js_divergence(b, a), abs=1e-15)
 
     def test_two_bin_closed_form(self):
         # p = (1, 0), q = (0.5, 0.5) concentrated over two bins:
         # JS = 0.5*log2(4/3) + 0.25*log2(2) + 0.25*log2(2/3)
-        p = FidelityHistogram.from_fidelities([0.005, 0.005])
-        q = FidelityHistogram.from_fidelities([0.005, 0.025])
+        p = fidelity_densities([0.005, 0.005])
+        q = fidelity_densities([0.005, 0.025])
         expected = 0.5 * np.log2(4 / 3) + 0.25 * np.log2(2) + 0.25 * np.log2(2 / 3)
         assert js_divergence(p, q) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_zero_one(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            a = FidelityHistogram.from_fidelities(rng.uniform(0, 1, 100))
-            b = FidelityHistogram.from_fidelities(rng.beta(0.5, 0.5, 100))
+            a = fidelity_densities(rng.uniform(0, 1, 100))
+            b = fidelity_densities(rng.beta(0.5, 0.5, 100))
             d = js_divergence(a, b)
             assert 0.0 <= d <= 1.0
 
     def test_binning_mismatch_rejected(self):
-        hist = FidelityHistogram.from_fidelities([0.5])
-        other = FidelityHistogram(hist.bin_edges + 0.001, hist.densities, 1)
-        with pytest.raises(ValueError):
-            js_divergence(hist, other)
+        # every density array is over the one BIN_EDGES, which cannot be rebinned
+        with pytest.raises(ValueError, match="read-only"):
+            BIN_EDGES[1:] += 0.001
+        assert BIN_EDGES[1] == 1 / NUM_BINS
 
 
 class TestHaarBaseline:
@@ -123,10 +128,9 @@ class TestHaarBaseline:
 
     @pytest.mark.parametrize("q", [1, 2, 4, 6])
     def test_closed_form_matches_sampled_pairs(self, q):
-        hist = FidelityHistogram.haar(q)
-        assert hist.sample_count is None
-        assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1.0, NUM_BINS + 1))
-        assert np.max(np.abs(hist.densities - _sampled_haar_densities(q))) <= HAAR_BIN_TOL
+        densities = haar_densities(q)
+        assert densities.shape == (NUM_BINS,)
+        assert np.max(np.abs(densities - _sampled_haar_densities(q))) <= HAAR_BIN_TOL
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_sampled_oracle_rejects_wrong_exponent(self, q):
@@ -138,9 +142,9 @@ class TestHaarBaseline:
 
     def test_wide_register_puts_mass_near_zero(self):
         # at q = 14 the first bin holds 1 - 0.98^16383 and the others underflow
-        hist = FidelityHistogram.haar(14)
-        assert hist.densities[0] == pytest.approx(1.0, abs=1e-15)
-        assert hist.densities.sum() == pytest.approx(1.0, abs=1e-12)
+        densities = haar_densities(14)
+        assert densities[0] == pytest.approx(1.0, abs=1e-15)
+        assert densities.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSuiteDiversity:
@@ -184,24 +188,25 @@ class TestSuiteDiversity:
         feats = np.random.default_rng(6).uniform(0, 1, (64, 14))
         tracemalloc.start()
         try:
-            summary, _, haar_hist = suite_diversity(EncoderSpec("angle", 14), 14, feats, seed=1)
+            summary, _, haar = suite_diversity(EncoderSpec("angle", 14), 14, feats, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert haar_hist.sample_count is None and 0.0 <= summary.js_vs_haar <= 1.0
+        assert np.array_equal(haar, haar_densities(14)) and 0.0 <= summary.js_vs_haar <= 1.0
 
     def test_returns_both_histograms(self):
         feats = np.random.default_rng(4).uniform(0, 1, (10, 3))
-        summary, suite_hist, haar_hist = suite_diversity(
-            EncoderSpec("angle", 3), 3, feats, seed=1
-        )
-        assert suite_hist.sample_count == 45
+        enc = EncoderSpec("angle", 3)
+        summary, suite, haar = suite_diversity(enc, 3, feats, seed=1)
+        # the suite densities are those of all 45 pairs of the 10 rows
+        fids = _pair_fidelities(encode_batch(enc, feats, 3), DEFAULT_MAX_PAIRS, 1)
+        assert len(fids) == 45
+        assert np.array_equal(suite, fidelity_densities(fids))
         # the baseline is the exact 3-qubit Haar histogram, which
         # test_closed_form_matches_sampled_pairs checks against sampled states
-        assert haar_hist.sample_count is None
-        assert np.array_equal(haar_hist.densities, FidelityHistogram.haar(3).densities)
-        assert summary.js_vs_haar == js_divergence(suite_hist, haar_hist)
+        assert np.array_equal(haar, haar_densities(3))
+        assert summary.js_vs_haar == js_divergence(suite, haar)
         assert 0.0 <= summary.js_vs_haar <= 1.0
 
     def test_deterministic_per_seed(self):

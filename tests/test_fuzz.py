@@ -1,6 +1,5 @@
 import copy
 import importlib
-import json
 from collections import deque
 
 import numpy as np
@@ -10,8 +9,7 @@ from hypothesis import strategies as st
 
 from statecov.coverage import CoverageConfig, CoverageTracker, collect_prob_vectors, profile
 from statecov.datasets import gaussian_blobs
-from statecov.datasets import load_csv
-from statecov.fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test, save_outcome
+from statecov.fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -276,24 +274,6 @@ class TestFuzzLoop:
         assert none.reenqueue_rate == 0.0
         # with no re-enqueuing the queue drains after one pass over the seeds
         assert none.iterations <= full.iterations
-
-    def test_save_outcome(self, toy_setup, tmp_path):
-        model, seeds, prof = toy_setup
-        cfg = FuzzConfig(criterion="tsc", max_iterations=300, seed=6)
-        out = fuzz(model, seeds, prof, cfg)
-        save_outcome(out, cfg, tmp_path)
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["tsr"] == out.tsr
-        assert summary["num_failed_cases"] == len(out.failed_cases)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["criterion"] == "tsc"
-        assert manifest["seed"] == 6
-        if len(out.failed_cases):
-            saved = load_csv(tmp_path / "failed_cases.csv")
-            assert np.array_equal(saved.features, out.failed_cases.features)
-            assert np.array_equal(saved.labels, out.failed_cases.labels)
-        else:
-            assert not (tmp_path / "failed_cases.csv").exists()
 
 
 def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
