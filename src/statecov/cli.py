@@ -4,7 +4,7 @@ Subcommands: train, profile, coverage, attack, fuzz, diversity. The library
 returns values, and this module alone decides which files a run writes.
 Every run writes a resolved-config JSON next to its outputs so that
 re-running the file reproduces the results. Exit codes: 0 success,
-1 internal error, 2 usage/config error.
+1 internal error, 2 usage/config error or an output that cannot be written.
 
 OPTIONS declares every option once, as OPTIONS[command][key] = (kind,
 default) in resolved-config order. The kind is int, float or str, a tuple of
@@ -34,7 +34,6 @@ from .coverage import (
 )
 from .datasets import load_csv, save_csv
 from .diversity import BIN_EDGES, suite_diversity
-from .files import write_json
 from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test
 from .qnn import (
     ANSATZ_PRESETS,
@@ -157,7 +156,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 file_cfg[key] = files.check(key, value, kind)
             except ValueError as exc:
                 raise ConfigError(f"config file: {exc}") from None
-    resolved = {}
+    resolved = {"command": args.command}  # the resolved_config.json a run writes
     for key, (_, default) in options.items():
         flag = getattr(args, key)
         resolved[key] = file_cfg.get(key, default) if flag is None else flag
@@ -237,7 +236,7 @@ def cmd_train(cfg) -> int:
     losses = ((epoch, repr(loss)) for epoch, loss in enumerate(history["loss"]))
     files.write_csv(out / "loss_history.csv", ["epoch", "loss"], losses)
     summary = {"train_accuracy": history["train_accuracy"], "final_loss": history["loss"][-1]}
-    write_json(out / "summary.json", summary)
+    files.write_json(out / "summary.json", summary)
     print(f"train accuracy: {history['train_accuracy']:.4f}")
     return 0
 
@@ -269,19 +268,14 @@ def cmd_profile(cfg) -> int:
     return 0
 
 
-def _coverage_config(cfg) -> CoverageConfig:
-    return CoverageConfig(k_cells=cfg["k"], top_k=cfg["top_k"], boundary_mode=cfg["boundary_mode"])
-
-
 def cmd_coverage(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
     suite = _load_data(cfg["suite"], model)
-    report = coverage_suite(
-        model, suite, prof, _coverage_config(cfg), shots=cfg["shots"], seed=cfg["seed"]
-    )
+    ccfg = _config(CoverageConfig, cfg, k_cells=cfg["k"])
+    report = coverage_suite(model, suite, prof, ccfg, shots=cfg["shots"], seed=cfg["seed"])
     out = _out_dir(cfg)
-    write_json(out / "report.json", asdict(report))
+    files.write_json(out / "report.json", asdict(report))
     files.write_csv(out / "report.csv", ["metric", "value"], asdict(report).items())
     print(f"KSC={report.ksc:.2f}% SCC={report.scc:.2f}% TSC={report.tsc:.2f}%")
     return 0
@@ -295,8 +289,8 @@ def cmd_attack(cfg) -> int:
     out = _out_dir(cfg)
     save_csv(adv, out / "adversarial.csv")
     provenance = {**asdict(acfg), "source_digest": data.digest(), "asr": asr}
-    write_json(out / "provenance.json", provenance)
-    write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
+    files.write_json(out / "provenance.json", provenance)
+    files.write_json(out / "summary.json", {"asr": asr, "num_inputs": len(data)})
     print(f"attack success rate: {100.0 * asr:.1f}%")
     return 0
 
@@ -305,7 +299,7 @@ def cmd_fuzz(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
     seeds = _load_data(cfg["seeds"], model)
-    fcfg = _config(FuzzConfig, cfg, coverage=_coverage_config(cfg))
+    fcfg = _config(FuzzConfig, cfg, coverage=_config(CoverageConfig, cfg, k_cells=cfg["k"]))
     if cfg["random_baseline"]:
         outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=cfg["reenqueue_prob"])
     else:
@@ -321,8 +315,8 @@ def cmd_fuzz(cfg) -> int:
         "coverage_before": asdict(outcome.coverage_before),
         "coverage_after": asdict(outcome.coverage_after),
     }
-    write_json(out / "summary.json", summary)
-    write_json(out / "manifest.json", asdict(fcfg))
+    files.write_json(out / "summary.json", summary)
+    files.write_json(out / "manifest.json", asdict(fcfg))
     print(
         f"TSR={outcome.tsr:.1f}% failures={len(outcome.failed_cases)} "
         f"iterations={outcome.iterations}"
@@ -339,7 +333,7 @@ def cmd_diversity(cfg) -> int:
         model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
     )
     out = _out_dir(cfg)
-    write_json(out / "diversity.json", asdict(summary))
+    files.write_json(out / "diversity.json", asdict(summary))
     for name, densities in (("suite", suite_densities), ("haar", haar_densities)):
         rows = zip(BIN_EDGES[:-1], BIN_EDGES[1:], densities)
         files.write_csv(out / f"{name}_histogram.csv", ["bin_left", "bin_right", "density"], rows)
@@ -377,10 +371,14 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         code = args.func(cfg)
         if code == 0:
-            write_json(_out_dir(cfg) / "resolved_config.json", {"command": args.command, **cfg})
+            files.write_json(_out_dir(cfg) / "resolved_config.json", cfg)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # _load maps every read, so an output cannot be written
+        where = exc.filename or cfg["out_dir"]
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import files
 from .qnn import BLOCK_AMPS, LabeledDataset, QnnModel, _row_blocks, forward_batch
-from .sim import sample_frequencies
 
 __all__ = [
     "StateProfile",
@@ -300,12 +299,14 @@ def collect_prob_vectors(
     seed: int = 0,
 ) -> np.ndarray:
     """Measured probability vectors for every dataset row, as a (n, 2^q)
-    matrix; with shots, row i is replaced in place by its frequencies under
-    seed + i."""
+    matrix; with shots, row i is replaced in place by the relative counts of
+    one multinomial draw of that size from default_rng(seed + i)."""
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
     probs, _ = forward_batch(model, data.features)
     if shots is not None:
         for i, row in enumerate(probs):
-            probs[i] = sample_frequencies(row, shots, seed + i)
+            probs[i] = np.random.default_rng(seed + i).multinomial(shots, row / row.sum()) / shots
     return probs
 
 

@@ -1,4 +1,4 @@
-"""Dataset plumbing: desk-scale synthetic generators and CSV round-tripping.
+"""Labeled datasets as CSV files: save_csv writes one, load_csv reads it.
 
 CSV layout: header row f0..f{d-1},label; features already scaled to [0, 1].
 The I/O is columnar: save_csv formats every value with repr and writes a
@@ -17,62 +17,9 @@ import numpy as np
 
 from .qnn import LabeledDataset
 
-__all__ = ["gaussian_blobs", "synthetic_grid_digits", "save_csv", "load_csv"]
+__all__ = ["save_csv", "load_csv"]
 
 ROWS_PER_WRITE = 1024
-
-
-def gaussian_blobs(
-    num_classes: int = 2,
-    samples_per_class: int = 50,
-    num_features: int = 4,
-    spread: float = 0.08,
-    seed: int = 0,
-) -> LabeledDataset:
-    """Well-separated Gaussian clusters in [0, 1]^d, one per class.
-
-    Class centers sit on distinct corners-ish anchor points so that a small
-    classifier can separate them; spread controls overlap.
-    """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    rng = np.random.default_rng(seed)
-    anchors = np.zeros((num_classes, num_features))
-    anchors[0, :] = 0.25
-    if num_classes > 1:
-        anchors[1, :] = 0.75
-    if num_classes > 2:
-        anchors[2, : num_features // 2] = 0.75
-        anchors[2, num_features // 2 :] = 0.25
-    feats = []
-    labels = []
-    for c in range(num_classes):
-        pts = anchors[c] + rng.normal(0.0, spread, size=(samples_per_class, num_features))
-        feats.append(np.clip(pts, 0.0, 1.0))
-        labels.append(np.full(samples_per_class, c))
-    return LabeledDataset(np.concatenate(feats), np.concatenate(labels))
-
-
-def synthetic_grid_digits(
-    samples_per_class: int = 50, grid: int = 8, noise: float = 0.1, seed: int = 0
-) -> LabeledDataset:
-    """Two-class stripe-pattern images on a grid x grid canvas, flattened.
-
-    Class 0 shows horizontal bands, class 1 vertical bands, plus pixel noise;
-    a downsampled-digit-like stand-in for image data.
-    """
-    rng = np.random.default_rng(seed)
-    base0 = np.zeros((grid, grid))
-    base0[::2, :] = 0.9
-    base1 = np.zeros((grid, grid))
-    base1[:, ::2] = 0.9
-    feats = []
-    labels = []
-    for c, base in enumerate((base0, base1)):
-        imgs = base[None, :, :] + rng.normal(0.0, noise, size=(samples_per_class, grid, grid))
-        feats.append(np.clip(imgs, 0.0, 1.0).reshape(samples_per_class, -1))
-        labels.append(np.full(samples_per_class, c))
-    return LabeledDataset(np.concatenate(feats), np.concatenate(labels))
 
 
 def save_csv(data: LabeledDataset, path) -> None:

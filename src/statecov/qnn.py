@@ -56,6 +56,9 @@ __all__ = [
 # 2^16 to 2^18, and a 20 000-row pass at q = 4 slowed below 2^17.
 BLOCK_AMPS = 1 << 17
 
+# Widest model a model file or build_model may ask for: 16 MiB of amplitudes a row.
+MAX_QUBITS = 20
+
 ENCODER_KINDS = ("amplitude", "angle")
 ANSATZ_PRESETS = ("layered", "entangling")
 ENTANGLEMENTS = ("linear", "cyclic", "star", "full")
@@ -147,6 +150,8 @@ class QnnModel:
     train_data_digest: Optional[str] = None
 
     def __post_init__(self):
+        if self.num_qubits > MAX_QUBITS:
+            raise ValueError(f"num_qubits {self.num_qubits} is above MAX_QUBITS = {MAX_QUBITS}")
         self.params = np.asarray(self.params, dtype=np.float64)
         if self.params.shape != (self.circuit.num_params,):
             raise ValueError(

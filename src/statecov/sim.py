@@ -37,7 +37,6 @@ __all__ = [
     "SimulationError",
     "apply_circuit_batch",
     "adjoint_sweep",
-    "sample_frequencies",
 ]
 
 # Widest window of qubits a dense block acts on: its matrix is 2^6 x 2^6.
@@ -421,12 +420,3 @@ def adjoint_sweep(
         grad += _kernel_sweep(local, block, params)
     return grad, buffers[0][n:]
 
-
-def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarray:
-    """Relative counts of one seeded multinomial draw of the given size from
-    a probability row (normalized first); deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = np.asarray(probs, dtype=np.float64)
-    counts = np.random.default_rng(rng_seed).multinomial(shots, probs / probs.sum())
-    return counts / shots

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from statecov.datasets import gaussian_blobs, synthetic_grid_digits
 from statecov.qnn import AnsatzSpec, EncoderSpec, TrainConfig, build_model, train
+
+from fixtures import gaussian_blobs, synthetic_grid_digits
 
 
 @pytest.fixture(scope="session")

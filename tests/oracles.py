@@ -4,11 +4,13 @@ Parameter-shift and finite-difference gradients, the latter of the one-row
 cross-entropy, check the adjoint sweep and the input gradients; seeded
 Haar-random states feed the dense-matrix simulator check and, through the
 pair-fidelity histogram of an amplitude array, the closed-form Haar baseline
-and the suite diversity figures; the one-row mutation is what each row of
-a fuzz.mutate batch must equal, the one-row evaluation drives the
-sequential fuzz reference loop, merge is the bitwise union of two coverage
-trackers, and save_csv_rows and load_csv_rows are the csv-module writer and
-row-by-row reader that the columnar save_csv and load_csv must agree with.
+and the suite diversity figures; sample_frequencies is the one-row shot
+draw that row i of collect_prob_vectors(..., shots, seed) must equal at
+seed + i; the one-row mutation is what each row of a fuzz.mutate batch
+must equal, the one-row evaluation drives the sequential fuzz reference
+loop, merge is the bitwise union of two coverage trackers, and
+save_csv_rows and load_csv_rows are the csv-module writer and row-by-row
+reader that the columnar save_csv and load_csv must agree with.
 mad_bounds_whole is the MAD refinement over the whole sample matrix at once,
 which profile_from_samples' column blocks must reproduce.
 """
@@ -106,6 +108,16 @@ def haar_random_state(num_qubits: int, rng_seed: int) -> np.ndarray:
     dim = 2**num_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarray:
+    """Relative counts of one seeded multinomial draw of the given size from
+    a probability row (normalized first); deterministic for a fixed seed."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    probs = np.asarray(probs, dtype=np.float64)
+    counts = np.random.default_rng(rng_seed).multinomial(shots, probs / probs.sum())
+    return counts / shots
 
 
 def pairwise_fidelity_hist(

@@ -16,7 +16,6 @@ from statecov.coverage import (
     profile,
     profile_from_samples,
 )
-from statecov.datasets import gaussian_blobs, synthetic_grid_digits
 from statecov.fuzz import FuzzConfig, fuzz, random_test
 from statecov.gradients import input_grads
 from statecov.qnn import (
@@ -46,9 +45,11 @@ from conftest import (
 )
 from fixtures import (
     REFERENCE_EXPECTED,
+    gaussian_blobs,
     reference_coverage_config,
     reference_input_vector,
     reference_two_qubit_profile,
+    synthetic_grid_digits,
 )
 from oracles import cross_entropy, finite_diff_grad, haar_random_state, param_shift_grad
 

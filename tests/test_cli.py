@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,18 +11,21 @@ from statecov import cli
 from statecov.attacks import AttackConfig, attack_suite
 from statecov.cli import build_parser, main
 from statecov.coverage import StateProfile
-from statecov.datasets import gaussian_blobs, load_csv, save_csv
+from statecov.datasets import load_csv, save_csv
 from statecov.diversity import BIN_EDGES, NUM_BINS, haar_densities
 from statecov.fuzz import FuzzConfig, fuzz, random_test
 from statecov.qnn import (
     AnsatzSpec, EncoderSpec, LabeledDataset, build_model, load_model, save_model,
 )
 
+import golden
+from fixtures import gaussian_blobs
+
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "train.csv"
-    save_csv(gaussian_blobs(2, 20, 4, spread=0.1, seed=3), path)
+    save_csv(golden.chain_data(), path)
     return path
 
 
@@ -841,43 +845,73 @@ class TestBadPaths:
         assert capsys.readouterr().err == message
         assert parent.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, output", [
+        ("train", "model.json"),
+        ("profile", "profile.json"),
+        ("coverage", "report.csv"),
+        ("attack", "provenance.json"),
+        ("fuzz", "manifest.json"),
+        ("diversity", "haar_histogram.csv"),
+        ("diversity", "resolved_config.json"),
+    ])
+    def test_output_path_is_a_directory(
+        self, command, output, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        model, prof = ["--model", str(trained_dir / "model.json")], str(profile_dir / "profile.json")
+        inputs = {
+            "train": ["--dataset", str(data_csv), "--epochs", "1"],
+            "profile": [*model, "--dataset", str(data_csv)],
+            "coverage": [*model, "--profile", prof, "--suite", str(data_csv)],
+            "attack": [*model, "--dataset", str(data_csv)],
+            "fuzz": [*model, "--profile", prof, "--seeds", str(data_csv), "--max-iterations", "20"],
+            "diversity": [*model, "--suite", str(data_csv)],
+        }
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / output}: Is a directory\n"
+
 
 def test_seeded_runs_are_byte_identical(data_csv, tmp_path):
     """Every stage run twice with the same seeds writes the same bytes; only
     the paths recorded in resolved_config.json differ between the roots."""
-
-    def pipeline(root):
-        model, prof = str(root / "train" / "model.json"), str(root / "profile" / "profile.json")
-        runs = {
-            "train": ["train", "--dataset", str(data_csv), "--epochs", "5", "--seed", "3"],
-            "profile": ["profile", "--model", model, "--dataset", str(data_csv), "--mad"],
-            "coverage": ["coverage", "--model", model, "--profile", prof, "--suite", str(data_csv)],
-            "coverage_shots": ["coverage", "--model", model, "--profile", prof,
-                               "--suite", str(data_csv), "--shots", "100", "--seed", "4"],
-            **{
-                f"attack_{kind}": ["attack", "--model", model, "--dataset", str(data_csv),
-                                   "--kind", kind, "--gamma", "0.5", "--seed", "5"]
-                for kind in ("random", "fgsm", "jsma")
-            },
-            "fuzz": ["fuzz", "--model", model, "--profile", prof, "--seeds", str(data_csv),
-                     "--max-iterations", "60", "--seed", "6"],
-            "fuzz_random": ["fuzz", "--model", model, "--profile", prof, "--seeds", str(data_csv),
-                            "--random-baseline", "--reenqueue-prob", "0.5",
-                            "--max-iterations", "60", "--seed", "6"],
-            "diversity": ["diversity", "--model", model, "--suite", str(data_csv), "--seed", "7"],
-        }
-        for name, argv in runs.items():
-            assert main([*argv, "--out-dir", str(root / name)]) == 0, name
-        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-
     roots = [tmp_path / "a", tmp_path / "b"]
-    files = [pipeline(root) for root in roots]
+    files = [golden.run_chain(data_csv, root) for root in roots]
     assert files[0] == files[1] and len(files[0]) > 30
     for rel in files[0]:
-        a, b = ((root / rel).read_bytes() for root in roots)
-        if rel.name == "resolved_config.json":
-            a, b = (x.replace(str(root).encode(), b"<root>") for x, root in zip((a, b), roots))
+        a, b = (golden.masked_bytes(root / rel, root, data_csv) for root in roots)
         assert a == b, rel
+
+
+def test_outputs_match_golden_manifest(data_csv, tmp_path):
+    """The chain's outputs against tests/data/golden.json (see tests/golden.py):
+    every byte on the recorded numpy and BLAS, and every integer on any other,
+    where the float files that moved are named in a warning."""
+    golden.run_chain(data_csv, tmp_path)
+    recorded = json.loads(golden.MANIFEST.read_text())
+    errors, moved = golden.check(recorded, golden.manifest(tmp_path, data_csv))
+    assert errors == []
+    if moved:
+        warnings.warn(f"outputs moved on {golden.stack()}, recorded on {recorded['stack']}: "
+                      + ", ".join(moved))
+
+
+def test_golden_check_catches_one_flipped_byte(data_csv, tmp_path):
+    """A digit flipped in a float file fails on the recorded stack only; a
+    flipped label fails on any stack."""
+    golden.run_chain(data_csv, tmp_path)
+    recorded = golden.manifest(tmp_path, data_csv)
+    elsewhere = {**recorded, "stack": {**recorded["stack"], "numpy": "another"}}
+    for name in ("diversity/suite_histogram.csv", "attack_fgsm/adversarial.csv"):
+        raw = bytearray((tmp_path / name).read_bytes())
+        raw[-3] ^= 1  # the last value's last digit: 0 <-> 1, 2 <-> 3, ...
+        (tmp_path / name).write_bytes(bytes(raw))
+    current = golden.manifest(tmp_path, data_csv)
+    flipped = ["attack_fgsm/adversarial.csv", "diversity/suite_histogram.csv"]
+    errors, moved = golden.check(recorded, current)
+    assert moved == flipped and errors[0].startswith(f"{flipped[0]}: integers ")
+    assert errors[1:] == [f"{name}: bytes moved" for name in flipped]
+    assert golden.check(elsewhere, current) == (errors[:1], flipped)
 
 
 def _numeric_flags():

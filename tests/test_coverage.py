@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import tracemalloc
 
@@ -18,7 +19,6 @@ from statecov.coverage import (
     profile_from_samples,
     resolve_boundaries,
 )
-from statecov.datasets import gaussian_blobs
 from statecov.qnn import (
     BLOCK_AMPS,
     AnsatzSpec,
@@ -32,11 +32,12 @@ from statecov.qnn import (
 from conftest import brute_force_coverage, random_profile_and_suite
 from fixtures import (
     REFERENCE_EXPECTED,
+    gaussian_blobs,
     reference_coverage_config,
     reference_input_vector,
     reference_two_qubit_profile,
 )
-from oracles import mad_bounds_whole, merge
+from oracles import mad_bounds_whole, merge, sample_frequencies
 
 
 class TestStateProfile:
@@ -497,51 +498,73 @@ def _fold(prof, suite, **config):
     return tracker.report()
 
 
-class TestParameterChoice:
+def _brute(prof, suite, **config):
+    """The figures of _fold's report that the invariants read, by brute force."""
+    got = brute_force_coverage(prof, CoverageConfig(**config), suite)
+    return SimpleNamespace(
+        covered_cells=len(got["cells"]), covered_corners=len(got["corners"]),
+        scc=got["scc"], tsc=got["tsc"],
+    )
+
+
+def _parameter_choice(fold):
+    """The four invariants below as hypothesis tests of fold, called as
+    fold(prof, suite, **config); each call makes its own given wrappers, so
+    hypothesis sees one executor per test."""
+
+    class Invariants:
+        @given(case=_choice_case(), k=st.integers(1, 39), mode=st.sampled_from(BOUNDARY_MODES))
+        @settings(max_examples=150, deadline=None)
+        def test_refining_k_splits_cells(self, case, k, mode):
+            # each cell at k is two cells at 2k
+            prof, suite = case
+            coarse = fold(prof, suite, k_cells=k, boundary_mode=mode).covered_cells
+            fine = fold(prof, suite, k_cells=2 * k, boundary_mode=mode).covered_cells
+            assert coarse <= fine <= 2 * coarse
+
+        @given(case=_choice_case(), k=st.integers(1, 39))
+        @settings(max_examples=150, deadline=None)
+        def test_tsc_never_falls_as_top_k_grows(self, case, k):
+            prof, suite = case
+            tsc = [fold(prof, suite, k_cells=k, top_k=t).tsc for t in range(1, prof.num_states + 1)]
+            assert tsc == sorted(tsc) and tsc[-1] == 100.0
+
+        @given(
+            case=_choice_case(),
+            ks=st.tuples(st.integers(1, 39), st.integers(1, 39)),
+            top_ks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+            mode=st.sampled_from(BOUNDARY_MODES),
+        )
+        @settings(max_examples=150, deadline=None)
+        def test_scc_does_not_depend_on_k_or_top_k(self, case, ks, top_ks, mode):
+            prof, suite = case
+            a, b = (
+                fold(prof, suite, k_cells=k, top_k=t, boundary_mode=mode)
+                for k, t in zip(ks, top_ks)
+            )
+            assert (a.scc, a.covered_corners) == (b.scc, b.covered_corners)
+
+        @given(case=_choice_case(), k=st.integers(1, 39), top_k=st.integers(1, 16))
+        @settings(max_examples=150, deadline=None)
+        def test_scc_ordered_sigma_raw_mad(self, case, k, top_k):
+            # sigma bounds contain the raw bounds, which contain the MAD bounds
+            prof, suite = case
+            sigma, raw, mad = (
+                fold(prof, suite, k_cells=k, top_k=top_k, boundary_mode=mode).scc
+                for mode in ("sigma", "raw", "mad")
+            )
+            assert sigma <= raw <= mad
+
+    return Invariants
+
+
+class TestParameterChoice(_parameter_choice(_fold)):
     """The paper's parameter choices (k, top_k, the boundary mode) as exact
     invariants of the folded report."""
 
-    @given(case=_choice_case(), k=st.integers(1, 39), mode=st.sampled_from(BOUNDARY_MODES))
-    @settings(max_examples=150, deadline=None)
-    def test_refining_k_splits_cells(self, case, k, mode):
-        # each cell at k is two cells at 2k
-        prof, suite = case
-        coarse = _fold(prof, suite, k_cells=k, boundary_mode=mode).covered_cells
-        fine = _fold(prof, suite, k_cells=2 * k, boundary_mode=mode).covered_cells
-        assert coarse <= fine <= 2 * coarse
 
-    @given(case=_choice_case(), k=st.integers(1, 39))
-    @settings(max_examples=150, deadline=None)
-    def test_tsc_never_falls_as_top_k_grows(self, case, k):
-        prof, suite = case
-        tsc = [_fold(prof, suite, k_cells=k, top_k=t).tsc for t in range(1, prof.num_states + 1)]
-        assert tsc == sorted(tsc) and tsc[-1] == 100.0
-
-    @given(
-        case=_choice_case(),
-        ks=st.tuples(st.integers(1, 39), st.integers(1, 39)),
-        top_ks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
-        mode=st.sampled_from(BOUNDARY_MODES),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_scc_does_not_depend_on_k_or_top_k(self, case, ks, top_ks, mode):
-        prof, suite = case
-        a, b = (
-            _fold(prof, suite, k_cells=k, top_k=t, boundary_mode=mode)
-            for k, t in zip(ks, top_ks)
-        )
-        assert (a.scc, a.covered_corners) == (b.scc, b.covered_corners)
-
-    @given(case=_choice_case(), k=st.integers(1, 39), top_k=st.integers(1, 16))
-    @settings(max_examples=150, deadline=None)
-    def test_scc_ordered_sigma_raw_mad(self, case, k, top_k):
-        # sigma bounds contain the raw bounds, which contain the MAD bounds
-        prof, suite = case
-        sigma, raw, mad = (
-            _fold(prof, suite, k_cells=k, top_k=top_k, boundary_mode=mode).scc
-            for mode in ("sigma", "raw", "mad")
-        )
-        assert sigma <= raw <= mad
+class TestParameterChoiceOnOracle(_parameter_choice(_brute)):
+    """The same invariants on the brute-force oracle of tests/conftest.py."""
 
 
 class TestSuiteEvaluation:
@@ -577,12 +600,20 @@ class TestSuiteEvaluation:
         c = collect_prob_vectors(toy4_model, toy4_train_data, shots=1000, seed=6)
         assert not np.array_equal(a, c)
 
+    def test_sampled_rows_equal_oracle_per_row_seed(self, toy4_model):
+        # row i is the one-row draw at seed + i
+        suite = gaussian_blobs(2, 4, 4, spread=0.12, seed=3)
+        probs, _ = forward_batch(toy4_model, suite.features)
+        sampled = collect_prob_vectors(toy4_model, suite, shots=500, seed=11)
+        assert len(sampled) == 8
+        for i, row in enumerate(probs):
+            assert np.array_equal(sampled[i], sample_frequencies(row, 500, 11 + i))
+
     def test_sampled_vectors_equal_statevector_round_trip(self, toy4_model, toy4_train_data):
         # the draws match the earlier sqrt -> square path row by row (one
         # multinomial draw from default_rng(seed base + i)) on the seeds the
         # shot tests use
         from statecov.coverage import collect_prob_vectors
-        from statecov.datasets import gaussian_blobs
         from statecov.qnn import forward_batch
 
         suite = gaussian_blobs(2, 25, 4, spread=0.12, seed=77)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecov.datasets import gaussian_blobs, load_csv, save_csv
+from statecov.datasets import load_csv, save_csv
 from statecov.qnn import LabeledDataset
 
+from fixtures import gaussian_blobs
 from oracles import load_csv_rows, save_csv_rows
 
 

@@ -108,6 +108,21 @@ class TestReader:
         with pytest.raises(FileFormatError, match=f"^{re.escape(f'model {path}: {message}')}$"):
             load_model(path)
 
+    def test_num_qubits_above_the_limit_refused(self, tmp_path):
+        # a consistent angle model, so that only the width is at fault; at 30
+        # qubits any stage would ask for 16 GiB a row, so none is run
+        def widen(q):
+            def edit(doc):
+                doc.update(num_qubits=q, params=[0.5] * (3 * q))
+                doc["encoder"]["input_dim"] = q
+            return edit
+
+        assert load_model(self._written(tmp_path, "model_v1.json", widen(20))).num_qubits == 20
+        path = self._written(tmp_path, "model_v1.json", widen(30))
+        message = f"model {path}: num_qubits 30 is above MAX_QUBITS = 20"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text("[0.5]")

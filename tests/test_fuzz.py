@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecov.coverage import CoverageConfig, CoverageTracker, collect_prob_vectors, profile
-from statecov.datasets import gaussian_blobs
 from statecov.fuzz import FuzzConfig, FuzzOutcome, fuzz, mutate, random_test
 from statecov.qnn import (
     AnsatzSpec,
@@ -20,6 +19,7 @@ from statecov.qnn import (
     train,
 )
 
+from fixtures import gaussian_blobs
 from oracles import _eval_one, mutate_row
 
 fuzz_module = importlib.import_module("statecov.fuzz")  # the package re-exports fuzz()

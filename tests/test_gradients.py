@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from statecov.datasets import gaussian_blobs
 from statecov.gradients import GradientError, input_grads
 from statecov.qnn import (
     AnsatzSpec,
@@ -28,6 +27,7 @@ from statecov.sim import (
 )
 
 from conftest import dense_circuit_matrix, random_circuit
+from fixtures import gaussian_blobs
 from oracles import cross_entropy, finite_diff_grad, param_shift_grad
 
 

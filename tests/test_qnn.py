@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecov.attacks import AttackConfig
-from statecov.datasets import gaussian_blobs
 from statecov.fuzz import FuzzConfig
 from statecov.qnn import (
     AnsatzSpec,
@@ -29,7 +28,10 @@ from statecov.qnn import (
     z_sign_matrix,
 )
 from statecov.coverage import collect_prob_vectors
-from statecov.sim import BLOCK_QUBITS, Gate, _blocks, sample_frequencies
+from statecov.sim import BLOCK_QUBITS, Gate, _blocks
+
+from fixtures import gaussian_blobs
+from oracles import sample_frequencies
 
 
 class TestEncoding:

@@ -17,11 +17,11 @@ from statecov.sim import (
     _blocks,
     _compiled,
     apply_circuit_batch,
-    sample_frequencies,
 )
 
 from conftest import dense_circuit_apply, dense_circuit_matrix, random_circuit
-from oracles import haar_random_state
+from fixtures import gaussian_blobs
+from oracles import haar_random_state, sample_frequencies
 
 
 def zero_state(q):
@@ -275,7 +275,6 @@ class TestBlocks:
 
     def test_public_entry_points_called_once_per_pass(self, monkeypatch):
         # internal work must not go through the wrapped entry points
-        from statecov.datasets import gaussian_blobs
         from statecov.qnn import EncoderSpec, _backprop, build_model, cross_entropy_grad, encode_batch, forward_batch
 
         calls = self._count_calls(monkeypatch, ("apply_circuit_batch", "adjoint_sweep"))
@@ -312,6 +311,10 @@ class TestGateOpValidation:
 
 
 class TestSampling:
+    """The one-row shot draw in tests/oracles.py, which row i of
+    collect_prob_vectors(..., shots, seed) equals at seed + i (test_coverage's
+    test_sampled_rows_equal_oracle_per_row_seed)."""
+
     def test_degenerate_distribution(self):
         assert np.array_equal(sample_frequencies([1.0, 0.0], 17, rng_seed=0), [1.0, 0.0])
 
@@ -328,9 +331,16 @@ class TestSampling:
         for seed in range(10):
             assert abs(sample_frequencies(plus, 100_000, rng_seed=seed)[0] - 0.5) <= 0.01
 
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            sample_frequencies([1.0, 0.0], 0, rng_seed=0)
+    def test_zero_shots_rejected(self, monkeypatch):
+        # refused once, before the forward pass
+        from statecov import coverage
+        from statecov.qnn import EncoderSpec, LabeledDataset, build_model
+
+        model = build_model(EncoderSpec("angle", 2), AnsatzSpec("layered", 1, "linear"), 2, 2)
+        monkeypatch.setattr(coverage, "forward_batch", None)  # a call raises TypeError
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match="shots must be >= 1"):
+                coverage.collect_prob_vectors(model, LabeledDataset([[0.1, 0.2]], [0]), shots)
 
     def test_tv_distance_shrinks_with_shots(self):
         exact = np.abs(haar_random_state(3, 9)) ** 2
