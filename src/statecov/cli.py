@@ -212,6 +212,15 @@ def _check_encodable(data, path, encoder):
     return data
 
 
+def _check_labels(data, path, num_classes):
+    """data; a label outside [0, num_classes) is a usage error."""
+    bad = np.flatnonzero((data.labels < 0) | (data.labels >= num_classes))
+    if bad.size:
+        raise ConfigError(f"dataset {path}: label {data.labels[bad[0]]} of data row {bad[0] + 1} "
+                          f"is outside [0, num_classes) with num_classes {num_classes}")
+    return data
+
+
 def _load_data(path, model):
     """The dataset at path; one whose feature count is not the model's
     encoder.input_dim, or with a row the encoder cannot map, is a usage error."""
@@ -230,6 +239,8 @@ def cmd_train(cfg) -> int:
     _check_encodable(data, cfg["dataset"], encoder)
     ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])
     model = build_model(encoder, ansatz, cfg["qubits"], cfg["classes"], seed=cfg["seed"])
+    if model.num_classes > 1:  # train refuses a single class itself
+        _check_labels(data, cfg["dataset"], model.num_classes)
     trained, history = train(model, data, _config(TrainConfig, cfg))
     out = _out_dir(cfg)
     save_model(trained, out / "model.json")
@@ -283,7 +294,7 @@ def cmd_coverage(cfg) -> int:
 
 def cmd_attack(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    data = _load_data(cfg["dataset"], model)
+    data = _check_labels(_load_data(cfg["dataset"], model), cfg["dataset"], model.num_classes)
     acfg = _config(AttackConfig, cfg)
     adv, asr = attack_suite(model, data, acfg)
     out = _out_dir(cfg)
@@ -298,7 +309,7 @@ def cmd_attack(cfg) -> int:
 def cmd_fuzz(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     prof = _load_profile(cfg["profile"], model)
-    seeds = _load_data(cfg["seeds"], model)
+    seeds = _check_labels(_load_data(cfg["seeds"], model), cfg["seeds"], model.num_classes)
     fcfg = _config(FuzzConfig, cfg, coverage=_config(CoverageConfig, cfg, k_cells=cfg["k"]))
     if cfg["random_baseline"]:
         outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=cfg["reenqueue_prob"])

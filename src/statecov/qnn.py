@@ -462,8 +462,10 @@ def load_model(path) -> QnnModel:
     def build(f):
         encoder = EncoderSpec(f["encoder.kind"], f["encoder.input_dim"])
         ansatz = AnsatzSpec(f["ansatz.preset"], f["ansatz.num_layers"], f["ansatz.entanglement"])
-        circuit = build_ansatz_circuit(ansatz, f["num_qubits"])
-        return QnnModel(encoder, ansatz, f["num_qubits"], circuit, f["params"],
-                        tuple(f["readout_qubits"]), f["num_classes"], f["train_data_digest"])
+        # every field is checked on a gateless stand-in first: no huge circuit is built
+        circuit = CircuitSpec(f["num_qubits"], (), 3 * f["num_qubits"] * ansatz.num_layers)
+        model = QnnModel(encoder, ansatz, f["num_qubits"], circuit, f["params"],
+                         tuple(f["readout_qubits"]), f["num_classes"], f["train_data_digest"])
+        return replace(model, circuit=build_ansatz_circuit(ansatz, f["num_qubits"]))
 
     return files.read(path, files.MODEL, build)

@@ -9,7 +9,7 @@ fusion; Haener & Steiger 2017, arXiv:1704.01127). A dense block holds gates
 on a window of at most BLOCK_QUBITS = 6 contiguous qubits and acts as one
 2^w x 2^w matrix U: one stacked matrix product per row on the
 (2^lo, 2^w, 2^(q-lo-w)) view, so a row's result does not depend on its batch.
-A wide block holds two-qubit gates 6 or more qubits apart (the cyclic wrap,
+A wide block holds CNOT and CZ gates 6 or more qubits apart (the cyclic wrap,
 star and full pairs at q > 6), run on the state by the 2x2 kernel, so no
 matrix wider than 2^6 is built. That kernel fuses runs of single-qubit gates,
 acts in place on qubit-axis views and builds each U from the identity rows.
@@ -20,6 +20,7 @@ arXiv:2009.02823): U^dag undoes a block on the outputs and costates stacked,
 M = sum lam_out psi_in^dag is one matrix product, and the 2x2 kernel's own
 sweep of the block's gates, from U's identity-row outputs with M's columns as
 costates, adds the block's angle gradients: one reverse pass for all of them.
+A wide block has no angles, so the kernel only undoes it.
 """
 
 from __future__ import annotations
@@ -51,22 +52,17 @@ class Gate(str, Enum):
     RX = "rx"
     RY = "ry"
     RZ = "rz"
-    H = "h"
-    X = "x"
     CNOT = "cnot"
     CZ = "cz"
-    CRX = "crx"
-    CRY = "cry"
-    CRZ = "crz"
 
 
-ROTATION_GATES = frozenset({Gate.RX, Gate.RY, Gate.RZ, Gate.CRX, Gate.CRY, Gate.CRZ})
-CONTROLLED_GATES = frozenset({Gate.CNOT, Gate.CZ, Gate.CRX, Gate.CRY, Gate.CRZ})
+ROTATION_GATES = frozenset({Gate.RX, Gate.RY, Gate.RZ})
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """A single gate: one target qubit, optional control, optional parameter slot."""
+    """A single gate: a rotation of one target qubit by the angle in its
+    parameter slot, or a CNOT or CZ of a control and a target qubit."""
 
     kind: Gate
     target: int
@@ -77,15 +73,14 @@ class GateOp:
         if self.kind in ROTATION_GATES:
             if self.param_slot is None:
                 raise SimulationError(f"{self.kind.value} gate requires a param_slot")
+            if self.control is not None:
+                raise SimulationError(f"{self.kind.value} gate takes no control qubit")
         elif self.param_slot is not None:
             raise SimulationError(f"{self.kind.value} gate takes no parameter")
-        if self.kind in CONTROLLED_GATES:
-            if self.control is None:
-                raise SimulationError(f"{self.kind.value} gate requires a control qubit")
-            if self.control == self.target:
-                raise SimulationError("control and target qubits must be distinct")
-        elif self.control is not None:
-            raise SimulationError(f"{self.kind.value} gate takes no control qubit")
+        elif self.control is None:
+            raise SimulationError(f"{self.kind.value} gate requires a control qubit")
+        elif self.control == self.target:
+            raise SimulationError("control and target qubits must be distinct")
 
 
 @dataclass(frozen=True)
@@ -114,19 +109,12 @@ class CircuitSpec:
                 )
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
-_O2 = np.zeros((2, 2), dtype=np.complex128)
 # A rotation by theta is cos(theta/2) I + sin(theta/2) times this matrix.
 _SIN_PART = {
-    kind: np.array(m, dtype=np.complex128)
-    for kinds, m in (
-        ((Gate.RX, Gate.CRX), [[0, -1j], [-1j, 0]]),
-        ((Gate.RY, Gate.CRY), [[0, -1], [1, 0]]),
-        ((Gate.RZ, Gate.CRZ), [[-1j, 0], [0, 1j]]),
-    )
-    for kind in kinds
+    Gate.RX: np.array([[0, -1j], [-1j, 0]]),
+    Gate.RY: np.array([[0, -1], [1, 0]], dtype=np.complex128),
+    Gate.RZ: np.array([[-1j, 0], [0, 1j]]),
 }
 _ALL = slice(None)
 
@@ -135,17 +123,15 @@ _ALL = slice(None)
 class _Plan:
     """A CircuitSpec compiled for the 2x2 kernel.
 
-    Matrix row r is const[r] + cos(t) cos_part[r] + sin(t) sin_part[r] with
-    t = params[slots[r]] / 2 (slot num_params reads a zero angle); row 0 is
-    the identity that pads runs. Run j is the product of the rows runs[j, 0],
-    runs[j, 1], ... in gate order. A step is (action, view shape, index of
-    the target=0 half, index of the target=1 half, run); the action is
-    Gate.CNOT, Gate.CZ or None for a 2x2 mix of the halves by a run.
+    Matrix row r is cos(t) I + sin(t) sin_part[r] with t = params[slots[r]] / 2
+    (slot num_params reads a zero angle); row 0, a zero angle with a zero
+    sin_part, is the identity that pads runs. Run j is the product of the rows
+    runs[j, 0], runs[j, 1], ... in gate order. A step is (action, view shape,
+    index of the target=0 half, index of the target=1 half, run); the action
+    is Gate.CNOT, Gate.CZ or None for a 2x2 mix of the halves by a run.
     """
 
     slots: np.ndarray
-    const: np.ndarray
-    cos_part: np.ndarray
     sin_part: np.ndarray
     runs: np.ndarray
     steps: tuple
@@ -154,15 +140,8 @@ class _Plan:
 def _compile(circuit: CircuitSpec) -> _Plan:
     """Group the gates into fused runs and lay out each step's view."""
     q = circuit.num_qubits
-    rows = [(circuit.num_params, _I2, _O2, _O2)]
+    rows = [(circuit.num_params, np.zeros((2, 2), dtype=np.complex128))]
     runs, steps, pending = [], [], {}
-
-    def row(op):
-        if op.param_slot is None:
-            rows.append((circuit.num_params, _H if op.kind == Gate.H else _X, _O2, _O2))
-        else:
-            rows.append((op.param_slot, _O2, _I2, _SIN_PART[op.kind]))
-        return len(rows) - 1
 
     def flush(qubit):
         run = pending.pop(qubit, None)
@@ -172,7 +151,8 @@ def _compile(circuit: CircuitSpec) -> _Plan:
 
     for op in circuit.gates:
         if op.control is None:
-            pending.setdefault(op.target, []).append(row(op))
+            rows.append((op.param_slot, _SIN_PART[op.kind]))
+            pending.setdefault(op.target, []).append(len(rows) - 1)
             continue
         flush(op.control)
         flush(op.target)
@@ -180,18 +160,14 @@ def _compile(circuit: CircuitSpec) -> _Plan:
         hi, lo = sorted((op.control, op.target))
         shape = (-1, 2, 1 << (lo - hi - 1), 2, 1 << (q - 1 - lo))
         i0, i1 = ((_ALL, 1, _ALL, b) if op.control == hi else (_ALL, b, _ALL, 1) for b in (0, 1))
-        if op.kind in (Gate.CNOT, Gate.CZ):
-            steps.append((op.kind, shape, i0, i1, None))
-        else:
-            steps.append((None, shape, i0, i1, len(runs)))
-            runs.append([row(op)])
+        steps.append((op.kind, shape, i0, i1, None))
     for qubit in sorted(pending):
         flush(qubit)
 
-    slots, const, cos_part, sin_part = (np.array(col) for col in zip(*rows))
+    slots, sin_part = (np.array(col) for col in zip(*rows))
     width = max(map(len, runs), default=1)
     runs = np.array([r + [0] * (width - len(r)) for r in runs], dtype=np.int64)
-    return _Plan(slots, const, cos_part, sin_part, runs.reshape(-1, width), tuple(steps))
+    return _Plan(slots, sin_part, runs.reshape(-1, width), tuple(steps))
 
 
 def _group(circuit: CircuitSpec) -> tuple:
@@ -251,7 +227,7 @@ def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scr
     row's 2x2 matrix at these parameters."""
     plan = _compiled(circuit)
     half = 0.5 * np.append(params, 0.0)[plan.slots][:, None, None]
-    mats = plan.const + np.cos(half) * plan.cos_part + np.sin(half) * plan.sin_part
+    mats = np.cos(half) * _I2 + np.sin(half) * plan.sin_part
     fused = mats[plan.runs[:, 0]]
     for col in plan.runs.T[1:]:
         fused = mats[col] @ fused
@@ -285,7 +261,7 @@ def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scr
     return mats
 
 
-def _kernel_sweep(batch, circuit: CircuitSpec, params, scratch=None) -> np.ndarray:
+def _kernel_sweep(batch, circuit: CircuitSpec, params) -> np.ndarray:
     """The 2x2 kernel's adjoint sweep, in place on the circuit outputs psi
     stacked over their costates; leaves the inputs there, returns dL/dparams."""
     plan = _compiled(circuit)
@@ -296,11 +272,11 @@ def _kernel_sweep(batch, circuit: CircuitSpec, params, scratch=None) -> np.ndarr
         h = x0.shape[0] // 2
         corr[run] = [[np.vdot(la, pb) for pb in (x0[:h], x1[:h])] for la in (x0[h:], x1[h:])]
 
-    mats = _evolve(batch, circuit, params, True, record, scratch)
+    mats = _evolve(batch, circuit, params, True, record)
     # In a run R_w ... R_1, rotation R_i = cos(t/2) I + sin(t/2) S_i has
     # dR_i R_i^dag = S_i / 2, so with A = R_w ... R_{i+1} it adds
-    # 2 Re sum_ab (A (S_i / 2) A^dag)_ab C_ab to its slot. Fixed gates and
-    # padding rows have S = 0 and write to the dummy slot num_params.
+    # 2 Re sum_ab (A (S_i / 2) A^dag)_ab C_ab to its slot. Padding rows have
+    # S = 0 and write to the dummy slot num_params.
     grad = np.zeros(circuit.num_params + 1)
     after = np.broadcast_to(_I2, corr.shape)
     for col in plan.runs.T[::-1]:
@@ -406,8 +382,8 @@ def adjoint_sweep(
     mats = _block_matrices(circuit, params)
     for (lo, block), u_t in zip(_blocks(circuit)[::-1], mats[::-1]):
         out, inp = buffers  # the block's output side, and where its input side goes
-        if u_t is None:
-            grad += _kernel_sweep(out, block, params, scratch=inp)
+        if u_t is None:  # CNOT and CZ only: undone in place, no angles
+            _evolve(out, block, params, reverse=True, scratch=inp)
             continue
         _mix(out, inp, lo, u_t.conj().T)  # (U^dag)^T = conj(U)
         buffers.reverse()

@@ -57,17 +57,15 @@ def dense_gate_matrix(op, params, q):
     gate's action on basis states."""
     theta = None if op.param_slot is None else float(params[op.param_slot])
     kind = op.kind.value
-    if kind in ("rx", "crx"):
+    if kind == "rx":
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         u = np.array([[c, -1j * s], [-1j * s, c]])
-    elif kind in ("ry", "cry"):
+    elif kind == "ry":
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         u = np.array([[c, -s], [s, c]], dtype=complex)
-    elif kind in ("rz", "crz"):
+    elif kind == "rz":
         u = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    elif kind == "h":
-        u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    elif kind in ("x", "cnot"):
+    elif kind == "cnot":
         u = np.array([[0, 1], [1, 0]], dtype=complex)
     elif kind == "cz":
         u = np.diag([1.0, -1.0]).astype(complex)
@@ -106,40 +104,29 @@ def dense_circuit_apply(circuit, params, states):
 
 def random_circuit(rng, q, num_gates=12, wide=0):
     """Random circuit mixing all supported gate kinds; wide > 0 (q > 6 only)
-    inserts that many two-qubit gates, of random kinds and at random places,
-    whose qubits lie at least BLOCK_QUBITS apart."""
+    inserts that many CNOT or CZ gates, at random places, whose qubits lie at
+    least BLOCK_QUBITS apart."""
     from statecov.sim import BLOCK_QUBITS, CircuitSpec, Gate, GateOp
 
-    singles = [Gate.RX, Gate.RY, Gate.RZ, Gate.H, Gate.X]
-    doubles = [Gate.CNOT, Gate.CZ, Gate.CRX, Gate.CRY, Gate.CRZ]
+    singles = [Gate.RX, Gate.RY, Gate.RZ]
+    doubles = [Gate.CNOT, Gate.CZ]
     gates = []
     slot = 0
     for _ in range(num_gates):
         if q > 1 and rng.random() < 0.4:
             kind = doubles[rng.integers(len(doubles))]
             ctrl, tgt = rng.choice(q, size=2, replace=False)
-            if kind in (Gate.CRX, Gate.CRY, Gate.CRZ):
-                gates.append(GateOp(kind, target=int(tgt), control=int(ctrl), param_slot=slot))
-                slot += 1
-            else:
-                gates.append(GateOp(kind, target=int(tgt), control=int(ctrl)))
+            gates.append(GateOp(kind, target=int(tgt), control=int(ctrl)))
         else:
             kind = singles[rng.integers(len(singles))]
-            tgt = int(rng.integers(q))
-            if kind in (Gate.RX, Gate.RY, Gate.RZ):
-                gates.append(GateOp(kind, target=tgt, param_slot=slot))
-                slot += 1
-            else:
-                gates.append(GateOp(kind, target=tgt))
+            gates.append(GateOp(kind, target=int(rng.integers(q)), param_slot=slot))
+            slot += 1
     for _ in range(wide):
         kind = doubles[rng.integers(len(doubles))]
         lo = int(rng.integers(q - BLOCK_QUBITS))
         pair = [lo, int(rng.integers(lo + BLOCK_QUBITS, q))]
         ctrl, tgt = pair if rng.random() < 0.5 else pair[::-1]
-        rotation = kind in (Gate.CRX, Gate.CRY, Gate.CRZ)
-        op = GateOp(kind, target=tgt, control=ctrl, param_slot=slot if rotation else None)
-        slot += rotation
-        gates.insert(int(rng.integers(len(gates) + 1)), op)
+        gates.insert(int(rng.integers(len(gates) + 1)), GateOp(kind, target=tgt, control=ctrl))
     circuit = CircuitSpec(q, tuple(gates), slot)
     params = rng.uniform(-np.pi, np.pi, size=slot)
     return circuit, params

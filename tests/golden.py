@@ -9,7 +9,9 @@ wrote:
 - the integers each holds: every JSON integer by its key path (covered
   cells, corners and top states, iterations, failure counts, ...) and the
   label column of each CSV that has one;
-- the numpy version, BLAS and machine that computed them.
+- the numpy version, BLAS, BLAS kernel and machine that computed them; the
+  kernel is the CPU code path OpenBLAS picked at start-up (OPENBLAS_CORETYPE
+  can choose another), and another kernel may round floats differently.
 
 check() compares two manifests. The integers and the file names must agree
 everywhere. Float outputs may round differently under another numpy or
@@ -26,6 +28,7 @@ which files moved and why.
 """
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -105,13 +108,27 @@ def _integers(path):
     return ",".join(row[-1] for row in rows) if header[-1] == "label" else None
 
 
+def blas_kernel() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def stack() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except TypeError:  # numpy before 1.26 does not report it
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas, "kernel": blas_kernel(),
+            "machine": platform.machine()}
 
 
 def manifest(root, data_csv) -> dict:

@@ -25,7 +25,7 @@ from statecov.coverage import CoverageTracker
 from statecov.diversity import DEFAULT_MAX_PAIRS, _pair_fidelities, fidelity_densities
 from statecov.gradients import GradientError
 from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
-from statecov.sim import CONTROLLED_GATES, ROTATION_GATES, apply_circuit_batch
+from statecov.sim import apply_circuit_batch
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: Sequence[float], h: float) -> np.ndarray:
@@ -49,50 +49,28 @@ def cross_entropy(scores: np.ndarray, label: int) -> float:
     return float(-np.log(max(p[label], 1e-300)))
 
 
-def _check_rotation_params(model: QnnModel) -> None:
-    for idx, op in enumerate(model.circuit.gates):
-        if op.param_slot is not None and op.kind not in ROTATION_GATES:
-            raise GradientError(
-                f"gate {idx} ({op.kind.value}) is trainable but not a rotation"
-            )
-
-
 def _scores_for_params(model, state, params):
     out = apply_circuit_batch(state[None, :], model.circuit, params)[0]
     probs = np.abs(out) ** 2
     return z_sign_matrix(model.readout_qubits, model.num_qubits) @ probs
 
 
-# (shift, coefficient) pairs of a shift rule: grad_j = sum c (E(theta_j + s) - E(theta_j - s)).
-# A Pauli rotation's generator has eigenvalues +-1/2, so two terms are exact;
-# a controlled rotation's has {0, +-1/2}, so its expectation also has a
-# frequency-1/2 part and needs four (Anselmetti et al. 2021).
-TWO_TERM = ((np.pi / 2, 0.5),)
-FOUR_TERM = (
-    (np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
-    (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))),
-)
-
-
 def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np.ndarray:
     """Exact gradient of the readout qubit's Z expectation w.r.t. all params,
-    by the two-term shift rule on plain rotations and the four-term rule on
-    controlled ones."""
-    _check_rotation_params(model)
+    by the two-term shift rule: a Pauli rotation's generator has eigenvalues
+    +-1/2, so grad_j = (E(theta_j + pi/2) - E(theta_j - pi/2)) / 2."""
     if not (0 <= observable < model.num_classes):
         raise GradientError(f"observable index {observable} out of range")
     state = encode_batch(model.encoder, np.asarray(x)[None, :], model.num_qubits)[0]
     params = model.params
-    controlled = {op.param_slot for op in model.circuit.gates if op.kind in CONTROLLED_GATES}
     grad = np.zeros(params.shape[0])
     for j in range(params.shape[0]):
-        for shift, coeff in FOUR_TERM if j in controlled else TWO_TERM:
-            shifted = params.copy()
-            shifted[j] += shift
-            ep = _scores_for_params(model, state, shifted)[observable]
-            shifted[j] = params[j] - shift
-            em = _scores_for_params(model, state, shifted)[observable]
-            grad[j] += coeff * (ep - em)
+        shifted = params.copy()
+        shifted[j] += np.pi / 2
+        ep = _scores_for_params(model, state, shifted)[observable]
+        shifted[j] = params[j] - np.pi / 2
+        em = _scores_for_params(model, state, shifted)[observable]
+        grad[j] = 0.5 * (ep - em)
     return grad
 
 

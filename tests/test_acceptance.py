@@ -153,8 +153,12 @@ def test_criterion_4_simulator_correctness():
 
     bell = apply_circuit_batch(
         np.array([[1, 0, 0, 0]]),
-        CircuitSpec(2, (GateOp(Gate.H, target=0), GateOp(Gate.CNOT, target=1, control=0)), 0),
-        [],
+        CircuitSpec(
+            2,
+            (GateOp(Gate.RY, target=0, param_slot=0), GateOp(Gate.CNOT, target=1, control=0)),
+            1,
+        ),
+        [np.pi / 2],
     )[0]
     bell_err = float(np.max(np.abs(bell - np.array([1, 0, 0, 1]) / np.sqrt(2))))
     ry = apply_circuit_batch(

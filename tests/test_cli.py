@@ -555,8 +555,8 @@ class TestBoundaryValidation:
         [
             ("1", [0, 1], "num_classes must be >= 2 to train, got 1"),
             ("0", [0, 1], "num_classes must be >= 1, got 0"),
-            ("2", [0, 1, 2, 1, 3], "label 2 of row 2 is outside [0, num_classes) with num_classes 2"),
-            ("3", [0, -1, 2], "label -1 of row 1 is outside [0, num_classes) with num_classes 3"),
+            ("2", [0, 1, 2, 1, 3], "label 2 of data row 3 is outside [0, num_classes) with num_classes 2"),
+            ("3", [0, -1, 2], "label -1 of data row 2 is outside [0, num_classes) with num_classes 3"),
         ],
     )
     def test_bad_class_count_or_label(self, classes, labels, message, tmp_path, capsys):
@@ -564,8 +564,9 @@ class TestBoundaryValidation:
         save_csv(LabeledDataset(np.full((len(labels), 4), 0.5), labels), data)
         out = tmp_path / "out"
         argv = ["train", "--dataset", str(data), "--classes", classes, "--epochs", "1"]
-        assert main([*argv, "--out-dir", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        usage = message.startswith("label")  # a dataset label is checked as the file is read
+        assert main([*argv, "--out-dir", str(out)]) == (2 if usage else 1)
+        assert (f"dataset {data}: " if usage else "") + message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -591,8 +592,9 @@ class TestBoundaryValidation:
                      "--seeds", str(data)],
         }
         out = tmp_path / "out"
-        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 1
-        assert "label 5 of row 1 is outside [0, num_classes)" in capsys.readouterr().err
+        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 2
+        message = f"dataset {data}: label 5 of data row 2 is outside [0, num_classes)"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_model_param_is_config_error(self, trained_dir, data_csv, tmp_path, capsys):
@@ -898,10 +900,10 @@ def test_outputs_match_golden_manifest(data_csv, tmp_path):
 
 def test_golden_check_catches_one_flipped_byte(data_csv, tmp_path):
     """A digit flipped in a float file fails on the recorded stack only; a
-    flipped label fails on any stack."""
+    flipped label fails on any stack. Another numpy, or another OpenBLAS
+    kernel under the same numpy, is another stack."""
     golden.run_chain(data_csv, tmp_path)
     recorded = golden.manifest(tmp_path, data_csv)
-    elsewhere = {**recorded, "stack": {**recorded["stack"], "numpy": "another"}}
     for name in ("diversity/suite_histogram.csv", "attack_fgsm/adversarial.csv"):
         raw = bytearray((tmp_path / name).read_bytes())
         raw[-3] ^= 1  # the last value's last digit: 0 <-> 1, 2 <-> 3, ...
@@ -911,7 +913,10 @@ def test_golden_check_catches_one_flipped_byte(data_csv, tmp_path):
     errors, moved = golden.check(recorded, current)
     assert moved == flipped and errors[0].startswith(f"{flipped[0]}: integers ")
     assert errors[1:] == [f"{name}: bytes moved" for name in flipped]
-    assert golden.check(elsewhere, current) == (errors[:1], flipped)
+    for key in ("numpy", "kernel"):
+        assert key in recorded["stack"]
+        elsewhere = {**recorded, "stack": {**recorded["stack"], key: "another"}}
+        assert golden.check(elsewhere, current) == (errors[:1], flipped)
 
 
 def _numeric_flags():

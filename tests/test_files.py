@@ -123,6 +123,31 @@ class TestReader:
         with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
+    def test_sizes_refused_before_the_circuit_is_built(self, tmp_path, monkeypatch):
+        # 10^5 layers of 3 qubits, or 1000 fully entangled qubits (about 500 000
+        # gates), took seconds to build before their sizes were checked
+        from statecov import qnn
+
+        built = []
+
+        def record(*args):
+            built.append(args)
+            raise AssertionError("the circuit was built")
+
+        def widen(doc):
+            doc.update(num_qubits=1000)
+            doc["ansatz"]["entanglement"] = "full"
+
+        monkeypatch.setattr(qnn, "build_ansatz_circuit", record)
+        for edit, message in [
+            (lambda doc: doc["ansatz"].update(num_layers=10**5), "params: expected 900000 values, got 9"),
+            (widen, "num_qubits 1000 is above MAX_QUBITS = 20"),
+        ]:
+            path = self._written(tmp_path, "model_v1.json", edit)
+            with pytest.raises(FileFormatError, match=f"^{re.escape(f'model {path}: {message}')}$"):
+                load_model(path)
+        assert built == []
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text("[0.5]")

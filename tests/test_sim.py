@@ -32,10 +32,8 @@ def zero_state(q):
 
 
 def bell_state():
-    circ = CircuitSpec(
-        2, (GateOp(Gate.H, target=0), GateOp(Gate.CNOT, target=1, control=0)), 0
-    )
-    return apply_circuit_batch(zero_state(2)[None], circ, [])[0]
+    gates = (GateOp(Gate.RY, target=0, param_slot=0), GateOp(Gate.CNOT, target=1, control=0))
+    return apply_circuit_batch(zero_state(2)[None], CircuitSpec(2, gates, 1), [np.pi / 2])[0]
 
 
 class TestApplyCircuit:
@@ -52,8 +50,8 @@ class TestApplyCircuit:
     def test_input_state_unmodified(self):
         batch = zero_state(1)[None]
         before = batch.copy()
-        circ = CircuitSpec(1, (GateOp(Gate.H, target=0),), 0)
-        apply_circuit_batch(batch, circ, [])
+        circ = CircuitSpec(1, (GateOp(Gate.RY, target=0, param_slot=0),), 1)
+        apply_circuit_batch(batch, circ, [np.pi / 2])
         assert np.array_equal(batch, before)
 
     def test_matches_dense_matrix_oracle(self):
@@ -75,11 +73,15 @@ class TestApplyCircuit:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_dimension_mismatch_names_gate(self):
-        circ = CircuitSpec(2, (GateOp(Gate.H, target=0),), 0)
+        circ = CircuitSpec(2, (GateOp(Gate.RY, target=0, param_slot=0),), 1)
         with pytest.raises(SimulationError):
-            apply_circuit_batch(zero_state(1)[None], circ, [])
+            apply_circuit_batch(zero_state(1)[None], circ, [0.5])
         with pytest.raises(SimulationError, match="gate 1"):
-            CircuitSpec(1, (GateOp(Gate.H, target=0), GateOp(Gate.X, target=3)), 0)
+            CircuitSpec(
+                1,
+                (GateOp(Gate.RY, target=0, param_slot=0), GateOp(Gate.RX, target=3, param_slot=1)),
+                2,
+            )
 
     def test_param_count_checked(self):
         circ = CircuitSpec(1, (GateOp(Gate.RX, target=0, param_slot=0),), 1)
@@ -124,7 +126,7 @@ class TestCompiledKernel:
         assert np.max(np.abs(apply_circuit_batch(states, circuit, params) - dense)) < 1e-10
 
     @given(
-        kind=st.sampled_from([Gate.CRX, Gate.CRY, Gate.CRZ, Gate.CNOT, Gate.CZ]),
+        kind=st.sampled_from([Gate.CNOT, Gate.CZ]),
         q=st.integers(2, 6),
         pair=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),
         theta=st.floats(-2 * np.pi, 2 * np.pi),
@@ -135,13 +137,12 @@ class TestCompiledKernel:
         control, target = pair[0] % q, pair[1] % q
         if control == target:
             target = (control + 1) % q
-        slot = 0 if kind in (Gate.CRX, Gate.CRY, Gate.CRZ) else None
         gates = (
-            GateOp(Gate.H, target=control),
-            GateOp(kind, target=target, control=control, param_slot=slot),
+            GateOp(Gate.RY, target=control, param_slot=0),
+            GateOp(kind, target=target, control=control),
         )
-        circuit = CircuitSpec(q, gates, 0 if slot is None else 1)
-        params = np.array([] if slot is None else [theta])
+        circuit = CircuitSpec(q, gates, 1)
+        params = np.array([theta])
         states = random_rows(np.random.default_rng(seed), 3, q)
         dense = states @ dense_circuit_matrix(circuit, params).T
         assert np.max(np.abs(apply_circuit_batch(states, circuit, params) - dense)) < 1e-10
@@ -302,8 +303,17 @@ class TestGateOpValidation:
             GateOp(Gate.RX, target=0)
 
     def test_non_rotation_rejects_slot(self):
-        with pytest.raises(SimulationError):
-            GateOp(Gate.H, target=0, param_slot=0)
+        with pytest.raises(SimulationError, match="cnot gate takes no parameter"):
+            GateOp(Gate.CNOT, target=1, control=0, param_slot=0)
+
+    def test_rotation_rejects_control(self):
+        with pytest.raises(SimulationError, match="ry gate takes no control qubit"):
+            GateOp(Gate.RY, target=1, control=0, param_slot=0)
+
+    def test_only_the_five_preset_gates(self):
+        assert [g.value for g in Gate] == ["rx", "ry", "rz", "cnot", "cz"]
+        with pytest.raises(ValueError):
+            Gate("h")
 
     def test_control_target_distinct(self):
         with pytest.raises(SimulationError):
@@ -326,8 +336,8 @@ class TestSampling:
 
     def test_uniform_superposition_accuracy(self):
         # binomial tail: at 1e5 shots, |p_hat - 0.5| <= 0.01 except w.p. < 1e-3
-        circ = CircuitSpec(1, (GateOp(Gate.H, target=0),), 0)
-        plus = np.abs(apply_circuit_batch(zero_state(1)[None], circ, [])[0]) ** 2
+        circ = CircuitSpec(1, (GateOp(Gate.RY, target=0, param_slot=0),), 1)
+        plus = np.abs(apply_circuit_batch(zero_state(1)[None], circ, [np.pi / 2])[0]) ** 2
         for seed in range(10):
             assert abs(sample_frequencies(plus, 100_000, rng_seed=seed)[0] - 0.5) <= 0.01
 
