@@ -119,7 +119,7 @@ def attack_suite(model: QnnModel, data: LabeledDataset, config: AttackConfig):
     xs, labels = data.features, data.labels
     _check_labels(labels, model.num_classes)
     if config.kind == "random":
-        adv = _perturb_rows(xs, config.epsilon, config.seed + np.arange(len(data)))
+        adv = _perturb_rows(xs, config.epsilon, range(config.seed, config.seed + len(data)))
     elif config.kind == "fgsm":
         adv = _fgsm_rows(model, xs, labels, config.epsilon)
     else:

@@ -235,6 +235,8 @@ def _load_data(path, model):
 
 def cmd_train(cfg) -> int:
     data = _load(load_csv, cfg["dataset"], "dataset")
+    if data.features.shape[1] == 0:
+        raise ConfigError(f"dataset {cfg['dataset']} has no feature column")
     encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
     _check_encodable(data, cfg["dataset"], encoder)
     ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])

@@ -40,6 +40,7 @@ __all__ = [
     "entanglement_pairs",
     "build_ansatz_circuit",
     "build_model",
+    "angle_factors",
     "encode_batch",
     "z_sign_matrix",
     "scores_from_probs",
@@ -236,16 +237,11 @@ class LabeledDataset:
         return h.hexdigest()[:16]
 
 
-def _angle_state_batch(angles: np.ndarray) -> np.ndarray:
-    """(n, q) rotation angles -> (n, 2^q) product-state amplitudes."""
-    n, q = angles.shape
-    states = np.ones((n, 1))
-    for i in range(q):
-        c = np.cos(angles[:, i] / 2.0)
-        s = np.sin(angles[:, i] / 2.0)
-        pair = np.stack([c, s], axis=1)
-        states = (states[:, :, None] * pair[:, None, :]).reshape(n, 2 << i)
-    return states.astype(np.complex128)
+def angle_factors(xs: np.ndarray) -> np.ndarray:
+    """The (n, q, 2) real factors (cos, sin)(pi x_i / 2) of (n, q) feature
+    rows: qubit i of a row's angle-encoded product state is RY(pi x_i)|0>."""
+    half = np.pi * np.asarray(xs, dtype=np.float64) / 2.0
+    return np.stack([np.cos(half), np.sin(half)], axis=-1)
 
 
 def _row_blocks(n: int, width: int) -> list:
@@ -288,10 +284,13 @@ def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
         if np.any(norms == 0):
             raise EncodingError("amplitude encoding undefined for all-zero input")
         return (padded / norms[:, None]).astype(np.complex128)
-    # angle encoding: one RY(pi * x_i) per qubit
     if encoder.input_dim != q:
         raise EncodingError("angle encoding requires one feature per qubit")
-    return _angle_state_batch(np.pi * xs)
+    # the Kronecker product of the factors, qubit 0 the most significant bit
+    factors, states = angle_factors(xs), np.ones((len(xs), 1))
+    for i in range(q):
+        states = (states[:, :, None] * factors[:, None, i]).reshape(len(xs), 2 << i)
+    return states.astype(np.complex128)
 
 
 def z_sign_matrix(readout_qubits: Sequence[int], q: int) -> np.ndarray:

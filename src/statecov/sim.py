@@ -36,6 +36,7 @@ __all__ = [
     "GateOp",
     "CircuitSpec",
     "SimulationError",
+    "restrict",
     "apply_circuit_batch",
     "adjoint_sweep",
 ]
@@ -170,6 +171,17 @@ def _compile(circuit: CircuitSpec) -> _Plan:
     return _Plan(slots, sin_part, runs.reshape(-1, width), tuple(steps))
 
 
+def restrict(circuit: CircuitSpec, qubits) -> CircuitSpec:
+    """The circuit on the given qubits, relabelled 0, 1, ... in ascending order."""
+    local = {b: i for i, b in enumerate(sorted(set(qubits)))}
+    for idx, g in enumerate(circuit.gates):
+        for b in (g.target, g.control):
+            if b is not None and b not in local:
+                raise SimulationError(f"gate {idx}: qubit {b} is not among {sorted(local)}")
+    ops = [replace(g, target=local[g.target], control=local.get(g.control)) for g in circuit.gates]
+    return CircuitSpec(len(local), ops, circuit.num_params)
+
+
 def _group(circuit: CircuitSpec) -> tuple:
     """Group the gates into blocks (lo, block circuit): dense ones on local
     qubits 0, 1, ... of a window of at most BLOCK_QUBITS qubits from lo, wide
@@ -196,12 +208,8 @@ def _group(circuit: CircuitSpec) -> tuple:
         groups[j][2].append(op)
         for b in qubits:
             last[b] = j
-    blocks = []
-    for lo, hi, gates in groups:
-        shift = {b: b - lo for b in range(lo, hi + 1)}
-        ops = [replace(op, target=shift[op.target], control=shift.get(op.control)) for op in gates]
-        blocks.append((lo, CircuitSpec(hi - lo + 1, ops, circuit.num_params)))
-    return tuple(blocks)
+    return tuple((lo, restrict(CircuitSpec(q, ops, circuit.num_params), range(lo, hi + 1)))
+                 for lo, hi, ops in groups)
 
 
 def _compiled(circuit: CircuitSpec) -> _Plan:

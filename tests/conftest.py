@@ -133,11 +133,18 @@ def random_circuit(rng, q, num_gates=12, wide=0):
 
 
 def brute_force_coverage(profile, config, pvs):
-    """From-scratch, loop-based recomputation of the three criteria."""
-    from statecov.coverage import EPS_DEGENERATE, resolve_boundaries
+    """From-scratch, loop-based recomputation of the three criteria, with
+    each boundary mode's bounds worked out per state here."""
+    from statecov.coverage import EPS_DEGENERATE
 
-    lb, ub = resolve_boundaries(profile, config)
     s_count = profile.num_states
+    if config.boundary_mode == "sigma":  # widened by one sigma, kept in [0, 1]
+        lb = [max(0.0, profile.lower[s] - profile.sigma[s]) for s in range(s_count)]
+        ub = [min(1.0, profile.upper[s] + profile.sigma[s]) for s in range(s_count)]
+    elif config.boundary_mode == "mad":
+        lb, ub = list(profile.mad_lower), list(profile.mad_upper)
+    else:
+        lb, ub = list(profile.lower), list(profile.upper)
     k = config.k_cells
     eps = EPS_DEGENERATE
     cells = set()

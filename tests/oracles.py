@@ -3,10 +3,10 @@
 Parameter-shift and finite-difference gradients, the latter of the one-row
 cross-entropy, check the adjoint sweep and the input gradients; seeded
 Haar-random states feed the dense-matrix simulator check and, through the
-pair-fidelity histogram of an amplitude array, the closed-form Haar baseline
-and the suite diversity figures; sample_frequencies is the one-row shot
-draw that row i of collect_prob_vectors(..., shots, seed) must equal at
-seed + i; the one-row mutation is what each row of a fuzz.mutate batch
+pair-by-pair fidelities of an amplitude array and their histogram, the
+closed-form Haar baseline and the suite diversity figures;
+sample_frequencies is the one-row shot draw that row i of
+collect_prob_vectors(..., shots, seed) must equal at seed + i; the one-row mutation is what each row of a fuzz.mutate batch
 must equal, the one-row evaluation drives the sequential fuzz reference
 loop, merge is the bitwise union of two coverage trackers, and
 save_csv_rows and load_csv_rows are the csv-module writer and row-by-row
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from statecov.coverage import CoverageTracker
-from statecov.diversity import DEFAULT_MAX_PAIRS, _pair_fidelities, fidelity_densities
+from statecov.diversity import DEFAULT_MAX_PAIRS, fidelity_densities
 from statecov.gradients import GradientError
 from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
 from statecov.sim import apply_circuit_batch
@@ -98,6 +98,18 @@ def sample_frequencies(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarr
     return counts / shots
 
 
+def pair_fidelities(states: np.ndarray, max_pairs: int, seed: Optional[int]) -> np.ndarray:
+    """|<i|j>|^2 of the rows of an (n, 2^q) amplitude array, one pair at a time:
+    every pair i < j in row-major order or, above max_pairs of them, those at
+    the positions a seeded draw of max_pairs without replacement picks."""
+    amps = np.asarray(states, dtype=np.complex128)
+    pairs = [(i, j) for i in range(len(amps)) for j in range(i + 1, len(amps))]
+    if len(pairs) > max_pairs:
+        picks = np.random.default_rng(seed or 0).choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[k] for k in picks]
+    return np.array([abs(np.vdot(amps[i], amps[j])) ** 2 for i, j in pairs])
+
+
 def pairwise_fidelity_hist(
     states: np.ndarray,
     max_pairs: int = DEFAULT_MAX_PAIRS,
@@ -106,8 +118,7 @@ def pairwise_fidelity_hist(
     """Densities of the pair fidelities of the rows of an (n, 2^q) amplitude array."""
     if len(states) < 2:
         raise ValueError("need at least 2 states for pairwise fidelities")
-    amps = np.asarray(states, dtype=np.complex128)
-    return fidelity_densities(_pair_fidelities(amps, max_pairs, seed))
+    return fidelity_densities(pair_fidelities(states, max_pairs, seed))
 
 
 def mutate_row(x: np.ndarray, ref: np.ndarray, rng: np.random.Generator, alpha: float) -> np.ndarray:

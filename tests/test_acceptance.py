@@ -1,6 +1,7 @@
 """Acceptance suite: one exact reference fixture plus property-based and
-directional criteria. Each test prints a single PASS/FAIL line with its
-headline numbers so the suite doubles as a results summary."""
+directional criteria. Each test prints a PASS/FAIL line with its headline
+numbers so the suite doubles as a results summary; criterion 12 prints its
+paired table first."""
 
 import time
 
@@ -442,5 +443,66 @@ def test_criterion_10_mad_stabilization(toy4_model, toy4_train_data):
         f"nesting holds; spread KSC/SCC raw {raw_spread.round(2)} vs "
         f"MAD {mad_spread.round(2)} over 4 selections x 10 seeds",
         600.0,
+        time.monotonic() - t0,
+    )
+
+
+def _bootstrap_interval(diffs, rng, resamples=2000):
+    """Percentile 95 % interval of the mean of paired differences."""
+    means = diffs[rng.integers(0, len(diffs), (resamples, len(diffs)))].mean(axis=1)
+    return np.percentile(means, [2.5, 97.5])
+
+
+def test_criterion_12_unrepresentative_profiling_data(toy4_model, toy4_train_data):
+    # Profiles of equal size (50 rows) from balanced and skewed slices of the
+    # training data, each against the same 120 representative suites: a
+    # profile that misses part of the input distribution should leave the
+    # suites' states outside its bounds (SCC up), while TSC, which never
+    # reads the profile, must not move at all.
+    t0 = time.monotonic()
+    pvs = collect_prob_vectors(toy4_model, toy4_train_data)
+    c0, c1 = (np.flatnonzero(toy4_train_data.labels == c) for c in (0, 1))
+    profiles = {
+        name: profile_from_samples(pvs[np.concatenate(idx)])
+        for name, idx in (
+            ("balanced 25/25", (c0[:25], c1[:25])),
+            ("skewed 45/5", (c0[:45], c1[:5])),
+            ("class 0 only", (c0[:50],)),
+        )
+    }
+    config = CoverageConfig(k_cells=50)
+    cov = {name: [] for name in profiles}
+    for s in range(120):
+        suite = gaussian_blobs(2, 30, 4, spread=0.12, seed=1000 + s)
+        suite_pvs = collect_prob_vectors(toy4_model, suite)
+        for name, prof in profiles.items():
+            tracker = CoverageTracker(prof, config)
+            tracker.fold(suite_pvs)
+            rep = tracker.report()
+            cov[name].append((rep.ksc, rep.scc, rep.tsc))
+    cov = {name: np.array(rows) for name, rows in cov.items()}
+    base = cov["balanced 25/25"]
+    rng = np.random.default_rng(12)
+    print("paired differences from the balanced profile, mean [bootstrap 95% interval]")
+    print("profiling data   | KSC                    | SCC                    | TSC      | SCC < 0")
+    ok, means = True, []
+    for name in ("skewed 45/5", "class 0 only"):
+        diffs = cov[name] - base
+        cells = []
+        for col in (0, 1):
+            lo, hi = _bootstrap_interval(diffs[:, col], rng)
+            cells.append(f"{diffs[:, col].mean():+6.2f} [{lo:+6.2f}, {hi:+6.2f}]")
+        tsc_same = bool(np.all(diffs[:, 2] == 0))
+        below = int((diffs[:, 1] < 0).sum())
+        tsc = "0 exact" if tsc_same else "moved"
+        print(f"{name:16} | {cells[0]:22} | {cells[1]:22} | {tsc:8} | {below}/120")
+        ok = ok and tsc_same and diffs[:, 1].mean() > 0
+        means.append(f"{name} {diffs[:, 1].mean():+.2f}")
+    _verdict(
+        12,
+        "unrepresentative profiling data",
+        ok,
+        f"SCC(skewed) - SCC(balanced) over 120 suites: {', '.join(means)}; TSC identical",
+        120.0,
         time.monotonic() - t0,
     )

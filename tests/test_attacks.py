@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statecov.attacks import AttackConfig, attack_suite
+from statecov.attacks import AttackConfig, _rounding_zeroed, attack_suite
+from statecov.gradients import input_grads
 from statecov.qnn import AnsatzSpec, EncoderSpec, LabeledDataset, build_model, forward_batch
 
 
@@ -107,6 +108,45 @@ class TestJsma:
             toy4_model, data, AttackConfig(kind="jsma", theta=1.0, gamma=0.5)
         )
         assert asr > 0.0
+
+
+    def test_three_classes_push_toward_the_runner_up(self):
+        # the step favours the second-highest class over the true one; with
+        # three classes that is not the lowest-scoring one
+        ansatz = AnsatzSpec("layered", 2, "cyclic")
+        model = build_model(EncoderSpec("angle", 4), ansatz, 4, 3, seed=1)
+        xs = np.random.default_rng(2).uniform(0.0, 0.6, (40, 4))
+        _, scores = forward_batch(model, xs)
+        labels = np.argmax(scores, axis=1)  # every row starts correctly classified
+        config = AttackConfig(kind="jsma", gamma=0.25)
+        adv, _ = attack_suite(model, LabeledDataset(xs, labels), config)
+
+        def bumped(x, truth, target):  # the feature one JSMA round bumps, or None
+            w = np.zeros((1, 3))
+            w[0, target] += 1.0
+            w[0, truth] -= 1.0
+            grad = input_grads(model, x[None], lambda _: w)[1][0]
+            return int(np.argmax(grad)) if grad.max() > 0 else None
+
+        differs = 0
+        for x, truth, row, s in zip(xs, labels, adv.features, scores):
+            ranked = sorted(range(3), key=lambda c: -s[c])
+            best = bumped(x, truth, ranked[1])
+            expected = x.copy()
+            if best is not None:
+                expected[best] = 1.0
+            assert np.array_equal(row, expected)
+            differs += bumped(x, truth, ranked[2]) != best
+        assert differs  # the lowest class would have moved some row elsewhere
+
+
+class TestRoundingZeroed:
+    def test_small_but_real_gradients_kept(self):
+        # rounding noise sits near 1e-16 of the largest entry; a gradient
+        # between 1e-10 and 1e-6 of it is real and must steer FGSM and JSMA
+        grads = np.array([[1.0, -1e-8, 3e-7, 1e-12, -5e-11], [0.0, 0.0, 0.0, 0.0, 0.0]])
+        expected = np.array([[1.0, -1e-8, 3e-7, 0.0, 0.0], [0.0] * 5])
+        assert np.array_equal(_rounding_zeroed(grads), expected)
 
 
 class TestAttackSuite:

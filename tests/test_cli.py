@@ -10,7 +10,7 @@ import pytest
 from statecov import cli
 from statecov.attacks import AttackConfig, attack_suite
 from statecov.cli import build_parser, main
-from statecov.coverage import StateProfile
+from statecov.coverage import StateProfile, profile
 from statecov.datasets import load_csv, save_csv
 from statecov.diversity import BIN_EDGES, NUM_BINS, haar_densities
 from statecov.fuzz import FuzzConfig, fuzz, random_test
@@ -87,6 +87,14 @@ class TestTrain:
         assert code == 2
         assert "bad.csv:2: column f1" in capsys.readouterr().err
 
+    def test_dataset_without_feature_columns_is_config_error(self, tmp_path, capsys):
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes(b"label\r\n0\r\n1\r\n")
+        code = main(["train", "--dataset", str(bare), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"dataset {bare} has no feature column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_from_resolved_config_reproduces(self, trained_dir, tmp_path):
         doc = json.loads((trained_dir / "resolved_config.json").read_text())
         doc.pop("command")
@@ -132,6 +140,22 @@ class TestProfile:
         )
         assert code == 0
         assert "digest" in capsys.readouterr().err
+
+    def test_per_class_cap_keeps_the_first_rows_of_each_class(
+        self, trained_dir, data_csv, tmp_path
+    ):
+        model_path = str(trained_dir / "model.json")
+        args = ["--model", model_path, "--dataset", str(data_csv), "--per-class-cap", "3"]
+        assert main(["profile", *args, "--out-dir", str(tmp_path)]) == 0
+        model, data = load_model(model_path), load_csv(data_csv)
+        by_class = [np.flatnonzero(data.labels == c) for c in np.unique(data.labels)]
+        first, last = (
+            profile(model, data.subset(np.sort(np.concatenate([idx[cut] for idx in by_class]))))
+            for cut in (slice(None, 3), slice(-3, None))
+        )
+        got = StateProfile.from_json(tmp_path / "profile.json")
+        assert np.array_equal(got.lower, first.lower) and np.array_equal(got.upper, first.upper)
+        assert not np.array_equal(got.lower, last.lower)
 
     def test_missing_model_is_config_error(self, data_csv, tmp_path):
         code = main(
@@ -205,6 +229,26 @@ class TestAttack:
         saved = load_csv(tmp_path / kind / "adversarial.csv")
         assert np.array_equal(saved.features, adv.features)
         assert np.array_equal(saved.labels, adv.labels)
+
+    def test_random_attack_at_the_largest_int64_seed(self, trained_dir, data_csv, tmp_path):
+        # row i draws from seed + i, which passes 2^63 - 1 from the second row on
+        seed = 2**63 - 1
+        code = main(
+            [
+                "attack",
+                "--model", str(trained_dir / "model.json"),
+                "--dataset", str(data_csv),
+                "--kind", "random",
+                "--seed", str(seed),
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        clean, eps = load_csv(data_csv).features, AttackConfig.epsilon
+        adv = load_csv(tmp_path / "adversarial.csv").features
+        for i, (row, x) in enumerate(zip(adv, clean)):
+            noise = np.random.default_rng(seed + i).uniform(-eps, eps, size=x.size)
+            assert np.array_equal(row, np.clip(x + noise, 0.0, 1.0))
 
     def test_invalid_epsilon_internal_error(self, trained_dir, data_csv, tmp_path):
         code = main(

@@ -221,6 +221,19 @@ class TestBoundaryModes:
         with pytest.raises(ValueError):
             resolve_boundaries(prof, CoverageConfig(boundary_mode="mad"))
 
+    def test_sigma_tracker_matches_oracle(self):
+        # the oracle works out its own bounds, one sigma wider on each side
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            prof, suite = random_profile_and_suite(rng, int(rng.integers(1, 4)), 40)
+            config = CoverageConfig(k_cells=int(rng.integers(2, 20)), boundary_mode="sigma")
+            tracker = CoverageTracker(prof, config)
+            tracker.fold(suite)
+            oracle = brute_force_coverage(prof, config, suite)
+            assert set(map(tuple, np.argwhere(tracker.cells).tolist())) == oracle["cells"]
+            sides = np.argwhere(tracker.corners).tolist()
+            assert {(s, ("low", "high")[side]) for s, side in sides} == oracle["corners"]
+
     def test_scc_ordering_sigma_vs_raw(self):
         # wider major regions can only shrink the set of corner hits
         rng = np.random.default_rng(7)

@@ -16,7 +16,7 @@ from statecov.diversity import (
 from statecov.files import write_csv
 from statecov.qnn import EncoderSpec, encode_batch
 
-from oracles import haar_random_state, pairwise_fidelity_hist
+from oracles import haar_random_state, pair_fidelities, pairwise_fidelity_hist
 
 HAAR_BIN_TOL = 5e-3
 
@@ -67,6 +67,16 @@ class TestHistogram:
         b = pairwise_fidelity_hist(states, max_pairs=100, seed=7)
         assert np.array_equal(a, b)
         assert len(_pair_fidelities(states, 100, 7)) == 100
+
+    def test_pairs_follow_the_seed(self):
+        # 10 states have 45 pairs: all of them at max_pairs 45, a seeded draw at 30
+        states = np.stack([haar_random_state(3, s) for s in range(10)])
+        for max_pairs in (45, 30):
+            for seed in (1, 2):
+                got = _pair_fidelities(states, max_pairs, seed)
+                want = pair_fidelities(states, max_pairs, seed)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert not np.allclose(_pair_fidelities(states, 30, 1), _pair_fidelities(states, 30, 2))
 
     def test_csv_export(self, tmp_path):
         densities = fidelity_densities([0.1, 0.2, 0.9])

@@ -15,6 +15,7 @@ from statecov.qnn import (
     ModelFormatError,
     TrainConfig,
     _row_blocks,
+    angle_factors,
     build_ansatz_circuit,
     build_model,
     encode_batch,
@@ -60,6 +61,23 @@ class TestEncoding:
         state = encode_batch(EncoderSpec("amplitude", 3), [[0.5, 0.5, 0.5]], 2)[0]
         assert state[3] == 0
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+    @given(n=st.integers(0, 5), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_angle_state_is_the_product_of_its_factors(self, n, q, seed):
+        xs = np.random.default_rng(seed).uniform(0.0, 1.0, (n, q))
+        factors = angle_factors(xs)
+        assert factors.shape == (n, q, 2) and factors.dtype == np.float64
+        assert np.array_equal(factors[..., 0], np.cos(np.pi * xs / 2.0))
+        assert np.array_equal(factors[..., 1], np.sin(np.pi * xs / 2.0))
+        # qubit 0 is the most significant bit: the Kronecker product from qubit 0 on
+        states = encode_batch(EncoderSpec("angle", q), xs, q)
+        assert states.dtype == np.complex128
+        for row, pairs in zip(states, factors):
+            expected = np.ones(1)
+            for pair in pairs:
+                expected = np.kron(expected, pair)
+            assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), ()])
     def test_feature_matrix_must_be_2d(self, shape):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import sys
 import tracemalloc
 
@@ -16,7 +18,9 @@ from statecov.sim import (
     _block_matrices,
     _blocks,
     _compiled,
+    _group,
     apply_circuit_batch,
+    restrict,
 )
 
 from conftest import dense_circuit_apply, dense_circuit_matrix, random_circuit
@@ -295,6 +299,90 @@ class TestBlocks:
         rows = 2 * (BLOCK_AMPS >> 10) + 1  # two full blocks and one row
         forward_batch(model, np.random.default_rng(0).uniform(0, 1, (rows, 10)))
         assert calls == {"apply_circuit_batch": 3}
+
+
+class TestRestrict:
+    """sim.restrict: a circuit on a subset of its qubits, relabelled in order."""
+
+    @staticmethod
+    def _placed(part, qubits, shift):
+        """The gates of part with qubit i moved to qubits[i] and every slot shifted."""
+        return [
+            GateOp(op.kind, qubits[op.target], None if op.control is None else qubits[op.control],
+                   None if op.param_slot is None else op.param_slot + shift)
+            for op in part.gates
+        ]
+
+    @given(
+        q=st.integers(2, 7),
+        n=st.integers(1, 3),
+        num_gates=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_qubit_sets_give_a_kronecker_product(self, q, n, num_gates, seed):
+        rng = np.random.default_rng(seed)
+        a = sorted(rng.choice(q, size=int(rng.integers(1, q)), replace=False).tolist())
+        b = [qubit for qubit in range(q) if qubit not in a]
+        (part_a, params_a), (part_b, params_b) = (
+            random_circuit(rng, len(side), num_gates) for side in (a, b)
+        )
+        # the two parts interleaved at random, b's slots after a's
+        queues = [self._placed(part_a, a, 0), self._placed(part_b, b, part_a.num_params)]
+        picks = rng.permutation([0] * len(queues[0]) + [1] * len(queues[1]))
+        params = np.concatenate([params_a, params_b])
+        p = len(params)
+        circuit = CircuitSpec(q, [queues[k].pop(0) for k in picks], p)
+        # each restriction is of the gates on its side; b is also given reversed and twice
+        sub_a, sub_b = (
+            restrict(CircuitSpec(q, [g for g in circuit.gates if g.target in side], p), qubits)
+            for side, qubits in ((a, a), (b, b[::-1] + b))
+        )
+        assert sub_a == CircuitSpec(len(a), self._placed(part_a, range(len(a)), 0), p)
+        assert sub_b == CircuitSpec(len(b), self._placed(part_b, range(len(b)), len(params_a)), p)
+        # U = U_a (x) U_b on the qubits ordered a then b; row k of a pass over
+        # the identity rows is column k of the block's matrix
+        u_a, u_b = (apply_circuit_batch(np.eye(2**c.num_qubits), c, params).T
+                    for c in (sub_a, sub_b))
+        states = random_rows(rng, n, q)
+        axes = [0] + [1 + qubit for qubit in a + b]
+        split = states.reshape((n,) + (2,) * q).transpose(axes).reshape(n, 2 ** len(a), -1)
+        mixed = np.einsum("ij,kl,njl->nik", u_a, u_b, split).reshape((n,) + (2,) * q)
+        expected = mixed.transpose(np.argsort(axes)).reshape(n, 2**q)
+        assert np.max(np.abs(expected - dense_circuit_apply(circuit, params, states))) < 1e-12
+
+    @given(q=st.integers(1, 8), num_gates=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_all_qubits_is_the_circuit(self, q, num_gates, seed):
+        circuit, _ = random_circuit(np.random.default_rng(seed), q, num_gates)
+        assert restrict(circuit, range(q)) == circuit
+        assert restrict(circuit, list(range(q))[::-1] * 2) == circuit
+
+    def test_gate_outside_the_qubits_is_named(self):
+        gates = (
+            GateOp(Gate.RX, target=0, param_slot=0),
+            GateOp(Gate.CZ, target=1, control=0),
+            GateOp(Gate.CNOT, target=1, control=3),
+        )
+        circuit = CircuitSpec(4, gates, 2)
+        assert restrict(circuit, [0, 1, 3]).gates[2] == GateOp(Gate.CNOT, target=1, control=2)
+        with pytest.raises(SimulationError, match=r"gate 2: qubit 3 is not among \[0, 1, 2\]"):
+            restrict(circuit, [0, 1, 2])
+        with pytest.raises(SimulationError, match=r"gate 1: qubit 1 is not among \[0, 3\]"):
+            restrict(circuit, [3, 0])
+
+    def test_blocks_are_unchanged(self):
+        # the blocks of both presets, every entanglement, q = 1-14 and 1-3
+        # layers: a change to any block's window, relabelled gates or slots
+        # moves the digest
+        digest = hashlib.sha256()
+        grid = itertools.product(ANSATZ_PRESETS, ENTANGLEMENTS, range(1, 15), (1, 2, 3))
+        for preset, entanglement, q, layers in grid:
+            circuit = build_ansatz_circuit(AnsatzSpec(preset, layers, entanglement), q)
+            for lo, block in _group(circuit):
+                ops = [(g.kind.value, g.target, g.control, g.param_slot) for g in block.gates]
+                digest.update(repr((lo, block.num_qubits, block.num_params, ops)).encode())
+        assert digest.hexdigest()[:16] == "3f108a56bcf3f180"
 
 
 class TestGateOpValidation:
