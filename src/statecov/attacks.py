@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import InputError
 from .gradients import input_grads
 from .qnn import (
     LabeledDataset, QnnModel, _check_labels, _unencodable, cross_entropy_grad, forward_batch,
@@ -32,15 +33,15 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise InputError(f"unknown attack kind {self.kind!r}")
         if not (0 <= self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+            raise InputError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (0 <= self.theta <= 1):
-            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
+            raise InputError(f"theta must be in [0, 1], got {self.theta}")
         if not (0 <= self.gamma <= 1):
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+            raise InputError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _perturb_rows(xs: np.ndarray, epsilon: float, seeds) -> np.ndarray:

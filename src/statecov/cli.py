@@ -3,8 +3,9 @@
 Subcommands: train, profile, coverage, attack, fuzz, diversity. The library
 returns values, and this module alone decides which files a run writes.
 Every run writes a resolved-config JSON next to its outputs so that
-re-running the file reproduces the results. Exit codes: 0 success,
-1 internal error, 2 usage/config error or an output that cannot be written.
+re-running the file reproduces the results. Exit codes: 0 success, 1 internal
+error, 2 a bad user value (a files.InputError, which names the field) or an
+output that cannot be written.
 
 OPTIONS declares every option once, as OPTIONS[command][key] = (kind,
 default) in resolved-config order. The kind is int, float or str, a tuple of
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import files
+from .files import InputError
 from .attacks import ATTACK_KINDS, AttackConfig, attack_suite
 from .coverage import (
     BOUNDARY_MODES,
@@ -31,6 +34,7 @@ from .coverage import (
     _check_profile,
     coverage_suite,
     profile,
+    resolve_boundaries,
 )
 from .datasets import load_csv, save_csv
 from .diversity import BIN_EDGES, suite_diversity
@@ -43,7 +47,9 @@ from .qnn import (
     AnsatzSpec,
     EncoderSpec,
     TrainConfig,
-    _unencodable,
+    _check_encodable,
+    _check_labels,
+    _feature_matrix,
     build_model,
     load_model,
     save_model,
@@ -132,10 +138,6 @@ _HELP = {
 }
 
 
-class ConfigError(Exception):
-    """Bad user-supplied configuration; maps to exit code 2."""
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """Flag > config-file > built-in default, for every option of the
     command. Every file value must be of its option's kind, or null where the
@@ -145,23 +147,23 @@ def _resolve(args: argparse.Namespace) -> dict:
         file_cfg = _load(lambda path: files.load(path, "config file"), args.config, "config file")
     command = file_cfg.pop("command", args.command)
     if command != args.command:
-        raise ConfigError(f"config file: command {command!r} does not match {args.command}")
+        raise InputError(f"config file: command {command!r} does not match {args.command}")
     options = OPTIONS[args.command]
     for key, value in file_cfg.items():
         if key not in options:
-            raise ConfigError(f"config file: unknown key {key} for {args.command}")
+            raise InputError(f"config file: unknown key {key} for {args.command}")
         kind, default = options[key]
         if value is not None or default is not None:
             try:
                 file_cfg[key] = files.check(key, value, kind)
             except ValueError as exc:
-                raise ConfigError(f"config file: {exc}") from None
+                raise InputError(f"config file: {exc}") from None
     resolved = {"command": args.command}  # the resolved_config.json a run writes
     for key, (_, default) in options.items():
         flag = getattr(args, key)
         resolved[key] = file_cfg.get(key, default) if flag is None else flag
     if resolved["seed"] < 0:  # every subcommand has one; numpy's own error would not name it
-        raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
+        raise InputError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
@@ -177,72 +179,58 @@ def _out_dir(cfg: dict) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a file on the way
-        raise ConfigError(f"out_dir {out}: cannot make the directory: {exc.strerror or exc}")
+        raise InputError(f"out_dir {out}: cannot make the directory: {exc.strerror or exc}")
     return out
 
 
 def _load(loader, path, what):
-    """loader(path); a missing path, a file that cannot be read and a malformed
-    file are usage errors."""
+    """loader(path), whose InputError names a malformed file; a missing path
+    and a file that cannot be read are usage errors too."""
     if path is None:
-        raise ConfigError(f"a {what} path is required")
+        raise InputError(f"a {what} path is required")
     try:
         return loader(path)
     except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}")
+        raise InputError(f"{what} not found: {path}")
     except OSError as exc:  # a directory, say, or no permission
-        raise ConfigError(f"{what} {path}: cannot read the file: {exc.strerror or exc}")
-    except ValueError as exc:  # malformed file: a usage error, not an internal one
-        raise ConfigError(str(exc))
+        raise InputError(f"{what} {path}: cannot read the file: {exc.strerror or exc}")
 
 
-def _load_profile(path, model):
-    """The profile at path; one whose state count is not the model's is a usage error."""
-    return _load(lambda p: _check_profile(model, StateProfile.from_json(p)), path, "profile")
+@contextmanager
+def _naming(what, path):
+    """An InputError inside names the file as what path."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{what} {path}: {exc}") from None
 
 
-def _check_encodable(data, path, encoder):
-    """data; a row the encoder cannot map to a state is a usage error."""
-    bad = np.flatnonzero(_unencodable(encoder, data.features))
-    if bad.size:
-        raise ConfigError(
-            f"dataset {path}: row {bad[0]} is all zeros, which {encoder.kind} encoding "
-            "cannot map to a state"
-        )
+def _load_profile(path, model, config):
+    """The profile at path, held to the model's state count and to config's boundary mode."""
+    prof = _load(StateProfile.from_json, path, "profile")
+    with _naming("profile", path):
+        resolve_boundaries(_check_profile(model, prof), config)
+    return prof
+
+
+def _load_data(path, model, labelled=False, data=None):
+    """The dataset at path (or data, read from it), held to the model's feature
+    count, rows its encoder can map and, if labelled, labels in [0, num_classes)."""
+    data = _load(load_csv, path, "dataset") if data is None else data
+    with _naming("dataset", path):
+        _check_encodable(model.encoder, _feature_matrix(model.encoder, data.features))
+        if labelled:
+            _check_labels(data.labels, model.num_classes)
     return data
-
-
-def _check_labels(data, path, num_classes):
-    """data; a label outside [0, num_classes) is a usage error."""
-    bad = np.flatnonzero((data.labels < 0) | (data.labels >= num_classes))
-    if bad.size:
-        raise ConfigError(f"dataset {path}: label {data.labels[bad[0]]} of data row {bad[0] + 1} "
-                          f"is outside [0, num_classes) with num_classes {num_classes}")
-    return data
-
-
-def _load_data(path, model):
-    """The dataset at path; one whose feature count is not the model's
-    encoder.input_dim, or with a row the encoder cannot map, is a usage error."""
-    data, dim = _load(load_csv, path, "dataset"), model.encoder.input_dim
-    if data.features.shape[1] != dim:
-        raise ConfigError(
-            f"dataset {path} has {data.features.shape[1]} features but the model's "
-            f"encoder.input_dim is {dim}"
-        )
-    return _check_encodable(data, path, model.encoder)
 
 
 def cmd_train(cfg) -> int:
     data = _load(load_csv, cfg["dataset"], "dataset")
-    if data.features.shape[1] == 0:
-        raise ConfigError(f"dataset {cfg['dataset']} has no feature column")
-    encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
-    _check_encodable(data, cfg["dataset"], encoder)
+    with _naming("dataset", cfg["dataset"]):  # a file with no feature column
+        encoder = EncoderSpec(kind=cfg["encoder"], input_dim=data.features.shape[1])
     ansatz = AnsatzSpec(cfg["preset"], cfg["layers"], cfg["entanglement"])
     model = build_model(encoder, ansatz, cfg["qubits"], cfg["classes"], seed=cfg["seed"])
-    if model.num_classes > 1:  # train refuses a single class itself
-        _check_labels(data, cfg["dataset"], model.num_classes)
+    _load_data(cfg["dataset"], model, labelled=True, data=data)
     trained, history = train(model, data, _config(TrainConfig, cfg))
     out = _out_dir(cfg)
     save_model(trained, out / "model.json")
@@ -267,7 +255,7 @@ def cmd_profile(cfg) -> int:
     # cap the profiling sample per class
     cap = cfg["per_class_cap"]
     if cap < 1:
-        raise ValueError(f"per_class_cap must be >= 1, got {cap}")
+        raise InputError(f"per_class_cap must be >= 1, got {cap}")
     keep = []
     for c in np.unique(data.labels):
         idx = np.flatnonzero(data.labels == c)[:cap]
@@ -283,9 +271,9 @@ def cmd_profile(cfg) -> int:
 
 def cmd_coverage(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    prof = _load_profile(cfg["profile"], model)
-    suite = _load_data(cfg["suite"], model)
     ccfg = _config(CoverageConfig, cfg, k_cells=cfg["k"])
+    prof = _load_profile(cfg["profile"], model, ccfg)
+    suite = _load_data(cfg["suite"], model)
     report = coverage_suite(model, suite, prof, ccfg, shots=cfg["shots"], seed=cfg["seed"])
     out = _out_dir(cfg)
     files.write_json(out / "report.json", asdict(report))
@@ -296,7 +284,7 @@ def cmd_coverage(cfg) -> int:
 
 def cmd_attack(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    data = _check_labels(_load_data(cfg["dataset"], model), cfg["dataset"], model.num_classes)
+    data = _load_data(cfg["dataset"], model, labelled=True)
     acfg = _config(AttackConfig, cfg)
     adv, asr = attack_suite(model, data, acfg)
     out = _out_dir(cfg)
@@ -310,9 +298,9 @@ def cmd_attack(cfg) -> int:
 
 def cmd_fuzz(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
-    prof = _load_profile(cfg["profile"], model)
-    seeds = _check_labels(_load_data(cfg["seeds"], model), cfg["seeds"], model.num_classes)
     fcfg = _config(FuzzConfig, cfg, coverage=_config(CoverageConfig, cfg, k_cells=cfg["k"]))
+    prof = _load_profile(cfg["profile"], model, fcfg.coverage)
+    seeds = _load_data(cfg["seeds"], model, labelled=True)
     if cfg["random_baseline"]:
         outcome = random_test(model, seeds, prof, fcfg, reenqueue_prob=cfg["reenqueue_prob"])
     else:
@@ -340,11 +328,10 @@ def cmd_fuzz(cfg) -> int:
 def cmd_diversity(cfg) -> int:
     model = _load(load_model, cfg["model"], "model")
     suite = _load_data(cfg["suite"], model)
-    if len(suite) < 2:
-        raise ConfigError(f"suite {cfg['suite']} has 1 row but diversity needs at least 2")
-    summary, suite_densities, haar_densities = suite_diversity(
-        model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
-    )
+    with _naming("dataset", cfg["suite"]):
+        summary, suite_densities, haar_densities = suite_diversity(
+            model.encoder, model.num_qubits, suite.features, seed=cfg["seed"]
+        )
     out = _out_dir(cfg)
     files.write_json(out / "diversity.json", asdict(summary))
     for name, densities in (("suite", suite_densities), ("haar", haar_densities)):
@@ -386,7 +373,7 @@ def main(argv=None) -> int:
         if code == 0:
             files.write_json(_out_dir(cfg) / "resolved_config.json", cfg)
         return code
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # _load maps every read, so an output cannot be written

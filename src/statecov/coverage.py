@@ -39,6 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import files
+from .files import InputError
 from .qnn import BLOCK_AMPS, LabeledDataset, QnnModel, _row_blocks, forward_batch
 
 __all__ = [
@@ -112,10 +113,10 @@ class CoverageConfig:
     boundary_mode: str = "raw"  # "raw" | "sigma" | "mad"
 
     def __post_init__(self):
-        if self.k_cells < 1 or self.top_k < 1:
-            raise ValueError("k_cells and top_k must be >= 1")
+        if min(self.k_cells, self.top_k) < 1:
+            raise InputError(f"k_cells and top_k must be >= 1, got {self.k_cells} and {self.top_k}")
         if self.boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
+            raise InputError(f"unknown boundary mode {self.boundary_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -132,18 +133,19 @@ class CoverageReport:
 
 
 def resolve_boundaries(prof: StateProfile, config: CoverageConfig):
-    """Effective (LB, UB) arrays for the configured boundary mode."""
+    """Effective (LB, UB) arrays for the configured boundary mode; InputError
+    if the profile lacks the bounds the mode reads."""
     if config.boundary_mode == "raw":
         return prof.lower.copy(), prof.upper.copy()
     if config.boundary_mode == "sigma":
         if prof.sigma is None:
-            raise ValueError("sigma boundary mode requires a profile with sigma")
+            raise InputError("boundary_mode sigma needs sigma bounds, which it lacks")
         return (
             np.clip(prof.lower - prof.sigma, 0.0, 1.0),
             np.clip(prof.upper + prof.sigma, 0.0, 1.0),
         )
     if prof.mad_lower is None:
-        raise ValueError("mad boundary mode requires MAD-refined bounds")
+        raise InputError("boundary_mode mad needs MAD bounds, which it lacks; re-run profile --mad")
     return prof.mad_lower.copy(), prof.mad_upper.copy()
 
 
@@ -302,7 +304,7 @@ def collect_prob_vectors(
     matrix; with shots, row i is replaced in place by the relative counts of
     one multinomial draw of that size from default_rng(seed + i)."""
     if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise InputError(f"shots must be >= 1, got {shots}")
     probs, _ = forward_batch(model, data.features)
     if shots is not None:
         for i, row in enumerate(probs):
@@ -340,14 +342,14 @@ def profile_from_samples(
     samples = np.asarray(samples, dtype=np.float64)
     n, s = samples.shape
     if n == 0:
-        raise ValueError("cannot profile an empty dataset")
+        raise InputError("cannot profile an empty dataset")
     lower, upper, sigma = np.empty(s), np.empty(s), np.zeros(s)
     mad_lower = mad_upper = None
     if confidence is not None:
         if n < 3:
-            raise ValueError(f"MAD refinement needs at least 3 samples per state, got {n}")
+            raise InputError(f"MAD refinement needs at least 3 samples per state, got {n}")
         if not (0 < confidence < 1):
-            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+            raise InputError(f"confidence must be in (0, 1), got {confidence}")
         z_cut = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
         mad_lower, mad_upper = np.empty(s), np.empty(s)
     # numpy sums a one-column block pairwise but wider ones (and the whole
@@ -376,7 +378,7 @@ def profile_from_samples(
 def _check_profile(model: QnnModel, prof: StateProfile) -> StateProfile:
     """prof, if it has one state per basis state of the model."""
     if prof.num_states != 2**model.num_qubits:
-        raise ValueError(
+        raise InputError(
             f"profile has {prof.num_states} states but model produces "
             f"{2**model.num_qubits}"
         )

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .files import InputError
 from .qnn import LabeledDataset
 
 __all__ = ["save_csv", "load_csv"]
@@ -41,7 +42,7 @@ def _outside(feats: np.ndarray) -> np.ndarray:
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a CSV in the layout above; malformed files raise ValueError with
+    """Read a CSV in the layout above; malformed files raise InputError with
     the file, line and column at fault.
 
     The data rows are parsed in one np.loadtxt call. Should it fail, or a
@@ -73,7 +74,7 @@ def _load_rows(path) -> LabeledDataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header or header[-1] != "label":
-                raise ValueError(f"{path}: expected header ending in 'label'")
+                raise InputError(f"{path}: expected header ending in 'label'")
             feats = []
             labels = []
             linenos = []
@@ -81,24 +82,24 @@ def _load_rows(path) -> LabeledDataset:
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
+                    raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
                 try:
                     feats.append([float(v) for v in row[:-1]])
                     labels.append(int(row[-1]))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                    raise InputError(f"{path}:{lineno}: {exc}") from exc
                 if not -(2**63) <= labels[-1] < 2**63:
-                    raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
+                    raise InputError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
                 linenos.append(lineno)
     except UnicodeDecodeError as exc:  # bytes that are not text in the locale's encoding
-        raise ValueError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if not feats:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     feats = np.asarray(feats)
     bad = np.argwhere(_outside(feats))
     if bad.size:
         r, c = bad[0]
-        raise ValueError(
+        raise InputError(
             f"{path}:{linenos[r]}: column {header[c]}: feature {float(feats[r, c])!r} "
             "is not a number in [0, 1]"
         )

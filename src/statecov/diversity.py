@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .files import InputError
 from .qnn import EncoderSpec, encode_batch
 
 __all__ = [
@@ -99,7 +100,7 @@ def suite_diversity(
     """
     feats = np.asarray(suite_features, dtype=np.float64)
     if feats.shape[0] < 2:
-        raise ValueError("suite must contain at least 2 inputs")
+        raise InputError(f"diversity needs at least 2 rows, got {feats.shape[0]}")
     amps = encode_batch(encoder, feats, num_qubits)
 
     fids = _pair_fidelities(amps, max_pairs, seed)

@@ -19,7 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 
-class FileFormatError(ValueError):
+class InputError(ValueError):
+    """A bad user value; the message names the field, and for data the 1-based data row."""
+
+
+class FileFormatError(InputError):
     """A malformed model or profile file; the message names the file and the field."""
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
+from .files import InputError
 from .qnn import LabeledDataset, QnnModel, _check_labels, _unencodable, forward_batch
 
 __all__ = [
@@ -63,13 +64,13 @@ class FuzzConfig:
 
     def __post_init__(self):
         if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}")
+            raise InputError(f"unknown criterion {self.criterion!r}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise InputError(f"alpha must be >= 0, got {self.alpha}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -138,13 +139,11 @@ def mutate(
 def _initial_queue(model: QnnModel, initial_seeds: LabeledDataset):
     """(indices of the correctly classified initial seeds, the probability
     vectors of all initial seeds); every label must lie in [0, num_classes)."""
-    if len(initial_seeds) == 0:
-        raise ValueError("initial seed set is empty")
     _check_labels(initial_seeds.labels, model.num_classes)
     probs, scores = forward_batch(model, initial_seeds.features)
     origins = np.flatnonzero(np.argmax(scores, axis=1) == initial_seeds.labels)
     if not origins.size:
-        raise ValueError("no correctly classified initial seeds to fuzz")
+        raise InputError("no correctly classified initial seeds to fuzz")
     return origins, probs
 
 
@@ -239,5 +238,5 @@ def random_test(
     comparison isolates seed selection quality.
     """
     if not (0 <= reenqueue_prob <= 1):
-        raise ValueError(f"reenqueue_prob must be in [0, 1], got {reenqueue_prob}")
+        raise InputError(f"reenqueue_prob must be in [0, 1], got {reenqueue_prob}")
     return _run_loop(model, initial_seeds, prof, config, reenqueue_prob)

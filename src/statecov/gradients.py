@@ -14,14 +14,7 @@ import numpy as np
 
 from .qnn import QnnModel, _backprop, encode_batch
 
-__all__ = [
-    "GradientError",
-    "input_grads",
-]
-
-
-class GradientError(ValueError):
-    """Raised when a requested gradient is undefined or unsupported."""
+__all__ = ["input_grads"]
 
 
 def _pullback(model: QnnModel, xs: np.ndarray, states: np.ndarray, lam0: np.ndarray) -> np.ndarray:
@@ -52,8 +45,6 @@ def input_grads(model: QnnModel, xs: np.ndarray, weigh: Callable) -> tuple:
     one adjoint sweep serve the batch. Returns (scores (n, C), grads (n, d)).
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if model.encoder.kind == "amplitude" and np.any(~xs.any(axis=1)):
-        raise GradientError("input gradient undefined for all-zero amplitude input")
     states = encode_batch(model.encoder, xs, model.num_qubits)
     scores, _, lam0 = _backprop(model, states, model.params, weigh)
     return scores, _pullback(model, xs, states, lam0)

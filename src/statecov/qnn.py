@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import files
-from .files import FileFormatError as ModelFormatError  # one error type for both files
+from .files import InputError
 from .sim import (
     CircuitSpec,
     Gate,
@@ -34,9 +34,7 @@ __all__ = [
     "QnnModel",
     "LabeledDataset",
     "TrainConfig",
-    "EncodingError",
     "TrainingError",
-    "ModelFormatError",
     "entanglement_pairs",
     "build_ansatz_circuit",
     "build_model",
@@ -66,10 +64,6 @@ ENTANGLEMENTS = ("linear", "cyclic", "star", "full")
 OPTIMIZERS = ("sgd", "adam")
 
 
-class EncodingError(ValueError):
-    """Raised when an input cannot be mapped to a quantum state."""
-
-
 class TrainingError(RuntimeError):
     """Raised when the optimizer diverges."""
 
@@ -81,9 +75,9 @@ class EncoderSpec:
 
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
+            raise InputError(f"unknown encoder kind {self.kind!r}")
         if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+            raise InputError(f"input_dim must be >= 1, got {self.input_dim}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +88,11 @@ class AnsatzSpec:
 
     def __post_init__(self):
         if self.preset not in ANSATZ_PRESETS:
-            raise ValueError(f"unknown ansatz preset {self.preset!r}")
+            raise InputError(f"unknown ansatz preset {self.preset!r}")
         if self.entanglement not in ENTANGLEMENTS:
-            raise ValueError(f"unknown entanglement strategy {self.entanglement!r}")
+            raise InputError(f"unknown entanglement strategy {self.entanglement!r}")
         if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+            raise InputError(f"num_layers must be >= 1, got {self.num_layers}")
 
 
 def entanglement_pairs(strategy: str, q: int):
@@ -151,41 +145,41 @@ class QnnModel:
     train_data_digest: Optional[str] = None
 
     def __post_init__(self):
-        if self.num_qubits > MAX_QUBITS:
-            raise ValueError(f"num_qubits {self.num_qubits} is above MAX_QUBITS = {MAX_QUBITS}")
+        q, dim = self.num_qubits, self.encoder.input_dim
+        _check_width(q)
         self.params = np.asarray(self.params, dtype=np.float64)
         if self.params.shape != (self.circuit.num_params,):
-            raise ValueError(
-                f"params: expected {self.circuit.num_params} values, got {self.params.size}"
-            )
+            raise InputError(f"params: expected {self.circuit.num_params} values, "
+                             f"got {self.params.size}")
         bad = np.flatnonzero(~np.isfinite(self.params))
         if bad.size:
-            raise ValueError(f"params: entry {bad[0]} is not finite")
-        dim = self.encoder.input_dim
-        if self.encoder.kind == "angle" and dim != self.num_qubits:
-            raise ValueError(
-                f"encoder.input_dim {dim} must equal num_qubits {self.num_qubits} "
-                "for angle encoding"
-            )
-        if self.encoder.kind == "amplitude" and dim > 2**self.num_qubits:
-            raise ValueError(
-                f"encoder.input_dim {dim} exceeds 2^num_qubits = {2**self.num_qubits} "
-                "for amplitude encoding"
-            )
+            raise InputError(f"params: entry {bad[0]} is not finite")
+        if self.encoder.kind == "angle" and dim != q:
+            raise InputError(f"encoder.input_dim {dim} must equal num_qubits {q} "
+                             "for angle encoding")
+        if self.encoder.kind == "amplitude" and dim > 2**q:
+            raise InputError(f"encoder.input_dim {dim} exceeds 2^num_qubits = {2**q} "
+                             "for amplitude encoding")
         if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
+            raise InputError(f"num_classes must be >= 1, got {self.num_classes}")
         if len(self.readout_qubits) != self.num_classes:
-            raise ValueError("one readout qubit per class is required")
+            raise InputError("one readout qubit per class is required")
         if len(set(self.readout_qubits)) != len(self.readout_qubits):
-            raise ValueError("readout qubits must be distinct")
-        if not all(0 <= r < self.num_qubits for r in self.readout_qubits):
-            raise ValueError(
-                f"readout_qubits {list(self.readout_qubits)} out of range for "
-                f"{self.num_qubits} qubits"
-            )
+            raise InputError("readout qubits must be distinct")
+        if not all(0 <= r < q for r in self.readout_qubits):
+            raise InputError(f"readout_qubits {list(self.readout_qubits)} out of range "
+                             f"for {q} qubits")
 
     def with_params(self, params: np.ndarray) -> "QnnModel":
         return replace(self, params=np.array(params, dtype=np.float64))
+
+
+def _check_width(num_qubits: int) -> None:
+    """Refuse a register outside [1, MAX_QUBITS], before any circuit of its width is built."""
+    if num_qubits > MAX_QUBITS:
+        raise InputError(f"num_qubits {num_qubits} is above MAX_QUBITS = {MAX_QUBITS}")
+    if num_qubits < 1:
+        raise InputError(f"num_qubits must be >= 1, got {num_qubits}")
 
 
 def build_model(
@@ -196,10 +190,14 @@ def build_model(
     readout_qubits: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> QnnModel:
-    """Assemble an untrained model with uniformly random initial angles."""
-    circuit = build_ansatz_circuit(ansatz, num_qubits)
+    """Assemble an untrained model with uniformly random initial angles;
+    by default class c is read from qubit c."""
+    _check_width(num_qubits)
     if readout_qubits is None:
+        if num_classes > num_qubits:
+            raise InputError(f"num_classes {num_classes} is above num_qubits {num_qubits}")
         readout_qubits = tuple(range(num_classes))
+    circuit = build_ansatz_circuit(ansatz, num_qubits)
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
     return QnnModel(
@@ -252,14 +250,13 @@ def _row_blocks(n: int, width: int) -> list:
 
 
 def _feature_matrix(encoder: EncoderSpec, xs) -> np.ndarray:
-    """xs as a float (n, input_dim) matrix, or EncodingError naming its shape."""
+    """xs as a float (n, input_dim) matrix, or InputError naming its shape."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
-        raise EncodingError(f"expected a 2-D (n, d) feature matrix, got shape {xs.shape}")
+        raise InputError(f"expected a 2-D (n, d) feature matrix, got shape {xs.shape}")
     if xs.shape[1] != encoder.input_dim:
-        raise EncodingError(
-            f"expected {encoder.input_dim} features, got {xs.shape[1]}"
-        )
+        raise InputError(f"{xs.shape[1]} features per row, but the model's "
+                         f"encoder.input_dim is {encoder.input_dim}")
     return xs
 
 
@@ -271,21 +268,31 @@ def _unencodable(encoder: EncoderSpec, xs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(xs, axis=1) == 0
 
 
+def _check_encodable(encoder: EncoderSpec, xs: np.ndarray) -> None:
+    """Refuse a row of xs that the encoder cannot map, naming the first by its 1-based data row."""
+    bad = np.flatnonzero(_unencodable(encoder, xs))
+    if bad.size:
+        raise InputError(f"data row {bad[0] + 1} is all zeros, which {encoder.kind} encoding "
+                         "cannot map to a state")
+
+
 def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
     """Vectorized encoding of feature rows into a (n, 2^q) amplitude matrix."""
     xs = _feature_matrix(encoder, xs)
-    dim = 2**q
+    _check_encodable(encoder, xs)
+    if encoder.kind == "amplitude" and encoder.input_dim > 2**q:
+        raise InputError("input_dim exceeds 2^q for amplitude encoding")
+    if encoder.kind == "angle" and encoder.input_dim != q:
+        raise InputError("angle encoding requires one feature per qubit")
+    return _encode(encoder, xs, q)
+
+
+def _encode(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
+    """encode_batch of rows it has checked."""
     if encoder.kind == "amplitude":
-        if encoder.input_dim > dim:
-            raise EncodingError("input_dim exceeds 2^q for amplitude encoding")
-        padded = np.zeros((xs.shape[0], dim))
+        padded = np.zeros((xs.shape[0], 2**q))
         padded[:, : xs.shape[1]] = xs
-        norms = np.linalg.norm(padded, axis=1)
-        if np.any(norms == 0):
-            raise EncodingError("amplitude encoding undefined for all-zero input")
-        return (padded / norms[:, None]).astype(np.complex128)
-    if encoder.input_dim != q:
-        raise EncodingError("angle encoding requires one feature per qubit")
+        return (padded / np.linalg.norm(padded, axis=1)[:, None]).astype(np.complex128)
     # the Kronecker product of the factors, qubit 0 the most significant bit
     factors, states = angle_factors(xs), np.ones((len(xs), 1))
     for i in range(q):
@@ -329,12 +336,13 @@ def forward_batch(
     the same bits in any batch, so blocking changes no output.
     """
     xs = _feature_matrix(model.encoder, xs)
+    _check_encodable(model.encoder, xs)  # once, so an error names the row in xs
     q = model.num_qubits
     params = model.params if params is None else params
     probs = np.empty((xs.shape[0], 2**q))
     for rows in _row_blocks(xs.shape[0], 2**q):
         block = probs[rows]
-        states = encode_batch(model.encoder, xs[rows], q)
+        states = _encode(model.encoder, xs[rows], q)
         np.abs(apply_circuit_batch(states, model.circuit, params), out=block)
         np.square(block, out=block)
     return probs, scores_from_probs(probs, model.readout_qubits, q)
@@ -364,25 +372,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise InputError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if not (0 <= self.learning_rate < np.inf):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+            raise InputError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Refuse a label outside [0, num_classes), naming the first such row."""
+    """Refuse a label outside [0, num_classes), naming the first by its 1-based data row."""
     bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
     if bad.size:
-        raise ValueError(
-            f"label {labels[bad[0]]} of row {bad[0]} is outside [0, num_classes) "
-            f"with num_classes {num_classes}"
-        )
+        raise InputError(f"label {labels[bad[0]]} of data row {bad[0] + 1} is outside "
+                         f"[0, num_classes) with num_classes {num_classes}")
 
 
 def _backprop(model, states, params, weigh) -> tuple:
@@ -402,11 +408,9 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
     Returns (trained model, history dict with per-epoch loss and final
     accuracy). Deterministic for a fixed config seed.
     """
-    if model.num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2 to train, got {model.num_classes}")
     _check_labels(data.labels, model.num_classes)
-    if len(np.unique(data.labels)) < 2:
-        raise TrainingError("training data must contain at least 2 classes")
+    if len(np.unique(data.labels)) < 2:  # so num_classes is 2 or more too
+        raise InputError("training data must contain at least 2 classes")
     rng = np.random.default_rng(config.seed)
     states = encode_batch(model.encoder, data.features, model.num_qubits)
     labels = data.labels
@@ -420,15 +424,26 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    losses = []
+    # a full batch's step passes over every row at the angles the previous
+    # epoch ended on, so its scores, in row order, give that epoch's loss
+    full, losses = batch_size >= n, []
+
+    def log_loss(scores, epoch):
+        loss = float(-np.log(np.maximum(softmax(scores)[np.arange(n), labels], 1e-300)).mean())
+        if not np.isfinite(loss):
+            raise TrainingError(f"loss diverged at epoch {epoch}")
+        losses.append(loss)
+
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            grad = _backprop(
+            scores, grad, _ = _backprop(
                 model, states[idx], params,
                 lambda scores: cross_entropy_grad(scores, labels[idx]) / idx.size,
-            )[1]
+            )
+            if full and epoch:
+                log_loss(scores[np.argsort(idx)], epoch - 1)
             if config.optimizer == "sgd":
                 params = params - config.learning_rate * grad
             else:
@@ -438,11 +453,9 @@ def train(model: QnnModel, data: LabeledDataset, config: TrainConfig) -> tuple:
                 mhat = m / (1 - beta1**step)
                 vhat = v / (1 - beta2**step)
                 params = params - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        _, scores = forward_batch(model, data.features, params)
-        loss = float(-np.log(np.maximum(softmax(scores)[np.arange(n), labels], 1e-300)).mean())
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
-        losses.append(loss)
+        if not full or epoch == config.epochs - 1:
+            _, scores = forward_batch(model, data.features, params)
+            log_loss(scores, epoch)
 
     trained = model.with_params(params)
     trained.train_data_digest = data.digest()

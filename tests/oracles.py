@@ -23,7 +23,7 @@ import numpy as np
 
 from statecov.coverage import CoverageTracker
 from statecov.diversity import DEFAULT_MAX_PAIRS, fidelity_densities
-from statecov.gradients import GradientError
+from statecov.files import InputError
 from statecov.qnn import LabeledDataset, QnnModel, encode_batch, forward_batch, softmax, z_sign_matrix
 from statecov.sim import apply_circuit_batch
 
@@ -60,7 +60,7 @@ def param_shift_grad(model: QnnModel, x: Sequence[float], observable: int) -> np
     by the two-term shift rule: a Pauli rotation's generator has eigenvalues
     +-1/2, so grad_j = (E(theta_j + pi/2) - E(theta_j - pi/2)) / 2."""
     if not (0 <= observable < model.num_classes):
-        raise GradientError(f"observable index {observable} out of range")
+        raise ValueError(f"observable index {observable} out of range")
     state = encode_batch(model.encoder, np.asarray(x)[None, :], model.num_qubits)[0]
     params = model.params
     grad = np.zeros(params.shape[0])
@@ -197,12 +197,13 @@ def save_csv_rows(data: LabeledDataset, path) -> None:
 
 
 def load_csv_rows(path) -> LabeledDataset:
-    """csv.reader plus Python's float and int on every cell, one row at a time."""
+    """csv.reader plus Python's float and int on every cell, one row at a time;
+    a malformed file raises InputError, as load_csv does."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1] != "label":
-            raise ValueError(f"{path}: expected header ending in 'label'")
+            raise InputError(f"{path}: expected header ending in 'label'")
         feats = []
         labels = []
         linenos = []
@@ -210,22 +211,22 @@ def load_csv_rows(path) -> LabeledDataset:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
+                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
                 feats.append([float(v) for v in row[:-1]])
                 labels.append(int(row[-1]))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
             if not -(2**63) <= labels[-1] < 2**63:
-                raise ValueError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
+                raise InputError(f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
             linenos.append(lineno)
     if not feats:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     feats = np.asarray(feats)
     bad = np.argwhere(~((feats >= 0.0) & (feats <= 1.0)))  # NaN fails both tests
     if bad.size:
         r, c = bad[0]
-        raise ValueError(
+        raise InputError(
             f"{path}:{linenos[r]}: column {header[c]}: feature {float(feats[r, c])!r} "
             "is not a number in [0, 1]"
         )

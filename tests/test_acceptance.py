@@ -1,7 +1,7 @@
 """Acceptance suite: one exact reference fixture plus property-based and
 directional criteria. Each test prints a PASS/FAIL line with its headline
-numbers so the suite doubles as a results summary; criterion 12 prints its
-paired table first."""
+numbers so the suite doubles as a results summary; criteria 11 and 12 print
+their tables first."""
 
 import time
 
@@ -10,6 +10,7 @@ import pytest
 
 from statecov.attacks import AttackConfig, attack_suite
 from statecov.coverage import (
+    BOUNDARY_MODES,
     CoverageConfig,
     CoverageTracker,
     collect_prob_vectors,
@@ -443,6 +444,64 @@ def test_criterion_10_mad_stabilization(toy4_model, toy4_train_data):
         f"nesting holds; spread KSC/SCC raw {raw_spread.round(2)} vs "
         f"MAD {mad_spread.round(2)} over 4 selections x 10 seeds",
         600.0,
+        time.monotonic() - t0,
+    )
+
+
+def test_criterion_11_parameter_choice(
+    toy4_model, toy4_train_data, grid6_model, grid6_train_data
+):
+    # The paper's parameter choices (k, top_k, the boundary mode) on the two
+    # trained fixtures: one collect_prob_vectors pass per suite, folded for
+    # every choice. The verdict is TestParameterChoice's four invariants, and
+    # no other direction is assumed: refining k by m splits each cell into m,
+    # TSC never falls as top_k grows, SCC reads neither k nor top_k, and SCC
+    # is ordered sigma <= raw <= mad, as their bounds nest.
+    t0 = time.monotonic()
+    ks, top_ks = (5, 10, 50, 100, 500), (1, 2, 3)
+    cases = (
+        ("toy4", toy4_model, toy4_train_data, gaussian_blobs(2, 30, 4, spread=0.12, seed=1100)),
+        ("grid6", grid6_model, grid6_train_data,
+         synthetic_grid_digits(samples_per_class=20, grid=8, noise=0.3, seed=1100)),
+    )
+    print("fixture | mode  | KSC at k = " + " / ".join(map(str, ks))
+          + " | SCC | TSC at top_k = " + " / ".join(map(str, top_ks)))
+    ok = True
+    for name, model, train_data, suite in cases:
+        prof = profile(model, train_data, confidence=0.99)
+        pvs = collect_prob_vectors(model, suite)
+        rep = {}
+        for mode in BOUNDARY_MODES:
+            for k in ks:
+                for top_k in top_ks:
+                    tracker = CoverageTracker(prof, CoverageConfig(k, top_k, mode))
+                    tracker.fold(pvs)
+                    rep[mode, k, top_k] = tracker.report()
+            ksc = " / ".join(f"{rep[mode, k, 1].ksc:6.2f}" for k in ks)
+            tsc = " / ".join(f"{rep[mode, 5, t].tsc:6.2f}" for t in top_ks)
+            print(f"{name:7} | {mode:5} | {ksc} | {rep[mode, 5, 1].scc:6.2f} | {tsc}")
+        for mode in BOUNDARY_MODES:
+            reports = {(k, top_k): r for (m, k, top_k), r in rep.items() if m == mode}
+            for (k, top_k), coarse in reports.items():  # each cell at k is m cells at m k
+                for fine in (f for f in ks if f > k and f % k == 0):
+                    fine_cells = reports[fine, top_k].covered_cells
+                    ok &= coarse.covered_cells <= fine_cells <= fine // k * coarse.covered_cells
+            for k in ks:  # TSC never falls as top_k grows
+                tsc = [reports[k, top_k].tsc for top_k in top_ks]
+                ok &= tsc == sorted(tsc)
+            # SCC reads neither k nor top_k
+            ok &= len({(r.scc, r.covered_corners) for r in reports.values()}) == 1
+        for k in ks:  # the sigma bounds hold the raw ones, which hold the MAD ones
+            for top_k in top_ks:
+                scc = [rep[mode, k, top_k].scc for mode in ("sigma", "raw", "mad")]
+                ok &= scc == sorted(scc)
+    _verdict(
+        11,
+        "parameter choice",
+        ok,
+        f"the four invariants over k in {ks}, top_k in {top_ks} and the three modes, "
+        "on toy4 and grid6",
+        120.0,
         time.monotonic() - t0,
     )
 

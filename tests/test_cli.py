@@ -92,7 +92,8 @@ class TestTrain:
         bare.write_bytes(b"label\r\n0\r\n1\r\n")
         code = main(["train", "--dataset", str(bare), "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        assert f"dataset {bare} has no feature column" in capsys.readouterr().err
+        # EncoderSpec's input_dim check, named by the file
+        assert f"error: dataset {bare}: input_dim must be >= 1, got 0\n" == capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rerun_from_resolved_config_reproduces(self, trained_dir, tmp_path):
@@ -250,7 +251,7 @@ class TestAttack:
             noise = np.random.default_rng(seed + i).uniform(-eps, eps, size=x.size)
             assert np.array_equal(row, np.clip(x + noise, 0.0, 1.0))
 
-    def test_invalid_epsilon_internal_error(self, trained_dir, data_csv, tmp_path):
+    def test_invalid_epsilon_is_config_error(self, trained_dir, data_csv, tmp_path, capsys):
         code = main(
             [
                 "attack",
@@ -260,7 +261,8 @@ class TestAttack:
                 "--out-dir", str(tmp_path),
             ]
         )
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == "error: epsilon must be finite and >= 0, got -1.0\n"
 
 
 def _check_fuzz_outputs(out, outcome, fcfg):
@@ -377,7 +379,7 @@ class TestDiversity:
         out = tmp_path / "out"
         argv = ["--model", str(trained_dir / "model.json"), "--suite", str(suite)]
         assert main(["diversity", *argv, "--out-dir", str(out)]) == 2
-        message = f"error: suite {suite} has 1 row but diversity needs at least 2\n"
+        message = f"error: dataset {suite}: diversity needs at least 2 rows, got 1\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -505,9 +507,8 @@ class TestConfigFile:
         ],
     )
     def test_wrong_type_in_config_file_is_config_error(self, tmp_path, capsys, command, key, value):
-        # the flag path keeps exit 1 for a well-typed but invalid value
-        # (test_invalid_epsilon_internal_error); a config-file value that its
-        # flag would not parse is a usage error
+        # a config-file value that its flag would not parse is a usage error,
+        # as a well-typed but invalid value is (test_invalid_epsilon_is_config_error)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), key: value}))
         assert main([command, "--config", str(cfg_path)]) == 2
@@ -558,8 +559,7 @@ class TestConfigFile:
 
 class TestBoundaryValidation:
     """Out-of-range and non-finite values are refused with a message that
-    names the field. A flag value exits 1, as every range error does
-    (test_invalid_epsilon_internal_error); a malformed file exits 2."""
+    names the field, and exit 2, as a malformed file does."""
 
     @pytest.mark.parametrize(
         "command, flags, field",
@@ -577,30 +577,51 @@ class TestBoundaryValidation:
             ("fuzz", ["--max-iterations", "-3"], "max_iterations"),
             ("fuzz", ["--alpha", "nan"], "alpha"),
             ("fuzz", ["--random-baseline", "--reenqueue-prob", "7"], "reenqueue_prob"),
+            ("profile", ["--shots", "0"], "shots"),
+            ("coverage", ["--shots", "0"], "shots"),
+            ("coverage", ["--k", "0"], "k_cells"),
+            ("fuzz", ["--max-iterations", "0"], "max_iterations"),
+            ("profile", ["--mad", "--confidence", "0"], "confidence"),
+            ("train", ["--layers", "0"], "num_layers"),
+            ("train", ["--qubits", "25"], "num_qubits 25 is above MAX_QUBITS"),
+            ("train", ["--qubits", "0"], "num_qubits must be >= 1"),
+            ("train", ["--qubits", "2"], "num_qubits 2 for angle encoding"),  # 4 features
+            ("train", ["--encoder", "amplitude", "--qubits", "1"], "num_qubits 1"),
+            ("train", ["--encoder", "amplitude", "--qubits", "1", "--classes", "1"], "2^num_qubits = 2"),
+            ("attack", ["--epsilon", "-1"], "epsilon"),
+            ("profile", ["--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_flag_out_of_range(
         self, command, flags, field, trained_dir, profile_dir, data_csv, tmp_path, capsys
     ):
         model, data = str(trained_dir / "model.json"), str(data_csv)
+        prof = str(profile_dir / "profile.json")
         inputs = {
             "train": ["--dataset", data],
             "attack": ["--model", model, "--dataset", data],
             "profile": ["--model", model, "--dataset", data],
-            "fuzz": ["--model", model, "--profile", str(profile_dir / "profile.json"), "--seeds", data],
+            "coverage": ["--model", model, "--profile", prof, "--suite", data],
+            "fuzz": ["--model", model, "--profile", prof, "--seeds", data],
         }
         out = tmp_path / "out"
-        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 1
-        assert field in capsys.readouterr().err
+        assert main([command, *inputs[command], *flags, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "classes, labels, message",
         [
-            ("1", [0, 1], "num_classes must be >= 2 to train, got 1"),
+            # one class in the file: with --classes 1 every label is 0
+            ("1", [0, 0], "training data must contain at least 2 classes"),
             ("0", [0, 1], "num_classes must be >= 1, got 0"),
             ("2", [0, 1, 2, 1, 3], "label 2 of data row 3 is outside [0, num_classes) with num_classes 2"),
             ("3", [0, -1, 2], "label -1 of data row 2 is outside [0, num_classes) with num_classes 3"),
+            # the labels are checked as the file is read, before train sees one class
+            ("1", [0, 1], "label 1 of data row 2 is outside [0, num_classes) with num_classes 1"),
+            ("5", [0, 1], "num_classes 5 is above num_qubits 4"),
+            ("2", [1, 1, 1, 1], "training data must contain at least 2 classes"),
         ],
     )
     def test_bad_class_count_or_label(self, classes, labels, message, tmp_path, capsys):
@@ -608,10 +629,32 @@ class TestBoundaryValidation:
         save_csv(LabeledDataset(np.full((len(labels), 4), 0.5), labels), data)
         out = tmp_path / "out"
         argv = ["train", "--dataset", str(data), "--classes", classes, "--epochs", "1"]
-        usage = message.startswith("label")  # a dataset label is checked as the file is read
-        assert main([*argv, "--out-dir", str(out)]) == (2 if usage else 1)
-        assert (f"dataset {data}: " if usage else "") + message in capsys.readouterr().err
+        named = message.startswith("label")  # a dataset label is named by its file
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {f'dataset {data}: ' if named else ''}{message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, suite", [("coverage", "--suite"), ("fuzz", "--seeds")])
+    def test_mad_mode_names_a_profile_without_mad_bounds(
+        self, command, suite, trained_dir, profile_dir, data_csv, tmp_path, capsys
+    ):
+        prof = profile_dir / "profile.json"  # written without --mad
+        argv = [command, "--model", str(trained_dir / "model.json"), "--profile", str(prof),
+                suite, str(data_csv), "--boundary-mode", "mad", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: profile {prof}: boundary_mode mad needs MAD bounds, which it lacks; "
+            "re-run profile --mad\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_mad_profile_of_two_rows(self, trained_dir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        save_csv(LabeledDataset(np.full((2, 4), 0.5), [0, 1]), data)
+        argv = ["profile", "--model", str(trained_dir / "model.json"), "--dataset", str(data), "--mad"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err  # after the digest warning
+        assert err.endswith("\nerror: MAD refinement needs at least 3 samples per state, got 2\n")
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -753,7 +796,7 @@ class TestBoundaryValidation:
         inputs += ["--suite" if command == "coverage" else "--seeds", str(data_csv)]
         out = tmp_path / "out"
         assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
-        assert "error: profile has 8 states but model produces 16" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: profile {prof}: profile has 8 states but model produces 16\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["attack", "coverage", "fuzz", "profile", "diversity"])
@@ -773,7 +816,7 @@ class TestBoundaryValidation:
         }
         out = tmp_path / "out"
         assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
-        message = f"error: dataset {data} has 3 features but the model's encoder.input_dim is 4\n"
+        message = f"error: dataset {data}: 3 features per row, but the model's encoder.input_dim is 4\n"
         assert capsys.readouterr().err == message  # and no digest warning before it
         assert not out.exists()
 
@@ -799,7 +842,7 @@ class TestBoundaryValidation:
         out = tmp_path / "out"
         assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
         message = (
-            f"error: dataset {data}: row 1 is all zeros, which amplitude encoding "
+            f"error: dataset {data}: data row 2 is all zeros, which amplitude encoding "
             "cannot map to a state\n"
         )
         assert capsys.readouterr().err == message
@@ -985,11 +1028,12 @@ _NUMERIC_CASES = [
 
 
 class TestEveryNumericFlag:
-    """nan, inf and -1 on every numeric flag: the run either exits 1 with a
-    message naming the field, or exits 0. Each command runs in the mode that
-    reads the most flags (shots, the MAD bounds, the random attack and the
-    random fuzz baseline); integer flags take -1 only, since argparse refuses
-    nan and inf for them (test_int_flag_refuses_non_integers)."""
+    """nan, inf and -1 on every numeric flag: the run either exits 2 with a
+    message naming the field, or exits 0, and never exits 1. Each command
+    runs in the mode that reads the most flags (shots, the MAD bounds, the
+    random attack and the random fuzz baseline); integer flags take -1 only,
+    since argparse refuses nan and inf for them
+    (test_int_flag_refuses_non_integers)."""
 
     @pytest.mark.parametrize("command, flag, dest, value", _NUMERIC_CASES)
     def test_exits_naming_field_or_succeeds(
@@ -1009,8 +1053,8 @@ class TestEveryNumericFlag:
         out = tmp_path / "out"
         code = main([command, *base[command], flag, value, "--out-dir", str(out)])
         err = capsys.readouterr().err
-        if code == 1:
-            assert _FIELD.get(dest, dest) in err, err
+        if code == 2:
+            assert err.startswith("error: ") and _FIELD.get(dest, dest) in err, err
             assert not out.exists() or not any(out.iterdir())
         else:
             assert code == 0, err

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from statecov.coverage import StateProfile
-from statecov.files import FileFormatError
-from statecov.qnn import AnsatzSpec, EncoderSpec, ModelFormatError, build_model, load_model, save_model
+from statecov.files import FileFormatError, InputError
+from statecov.qnn import AnsatzSpec, EncoderSpec, build_model, load_model, save_model
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -73,7 +73,7 @@ class TestReader:
         return path
 
     def test_one_error_type_names_the_file(self, tmp_path):
-        assert ModelFormatError is FileFormatError and issubclass(FileFormatError, ValueError)
+        assert issubclass(FileFormatError, InputError) and issubclass(InputError, ValueError)
         path = self._written(tmp_path, "profile_v1.json", lambda doc: doc.pop("upper"))
         with pytest.raises(FileFormatError, match=f"^{re.escape(f'profile {path}: missing field: upper')}$"):
             StateProfile.from_json(path)

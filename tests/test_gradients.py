@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from statecov.gradients import GradientError, input_grads
+from statecov.files import InputError
+from statecov.gradients import input_grads
 from statecov.qnn import (
     AnsatzSpec,
     EncoderSpec,
@@ -91,7 +92,7 @@ class TestParamShift:
         model = build_model(
             EncoderSpec("angle", 2), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0
         )
-        with pytest.raises(GradientError):
+        with pytest.raises(ValueError, match="observable index 5 out of range"):
             param_shift_grad(model, [0.1, 0.2], 5)
 
     def test_nonzero_on_random_draws(self):
@@ -143,7 +144,8 @@ class TestInputGrad:
         model = build_model(
             EncoderSpec("amplitude", 4), AnsatzSpec("layered", 1, "linear"), 2, 2, seed=0
         )
-        with pytest.raises(GradientError):
+        # the same error as encode_batch: the first all-zero row, counted from 1
+        with pytest.raises(InputError, match="^data row 1 is all zeros, which amplitude encoding"):
             input_grads(model, np.zeros((2, 4)), lambda s: np.eye(2))
 
     def test_gradient_small_at_scanned_minimum(self):
