@@ -29,6 +29,7 @@ from .files import InputError
 from .attacks import ATTACK_KINDS, AttackConfig, attack_suite
 from .coverage import (
     BOUNDARY_MODES,
+    CRITERIA,
     CoverageConfig,
     StateProfile,
     _check_profile,
@@ -38,7 +39,7 @@ from .coverage import (
 )
 from .datasets import load_csv, save_csv
 from .diversity import BIN_EDGES, suite_diversity
-from .fuzz import CRITERIA, FuzzConfig, fuzz, random_test
+from .fuzz import FuzzConfig, fuzz, random_test
 from .qnn import (
     ANSATZ_PRESETS,
     ENCODER_KINDS,
@@ -47,7 +48,6 @@ from .qnn import (
     AnsatzSpec,
     EncoderSpec,
     TrainConfig,
-    _check_encodable,
     _check_labels,
     _feature_matrix,
     build_model,
@@ -218,7 +218,7 @@ def _load_data(path, model, labelled=False, data=None):
     count, rows its encoder can map and, if labelled, labels in [0, num_classes)."""
     data = _load(load_csv, path, "dataset") if data is None else data
     with _naming("dataset", path):
-        _check_encodable(model.encoder, _feature_matrix(model.encoder, data.features))
+        _feature_matrix(model.encoder, data.features)
         if labelled:
             _check_labels(data.labels, model.num_classes)
     return data

@@ -17,8 +17,8 @@ bits as adding its rows one at a time. fold() does that over row blocks of
 about qnn.BLOCK_AMPS entries: commit is a monotone OR, so the bits are the
 same, and locate's (n, S) temporaries stay block-sized. row_opens() says,
 for every row of a batch at once, whether adding the rows in order would see
-it set a new bit of one kind; add_input() and peek_input() are batches of
-one.
+it set a new bit of one criterion's kind; add_input() and peek_input() are
+batches of one, keyed by CRITERIA.
 
 profile() is the one profiling call: it collects a dataset's probability
 vectors and hands them to profile_from_samples, which computes every state's
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("raw", "sigma", "mad")
-DELTA_FLAGS = ("new_cell", "new_corner", "new_top")
+CRITERIA = ("ksc", "scc", "tsc")  # a cell, a corner, a top state
 EPS_DEGENERATE = 1e-12  # a major region narrower than this is one degenerate cell
 
 
@@ -224,9 +224,9 @@ class CoverageTracker:
         top = higher | ties & (np.cumsum(ties, axis=1) <= k_top - higher.sum(axis=1, keepdims=True))
         return Hits(cells, below, above, top)
 
-    def row_opens(self, hits: Hits, flag: str) -> np.ndarray:
-        """Per row, whether it sets a bit of the given kind ("new_cell",
-        "new_corner" or "new_top") that neither the tracker nor an earlier
+    def row_opens(self, hits: Hits, criterion: str) -> np.ndarray:
+        """Per row, whether it sets a bit of the criterion's kind (ksc a cell,
+        scc a corner, tsc a top state) that neither the tracker nor an earlier
         row has set: what peek_input then add_input, row by row, would say.
 
         A row that sets no new bit of the kind has all of its bits of the
@@ -234,12 +234,12 @@ class CoverageTracker:
         plus those of every earlier row, committed or not, and a row opens
         exactly where one of its unset bits occurs first in the batch.
         """
-        if flag == "new_cell":
+        if criterion == "ksc":
             rows, states = np.nonzero(hits.cells >= 0)
             cells = hits.cells[rows, states]
             unset = ~self.cells[states, cells]
             rows, keys = rows[unset], states[unset] * self.config.k_cells + cells[unset]
-        elif flag == "new_corner":
+        elif criterion == "scc":
             below = hits.below & ~self.corners[:, 0]
             rows, states, side = np.nonzero(np.stack([below, hits.above & ~self.corners[:, 1]], 2))
             keys = 2 * states + side
@@ -264,14 +264,14 @@ class CoverageTracker:
             self.commit(self.locate(pvs[rows], first_row=rows.start))
 
     def peek_input(self, pv) -> dict:
-        """Delta flags this vector would produce, without mutating the tracker."""
+        """{criterion: whether this vector sets a new bit of its kind}, not committed."""
         hits = self.locate([pv])
-        return {flag: bool(self.row_opens(hits, flag)[0]) for flag in DELTA_FLAGS}
+        return {c: bool(self.row_opens(hits, c)[0]) for c in CRITERIA}
 
     def add_input(self, pv) -> dict:
-        """Fold one probability vector into the tracker; returns delta flags."""
+        """Fold one probability vector into the tracker; returns peek_input's flags."""
         hits = self.locate([pv])
-        delta = {flag: bool(self.row_opens(hits, flag)[0]) for flag in DELTA_FLAGS}
+        delta = {c: bool(self.row_opens(hits, c)[0]) for c in CRITERIA}
         self.commit(hits)
         return delta
 

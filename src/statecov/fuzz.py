@@ -24,9 +24,9 @@ is never evaluated, committed or re-enqueued.
 The random baseline draws its re-enqueue number only after a mutant that
 does not fail, so it draws speculatively, right after each mutant's own
 draws, and keeps the rng state before each such draw. At the first failing
-mutant it restores that state and mutates the rest of the generation again,
-at the cost of one more batch per failure. It never reads the tracker, so
-its failing mutants are committed once, at the end.
+mutant it commits that mutant, restores that state and mutates the rest of
+the generation again, at the cost of one more batch per failure. So both
+arms commit each failing mutant in the batch that finds it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile
+from .coverage import (
+    CRITERIA, CoverageConfig, CoverageReport, CoverageTracker, StateProfile, _check_profile,
+)
 from .files import InputError
 from .qnn import LabeledDataset, QnnModel, _check_labels, _unencodable, forward_batch
 
@@ -47,9 +49,6 @@ __all__ = [
     "fuzz",
     "random_test",
 ]
-
-CRITERIA = ("ksc", "scc", "tsc")
-_CRITERION_FLAG = {"ksc": "new_cell", "scc": "new_corner", "tsc": "new_top"}
 
 NUM_MUTATION_OPS = 4
 
@@ -159,8 +158,6 @@ def _run_loop(model, initial_seeds, prof, config: FuzzConfig, reenqueue_prob=Non
 
     queue, origins = initial_seeds.features[seeds], seeds
     failed, failed_origins = [], []
-    failed_probs = []  # the random baseline's, committed once at the end
-    flag = _CRITERION_FLAG[config.criterion]
     iterations = non_failing = re_enqueued = 0
     while len(queue) and iterations < config.max_iterations:
         # one generation: mutants it appends are only popped after it
@@ -180,7 +177,7 @@ def _run_loop(model, initial_seeds, prof, config: FuzzConfig, reenqueue_prob=Non
             failing[live] = np.argmax(scores, axis=1) != labels[live]
             if reenqueue_prob is None:
                 hits = tracker.locate(probs)
-                keep[live] = ~failing[live] & tracker.row_opens(hits, flag)
+                keep[live] = ~failing[live] & tracker.row_opens(hits, config.criterion)
                 tracker.commit(hits.rows((failing | keep)[live]))
                 done = len(todo)
             else:
@@ -188,7 +185,7 @@ def _run_loop(model, initial_seeds, prof, config: FuzzConfig, reenqueue_prob=Non
                 # no gate draw after a failure: rewind to the first one and re-mutate the rest
                 done = int(np.argmax(failing)) + 1 if failing.any() else len(todo)
                 if failing[done - 1]:
-                    failed_probs.append(probs[np.count_nonzero(live[:done]) - 1])
+                    tracker.fold(probs[[np.count_nonzero(live[:done]) - 1]])
                     rng.bit_generator.state = states[done - 1]
             failing, keep = failing[:done], keep[:done]
             failed.append(mutants[:done][failing])
@@ -198,8 +195,6 @@ def _run_loop(model, initial_seeds, prof, config: FuzzConfig, reenqueue_prob=Non
             non_failing += int(np.count_nonzero(~failing))
             re_enqueued += int(np.count_nonzero(keep))
             todo, todo_origins = todo[done:], todo_origins[done:]
-    if failed_probs:
-        tracker.fold(np.stack(failed_probs))
     failed_origins = np.concatenate(failed_origins)
 
     return FuzzOutcome(

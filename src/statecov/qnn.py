@@ -187,21 +187,18 @@ def build_model(
     ansatz: AnsatzSpec,
     num_qubits: int,
     num_classes: int,
-    readout_qubits: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> QnnModel:
-    """Assemble an untrained model with uniformly random initial angles;
-    by default class c is read from qubit c."""
+    """Assemble an untrained model with uniformly random initial angles; class c
+    is read from qubit c (dataclasses.replace re-checks other readout_qubits)."""
     _check_width(num_qubits)
-    if readout_qubits is None:
-        if num_classes > num_qubits:
-            raise InputError(f"num_classes {num_classes} is above num_qubits {num_qubits}")
-        readout_qubits = tuple(range(num_classes))
+    if num_classes > num_qubits:
+        raise InputError(f"num_classes {num_classes} is above num_qubits {num_qubits}")
     circuit = build_ansatz_circuit(ansatz, num_qubits)
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
     return QnnModel(
-        encoder, ansatz, num_qubits, circuit, params, tuple(readout_qubits), num_classes
+        encoder, ansatz, num_qubits, circuit, params, tuple(range(num_classes)), num_classes
     )
 
 
@@ -250,13 +247,17 @@ def _row_blocks(n: int, width: int) -> list:
 
 
 def _feature_matrix(encoder: EncoderSpec, xs) -> np.ndarray:
-    """xs as a float (n, input_dim) matrix, or InputError naming its shape."""
+    """xs as a float (n, input_dim) matrix whose rows the encoder maps, or InputError saying why."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise InputError(f"expected a 2-D (n, d) feature matrix, got shape {xs.shape}")
     if xs.shape[1] != encoder.input_dim:
         raise InputError(f"{xs.shape[1]} features per row, but the model's "
                          f"encoder.input_dim is {encoder.input_dim}")
+    bad = np.flatnonzero(_unencodable(encoder, xs))
+    if bad.size:
+        raise InputError(f"data row {bad[0] + 1} is all zeros, which {encoder.kind} encoding "
+                         "cannot map to a state")
     return xs
 
 
@@ -268,18 +269,9 @@ def _unencodable(encoder: EncoderSpec, xs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(xs, axis=1) == 0
 
 
-def _check_encodable(encoder: EncoderSpec, xs: np.ndarray) -> None:
-    """Refuse a row of xs that the encoder cannot map, naming the first by its 1-based data row."""
-    bad = np.flatnonzero(_unencodable(encoder, xs))
-    if bad.size:
-        raise InputError(f"data row {bad[0] + 1} is all zeros, which {encoder.kind} encoding "
-                         "cannot map to a state")
-
-
 def encode_batch(encoder: EncoderSpec, xs: np.ndarray, q: int) -> np.ndarray:
     """Vectorized encoding of feature rows into a (n, 2^q) amplitude matrix."""
     xs = _feature_matrix(encoder, xs)
-    _check_encodable(encoder, xs)
     if encoder.kind == "amplitude" and encoder.input_dim > 2**q:
         raise InputError("input_dim exceeds 2^q for amplitude encoding")
     if encoder.kind == "angle" and encoder.input_dim != q:
@@ -335,8 +327,7 @@ def forward_batch(
     own, so the work buffers hold one block; the circuit kernel gives a row
     the same bits in any batch, so blocking changes no output.
     """
-    xs = _feature_matrix(model.encoder, xs)
-    _check_encodable(model.encoder, xs)  # once, so an error names the row in xs
+    xs = _feature_matrix(model.encoder, xs)  # once, so an error names the row in xs
     q = model.num_qubits
     params = model.params if params is None else params
     probs = np.empty((xs.shape[0], 2**q))

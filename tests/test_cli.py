@@ -1,6 +1,10 @@
+import functools
+import inspect
 import json
 import shlex
+import sys
 import warnings
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,13 +14,14 @@ import pytest
 from statecov import cli
 from statecov.attacks import AttackConfig, attack_suite
 from statecov.cli import build_parser, main
-from statecov.coverage import StateProfile, profile
+from statecov.coverage import CoverageTracker, StateProfile, profile
 from statecov.datasets import load_csv, save_csv
 from statecov.diversity import BIN_EDGES, NUM_BINS, haar_densities
-from statecov.fuzz import FuzzConfig, fuzz, random_test
+from statecov.fuzz import FuzzConfig, fuzz, mutate, random_test
 from statecov.qnn import (
-    AnsatzSpec, EncoderSpec, LabeledDataset, build_model, load_model, save_model,
+    AnsatzSpec, EncoderSpec, LabeledDataset, build_model, forward_batch, load_model, save_model,
 )
+from statecov.sim import adjoint_sweep, apply_circuit_batch
 
 import golden
 from fixtures import gaussian_blobs
@@ -983,6 +988,48 @@ def test_outputs_match_golden_manifest(data_csv, tmp_path):
     if moved:
         warnings.warn(f"outputs moved on {golden.stack()}, recorded on {recorded['stack']}: "
                       + ", ".join(moved))
+
+
+def test_chain_does_the_pinned_work(data_csv, tmp_path, monkeypatch):
+    """The seeded chain's calls and rows of the five functions that carry
+    its work. Each is counted in every statecov namespace that holds it, so
+    an extra or lost pass fails here even when every output stays the same.
+    Rows of the simulator passes are amplitudes, rows times 2^q."""
+    counted = {
+        apply_circuit_batch: ("states", np.size),
+        adjoint_sweep: ("states", np.size),
+        forward_batch: ("xs", len),
+        mutate: ("xs", len),
+        CoverageTracker.locate: ("pvs", len),
+    }
+    calls, rows = Counter(), Counter()
+
+    def counting(fn, arg, size):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            rows[fn.__name__] += size(signature.bind(*args, **kwargs).arguments[arg])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {fn: counting(fn, arg, size) for fn, (arg, size) in counted.items()}
+    monkeypatch.setattr(CoverageTracker, "locate", wrappers.pop(CoverageTracker.locate))
+    for modname, mod in list(sys.modules.items()):
+        if modname.partition(".")[0] == "statecov":
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[obj])
+    golden.run_chain(data_csv, tmp_path)
+    assert {name: calls[name] for name in calls if name != "locate"} == {
+        "apply_circuit_batch": 28, "adjoint_sweep": 8, "forward_batch": 20, "mutate": 11,
+    }
+    assert dict(rows) == {
+        "apply_circuit_batch": 13808, "adjoint_sweep": 4848, "forward_batch": 560,
+        "mutate": 200, "locate": 224,
+    }
 
 
 def test_golden_check_catches_one_flipped_byte(data_csv, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from statecov.coverage import (
     BOUNDARY_MODES,
+    CRITERIA,
     CoverageConfig,
     CoverageTracker,
     StateProfile,
@@ -256,7 +257,7 @@ class TestWorkedExample:
         assert rep.ksc == REFERENCE_EXPECTED["ksc"]
         assert rep.scc == REFERENCE_EXPECTED["scc"]
         assert rep.tsc == REFERENCE_EXPECTED["tsc"]
-        assert delta == {"new_cell": True, "new_corner": True, "new_top": True}
+        assert delta == {"ksc": True, "scc": True, "tsc": True}
 
     def test_reference_counts(self):
         tracker = CoverageTracker(
@@ -427,11 +428,12 @@ class TestAddBatch:
             deltas.append(folded.add_input(pv))
             # an input opens coverage of a kind exactly when it sets a bit of it
             after = [folded.cells, folded.corners, folded.top_states]
-            flags = ("new_cell", "new_corner", "new_top")
-            assert deltas[-1] == {f: bool((x != y).any()) for f, x, y in zip(flags, before, after)}
+            assert deltas[-1] == {
+                c: bool((x != y).any()) for c, x, y in zip(CRITERIA, before, after)
+            }
         batched = CoverageTracker(prof, config)
         hits = batched.locate(pvs[:split])
-        first = {flag: batched.row_opens(hits, flag).any() for flag in deltas[0]}
+        first = {c: batched.row_opens(hits, c).any() for c in deltas[0]}
         batched.commit(hits)
         batched.commit(batched.locate(pvs[split:]))
         for name in ("cells", "corners", "top_states"):
@@ -442,8 +444,8 @@ class TestAddBatch:
         assert np.array_equal(np.flatnonzero(folded.top_states), np.unique(top))
         # a batch opens new coverage of a kind iff some row of it would,
         # folded in order
-        for flag in first:
-            assert first[flag] == any(d[flag] for d in deltas[:split])
+        for c in first:
+            assert first[c] == any(d[c] for d in deltas[:split])
 
     @given(
         case=_tracker_case(),
@@ -460,7 +462,7 @@ class TestAddBatch:
         if top_k is not None:
             config = replace(config, top_k=top_k)
         failing = np.array(data.draw(st.lists(st.booleans(), min_size=len(pvs), max_size=len(pvs))))
-        for flag in ("new_cell", "new_corner", "new_top"):
+        for criterion in CRITERIA:
             seq = CoverageTracker(prof, config)
             for pv in pvs[:prefix]:  # a tracker that already holds some bits
                 seq.add_input(pv)
@@ -468,11 +470,11 @@ class TestAddBatch:
             batch.commit(batch.locate(pvs[:prefix]))
             want = []
             for pv, fails in zip(pvs, failing):
-                want.append(seq.peek_input(pv)[flag])
+                want.append(seq.peek_input(pv)[criterion])
                 if fails or want[-1]:
                     seq.add_input(pv)
             hits = batch.locate(pvs)
-            opens = batch.row_opens(hits, flag)
+            opens = batch.row_opens(hits, criterion)
             assert opens.dtype == bool and opens.tolist() == want
             batch.commit(hits.rows(failing | opens))
             for name in ("cells", "corners", "top_states", "num_inputs"):

@@ -3,6 +3,7 @@ reader's field checks."""
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def _golden_model():
     model = build_model(
-        EncoderSpec("angle", 3), AnsatzSpec("entangling", 1, "cyclic"), 3, 2,
-        readout_qubits=(2, 0), seed=5,
+        EncoderSpec("angle", 3), AnsatzSpec("entangling", 1, "cyclic"), 3, 2, seed=5
     )
-    model.train_data_digest = "0123456789abcdef"
+    model = replace(model, readout_qubits=(2, 0), train_data_digest="0123456789abcdef")
     return model
 
 

@@ -233,13 +233,12 @@ class TestFuzzLoop:
         cfg = FuzzConfig(criterion="ksc", max_iterations=200, seed=9)
         out = fuzz(model, seeds, prof, cfg)
 
-        from statecov.fuzz import _CRITERION_FLAG, _initial_queue, mutate as _mutate
+        from statecov.fuzz import _initial_queue, mutate as _mutate
         from collections import deque
 
         rng = np.random.default_rng(cfg.seed)
         queue = deque((seeds.features[o], o) for o in _initial_queue(model, seeds)[0])
         committed = [pv for pv in collect_prob_vectors(model, seeds)]
-        flag = _CRITERION_FLAG[cfg.criterion]
         shadow = CoverageTracker(prof, cfg.coverage)
         for pv in committed:
             shadow.add_input(pv)
@@ -254,7 +253,7 @@ class TestFuzzLoop:
                 shadow.add_input(pv)
                 extra.append(pv)
                 continue
-            if shadow.peek_input(pv)[flag]:
+            if shadow.peek_input(pv)[cfg.criterion]:
                 shadow.add_input(pv)
                 extra.append(pv)
                 queue.append((m, o))
@@ -291,7 +290,6 @@ def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
     before = tracker.report()
     queue = deque((seeds.features[o], o) for o in initial)
     failed, origins = [], []
-    flag = fuzz_module._CRITERION_FLAG[config.criterion]
     iterations = non_failing = re_enqueued = generations = gen_left = 0
     while queue and iterations < config.max_iterations:
         if gen_left == 0:
@@ -314,7 +312,7 @@ def _sequential_loop(model, seeds, prof, config, guided, reenqueue_prob=1.0):
             continue
         non_failing += 1
         if guided:
-            if tracker.peek_input(pv)[flag]:
+            if tracker.peek_input(pv)[config.criterion]:
                 tracker.add_input(pv)
                 queue.append((m, o))
                 re_enqueued += 1

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,10 +318,9 @@ class TestPersistence:
     ):
         d = q if encoder == "angle" else data.draw(st.integers(1, 2**q))
         readout = data.draw(st.permutations(range(q)))[: data.draw(st.integers(1, q))]
-        model = build_model(
-            EncoderSpec(encoder, d), AnsatzSpec(preset, layers, entanglement), q,
-            len(readout), readout_qubits=readout,
-        )
+        model = replace(build_model(
+            EncoderSpec(encoder, d), AnsatzSpec(preset, layers, entanglement), q, len(readout)
+        ), readout_qubits=tuple(readout))
         model = model.with_params(
             data.draw(st.lists(
                 st.floats(allow_nan=False, allow_infinity=False),
@@ -388,10 +388,9 @@ class TestPersistence:
         with pytest.raises(ValueError, match="readout_qubits"):
             load_model(path)
         with pytest.raises(ValueError, match="readout_qubits"):
-            build_model(
-                EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2,
-                readout_qubits=(-1, 0),
-            )
+            replace(build_model(
+                EncoderSpec("angle", 4), AnsatzSpec("layered", 1, "linear"), 4, 2
+            ), readout_qubits=(-1, 0))
 
     def test_encoder_invariants_enforced_on_load(self, tmp_path):
         import json

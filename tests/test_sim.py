@@ -19,6 +19,7 @@ from statecov.sim import (
     _blocks,
     _compiled,
     _group,
+    adjoint_sweep,
     apply_circuit_batch,
     restrict,
 )
@@ -383,6 +384,52 @@ class TestRestrict:
                 ops = [(g.kind.value, g.target, g.control, g.param_slot) for g in block.gates]
                 digest.update(repr((lo, block.num_qubits, block.num_params, ops)).encode())
         assert digest.hexdigest()[:16] == "3f108a56bcf3f180"
+
+
+class TestRelabelling:
+    """A metamorphic oracle where the dense one cannot reach (q 7-16): a
+    preset circuit with its qubits relabelled by a permutation pi, run on
+    rows whose basis-index bits are permuted to match, gives the permuted
+    outputs, the same parameter gradients and the permuted input costates.
+    Relabelling regroups the blocks, so _group, restrict, _mix, _overlap
+    and the wide-block kernel each meet another grouping of the same map."""
+
+    @staticmethod
+    def _moved(rows, pi):
+        """rows with qubit i's basis bit moved to qubit pi[i]."""
+        n, q = len(rows), len(pi)
+        axes = [1 + qubit for qubit in pi]
+        return np.moveaxis(rows.reshape((n,) + (2,) * q), range(1, q + 1), axes).reshape(n, -1)
+
+    @given(
+        q=st.integers(7, 16),
+        preset=st.sampled_from(ANSATZ_PRESETS),
+        entanglement=st.sampled_from(ENTANGLEMENTS),
+        layers=st.integers(1, 2),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_outputs_gradients_and_costates_follow_the_qubits(
+        self, q, preset, entanglement, layers, n, seed, data
+    ):
+        pi = data.draw(st.permutations(range(q)))
+        circuit = build_ansatz_circuit(AnsatzSpec(preset, layers, entanglement), q)
+        relabelled = CircuitSpec(q, [
+            GateOp(g.kind, pi[g.target], None if g.control is None else pi[g.control], g.param_slot)
+            for g in circuit.gates
+        ], circuit.num_params)
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
+        states, costates = random_rows(rng, n, q), random_rows(rng, n, q)
+        out = apply_circuit_batch(states, circuit, params)
+        out_pi = apply_circuit_batch(self._moved(states, pi), relabelled, params)
+        assert np.max(np.abs(out_pi - self._moved(out, pi))) < 1e-12
+        grad, lam0 = adjoint_sweep(out, costates, circuit, params)
+        grad_pi, lam0_pi = adjoint_sweep(out_pi, self._moved(costates, pi), relabelled, params)
+        assert np.max(np.abs(grad_pi - grad)) <= 1e-12 * np.max(np.abs(grad))
+        assert np.max(np.abs(lam0_pi - self._moved(lam0, pi))) < 1e-12
 
 
 class TestGateOpValidation:
