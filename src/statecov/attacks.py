@@ -4,6 +4,7 @@ driven by the simulator's input gradients. All outputs stay in [0, 1]^d."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise InputError(f"unknown attack kind {self.kind!r}")
-        if not (0 <= self.epsilon < math.inf):
-            raise InputError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (0 <= self.epsilon <= sys.float_info.max / 2):  # uniform needs a finite 2 eps
+            raise InputError(f"epsilon must be in [0, sys.float_info.max / 2], got {self.epsilon}")
         if not (0 <= self.theta <= 1):
             raise InputError(f"theta must be in [0, 1], got {self.theta}")
         if not (0 <= self.gamma <= 1):
@@ -65,8 +66,6 @@ def _rounding_zeroed(grads: np.ndarray) -> np.ndarray:
 
 def _fgsm_rows(model: QnnModel, xs: np.ndarray, labels: np.ndarray, epsilon: float) -> np.ndarray:
     """One sign-gradient step per row: one forward pass and one adjoint sweep."""
-    if epsilon == 0.0:
-        return xs.copy()
     _, grads = input_grads(model, xs, lambda scores: cross_entropy_grad(scores, labels))
     return np.clip(xs + epsilon * np.sign(_rounding_zeroed(grads)), 0.0, 1.0)
 

@@ -303,8 +303,8 @@ def collect_prob_vectors(
     """Measured probability vectors for every dataset row, as a (n, 2^q)
     matrix; with shots, row i is replaced in place by the relative counts of
     one multinomial draw of that size from default_rng(seed + i)."""
-    if shots is not None and shots < 1:
-        raise InputError(f"shots must be >= 1, got {shots}")
+    if shots is not None and not 1 <= shots < 2**63:
+        raise InputError(f"shots must be >= 1 and < 2**63, got {shots}")
     probs, _ = forward_batch(model, data.features)
     if shots is not None:
         for i, row in enumerate(probs):
@@ -331,13 +331,14 @@ def profile_from_samples(
     """Per-state min, max and standard deviation (ddof=1, or 0 for one row)
     of an (n, S) sample matrix, and with a confidence the MAD bounds.
 
-    The MAD bounds are outlier-robust: per state, samples whose modified
-    z-score 0.6745 |x - m| / MAD exceeds the two-sided normal quantile at
-    the given confidence are discarded, and the bounds are the min/max of
-    the survivors. A zero MAD keeps only samples equal to the median. Every
-    figure of a state depends on its own column only, so one pass over
-    blocks of columns of about qnn.BLOCK_AMPS samples computes them all,
-    with the bits numpy gives over the whole row-major matrix.
+    The MAD bounds are outlier-robust: per state, a sample survives when
+    0.6745 |x - m| <= z MAD, z the two-sided normal quantile at the given
+    confidence (a modified z-score of at most z), and the bounds are the
+    min/max of the survivors. A zero MAD keeps only samples equal to the
+    median; a state with no survivor keeps its samples nearest the median.
+    Every figure of a state depends on its own column only, so one pass
+    over blocks of columns of about qnn.BLOCK_AMPS samples computes them
+    all, with the bits numpy gives over the whole row-major matrix.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n, s = samples.shape
@@ -362,14 +363,9 @@ def profile_from_samples(
         if n > 1:
             sigma[cols] = block.std(axis=0, ddof=1)
         if confidence is not None:
-            m = np.median(block, axis=0)
-            dev = block - m  # |x - m|, then in place the modified z-scores
-            np.abs(dev, out=dev)
-            mad = np.median(dev, axis=0)
-            dev *= 0.6745
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dev /= mad
-            keep = np.where(mad == 0.0, block == m, dev <= z_cut)
+            dev = np.abs(block - np.median(block, axis=0))
+            keep = 0.6745 * dev <= z_cut * np.median(dev, axis=0)
+            keep |= ~keep.any(axis=0) & (dev == dev.min(axis=0))
             mad_lower[cols] = np.min(block, axis=0, where=keep, initial=np.inf)
             mad_upper[cols] = np.max(block, axis=0, where=keep, initial=-np.inf)
     return StateProfile(lower, upper, sigma, mad_lower, mad_upper, provenance)

@@ -1,9 +1,9 @@
 """Labeled datasets as CSV files: save_csv writes one, load_csv reads it.
 
 CSV layout: header row f0..f{d-1},label; features already scaled to [0, 1].
-The I/O is columnar: save_csv formats every value with repr and writes a
-block of ROWS_PER_WRITE rows per call, with the CRLF line ends of Python's
-csv module, and load_csv parses all data rows with one np.loadtxt call.
+The I/O is columnar: save_csv formats every value with repr and writes one
+qnn._row_blocks block of rows per call, with CRLF line ends as Python's csv
+module writes them, and load_csv parses all rows with one np.loadtxt call.
 Files it cannot take that way are read again row by row, which accepts and
 rejects exactly what csv.reader plus Python's float and int do.
 """
@@ -16,11 +16,9 @@ import warnings
 import numpy as np
 
 from .files import InputError
-from .qnn import LabeledDataset
+from .qnn import LabeledDataset, _row_blocks
 
 __all__ = ["save_csv", "load_csv"]
-
-ROWS_PER_WRITE = 1024
 
 
 def save_csv(data: LabeledDataset, path) -> None:
@@ -28,9 +26,7 @@ def save_csv(data: LabeledDataset, path) -> None:
     d = data.features.shape[1]
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\r\n")
-        # a block of rows per write keeps the formatted text small
-        for start in range(0, len(data), ROWS_PER_WRITE):
-            block = slice(start, start + ROWS_PER_WRITE)
+        for block in _row_blocks(len(data), d + 1):
             rows = data.features[block].tolist()
             for row, label in zip(rows, data.labels[block].tolist()):
                 row.append(label)

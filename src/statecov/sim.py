@@ -4,11 +4,12 @@ Basis-state ordering is big-endian: qubit 0 is the most significant bit of
 the basis index. All public operations are pure functions; inputs are never
 modified in place.
 
-A CircuitSpec is grouped once, and kept on the spec, into blocks (qsim's gate
-fusion; Haener & Steiger 2017, arXiv:1704.01127). A dense block holds gates
-on a window of at most BLOCK_QUBITS = 6 contiguous qubits and acts as one
-2^w x 2^w matrix U: one stacked matrix product per row on the
-(2^lo, 2^w, 2^(q-lo-w)) view, so a row's result does not depend on its batch.
+The cached properties CircuitSpec.blocks and CircuitSpec.plan group a circuit
+once into blocks (qsim's gate fusion; Haener & Steiger 2017, arXiv:1704.01127)
+and compile it once for the 2x2 kernel. A dense block holds gates on a window
+of at most BLOCK_QUBITS = 6 contiguous qubits and acts as one 2^w x 2^w matrix
+U: one stacked matrix product per row on the (2^lo, 2^w, 2^(q-lo-w)) view, so
+a row's result does not depend on its batch.
 A wide block holds CNOT and CZ gates 6 or more qubits apart (the cyclic wrap,
 star and full pairs at q > 6), run on the state by the 2x2 kernel, so no
 matrix wider than 2^6 is built. That kernel fuses runs of single-qubit gates,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +110,16 @@ class CircuitSpec:
                     f"gate {idx} ({g.kind.value}): param_slot {g.param_slot} out of "
                     f"range for {self.num_params} parameters"
                 )
+
+    @cached_property
+    def plan(self) -> _Plan:
+        """The circuit compiled for the 2x2 kernel, on first use."""
+        return _compile(self)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The circuit grouped into blocks (lo, block circuit), on first use."""
+        return _group(self)
 
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -212,20 +224,6 @@ def _group(circuit: CircuitSpec) -> tuple:
                  for lo, hi, ops in groups)
 
 
-def _compiled(circuit: CircuitSpec) -> _Plan:
-    """The circuit's 2x2 kernel plan, compiled on first use and kept on the frozen spec."""
-    if "_plan" not in circuit.__dict__:
-        object.__setattr__(circuit, "_plan", _compile(circuit))
-    return circuit._plan
-
-
-def _blocks(circuit: CircuitSpec) -> tuple:
-    """The circuit's blocks, grouped on first use and kept on the frozen spec."""
-    if "_blocks" not in circuit.__dict__:
-        object.__setattr__(circuit, "_blocks", _group(circuit))
-    return circuit._blocks
-
-
 def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scratch=None):
     """Run a C-ordered (n, 2^q) complex batch through the circuit's 2x2 plan
     in place; scratch, if given, holds at least batch.size amplitudes. reverse
@@ -233,7 +231,7 @@ def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scr
     undoes a forward pass. on_run(x0, x1, run), if given, sees the two halves
     of each run's step just before the run acts on them. Returns every plan
     row's 2x2 matrix at these parameters."""
-    plan = _compiled(circuit)
+    plan = circuit.plan
     half = 0.5 * np.append(params, 0.0)[plan.slots][:, None, None]
     mats = np.cos(half) * _I2 + np.sin(half) * plan.sin_part
     fused = mats[plan.runs[:, 0]]
@@ -272,7 +270,7 @@ def _evolve(batch, circuit: CircuitSpec, params, reverse=False, on_run=None, scr
 def _kernel_sweep(batch, circuit: CircuitSpec, params) -> np.ndarray:
     """The 2x2 kernel's adjoint sweep, in place on the circuit outputs psi
     stacked over their costates; leaves the inputs there, returns dL/dparams."""
-    plan = _compiled(circuit)
+    plan = circuit.plan
     corr = np.zeros((len(plan.runs), 2, 2), dtype=np.complex128)
 
     def record(x0, x1, run):
@@ -299,8 +297,8 @@ def _block_matrices(circuit: CircuitSpec, params: np.ndarray) -> list:
     a wide block, at these parameters; kept on the spec for the last ones seen."""
     key = params.tobytes()
     if circuit.__dict__.get("_matrices", (None,))[0] != key:
-        mats = [None] * len(_blocks(circuit))
-        for i, (_, block) in enumerate(_blocks(circuit)):
+        mats = [None] * len(circuit.blocks)
+        for i, (_, block) in enumerate(circuit.blocks):
             if block.num_qubits <= BLOCK_QUBITS:
                 mats[i] = np.eye(2**block.num_qubits, dtype=np.complex128)
                 _evolve(mats[i], block, params)
@@ -355,7 +353,7 @@ def apply_circuit_batch(
         return next(buf for buf in buffers if buf is not busy)
 
     cur = src
-    for (lo, block), u_t in zip(_blocks(circuit), _block_matrices(circuit, params)):
+    for (lo, block), u_t in zip(circuit.blocks, _block_matrices(circuit, params)):
         if u_t is not None:
             out = spare(cur)
             _mix(cur, out, lo, u_t)
@@ -388,7 +386,7 @@ def adjoint_sweep(
     grad = np.zeros(circuit.num_params)
     buffers = [batch, np.empty_like(batch)]
     mats = _block_matrices(circuit, params)
-    for (lo, block), u_t in zip(_blocks(circuit)[::-1], mats[::-1]):
+    for (lo, block), u_t in zip(circuit.blocks[::-1], mats[::-1]):
         out, inp = buffers  # the block's output side, and where its input side goes
         if u_t is None:  # CNOT and CZ only: undone in place, no angles
             _evolve(out, block, params, reverse=True, scratch=inp)

@@ -12,7 +12,8 @@ loop, merge is the bitwise union of two coverage trackers, and
 save_csv_rows and load_csv_rows are the csv-module writer and row-by-row
 reader that the columnar save_csv and load_csv must agree with.
 mad_bounds_whole is the MAD refinement over the whole sample matrix at once,
-which profile_from_samples' column blocks must reproduce.
+with the cut as a division by the MAD, which profile_from_samples' column
+blocks and multiplied-out cut must reproduce.
 """
 
 import csv
@@ -180,6 +181,7 @@ def mad_bounds_whole(samples: np.ndarray, confidence: float = 0.99) -> tuple:
     mad = np.median(dev, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = np.where(mad == 0.0, samples == m, 0.6745 * dev / mad <= z_cut)
+    keep |= ~keep.any(axis=0) & (dev == dev.min(axis=0))  # no survivor: the nearest samples
     return (
         np.min(samples, axis=0, where=keep, initial=np.inf),
         np.max(samples, axis=0, where=keep, initial=-np.inf),

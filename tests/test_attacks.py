@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,15 @@ class TestConfig:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             AttackConfig(epsilon=-0.1)
+
+    @pytest.mark.parametrize("kind", ["random", "fgsm", "jsma"])
+    def test_epsilon_above_half_the_float_range(self, kind, toy4_model):
+        # the random attack's uniform(-eps, eps) needs a finite 2 eps; one rule for every kind
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            AttackConfig(kind=kind, epsilon=1e308)
+        cfg = AttackConfig(kind=kind, epsilon=sys.float_info.max / 2)
+        adv, _ = attack_suite(toy4_model, _one_row([0.1, 0.9, 0.5, 0.3]), cfg)
+        assert np.all((adv.features >= 0) & (adv.features <= 1))
 
 
 class TestRandomPerturb:

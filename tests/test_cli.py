@@ -133,6 +133,16 @@ class TestProfile:
         doc = json.loads((tmp_path / "profile.json").read_text())
         assert doc["mad_lower"] is not None
 
+    def test_mad_cut_that_keeps_no_sample(self, trained_dir, data_csv, tmp_path):
+        # a state whose every sample fails the cut keeps its samples nearest the median
+        argv = ["profile", "--model", str(trained_dir / "model.json"), "--dataset", str(data_csv),
+                "--mad", "--confidence", "1e-300", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "profile.json").read_text())
+        lower, upper = np.array(doc["lower"]), np.array(doc["upper"])
+        mad_lower, mad_upper = np.array(doc["mad_lower"]), np.array(doc["mad_upper"])
+        assert np.all((lower <= mad_lower) & (mad_lower <= mad_upper) & (mad_upper <= upper))
+
     def test_digest_mismatch_warns(self, trained_dir, tmp_path, capsys):
         other = tmp_path / "other.csv"
         save_csv(gaussian_blobs(2, 10, 4, seed=99), other)
@@ -267,7 +277,9 @@ class TestAttack:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: epsilon must be finite and >= 0, got -1.0\n"
+        assert capsys.readouterr().err == (
+            "error: epsilon must be in [0, sys.float_info.max / 2], got -1.0\n"
+        )
 
 
 def _check_fuzz_outputs(out, outcome, fcfg):
@@ -595,6 +607,10 @@ class TestBoundaryValidation:
             ("train", ["--encoder", "amplitude", "--qubits", "1", "--classes", "1"], "2^num_qubits = 2"),
             ("attack", ["--epsilon", "-1"], "epsilon"),
             ("profile", ["--seed", "-1"], "seed must be >= 0"),
+            # past what numpy draws with: an int64 shot count, a finite 2 eps for uniform
+            ("profile", ["--shots", "9223372036854775808"], "shots"),
+            ("coverage", ["--shots", "10000000000000000000"], "shots"),
+            ("attack", ["--kind", "random", "--epsilon", "1e308"], "epsilon"),
         ],
     )
     def test_flag_out_of_range(

@@ -198,6 +198,14 @@ class TestMadRefine:
         with pytest.raises(ValueError, match="at least 3 samples per state, got 2"):
             profile_from_samples(np.ones((2, 4)) * 0.25, confidence=0.99)
 
+    def test_state_with_no_sample_inside_the_cut_keeps_the_nearest(self):
+        # at confidence 1e-300 the cut is |x - m| <= 0: only samples at the
+        # median pass. Column 0's median 0.5 is no sample; column 1's MAD is 0
+        samples = np.array([[0.0, 0.5], [0.25, 0.5], [0.75, 0.5], [1.0, 0.125]])
+        prof = profile_from_samples(samples, confidence=1e-300)
+        assert prof.mad_lower.tolist() == [0.25, 0.5]
+        assert prof.mad_upper.tolist() == [0.75, 0.5]
+
 
 class TestBoundaryModes:
     def test_sigma_widens(self):
@@ -615,6 +623,16 @@ class TestSuiteEvaluation:
         c = collect_prob_vectors(toy4_model, toy4_train_data, shots=1000, seed=6)
         assert not np.array_equal(a, c)
 
+    def test_shots_above_int64_refused_before_the_forward_pass(self, toy4_model, monkeypatch):
+        from statecov import coverage
+
+        data = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
+        assert collect_prob_vectors(toy4_model, data, shots=2**63 - 1).sum() == 1.0
+        monkeypatch.setattr(coverage, "forward_batch", None)  # a call raises TypeError
+        for shots in (2**63, 10**19):
+            with pytest.raises(ValueError, match="shots must be >= 1 and < 2\\*\\*63"):
+                coverage.collect_prob_vectors(toy4_model, data, shots)
+
     def test_sampled_rows_equal_oracle_per_row_seed(self, toy4_model):
         # row i is the one-row draw at seed + i
         suite = gaussian_blobs(2, 4, 4, spread=0.12, seed=3)
@@ -643,6 +661,48 @@ class TestSuiteEvaluation:
                 old.append(rng.multinomial(shots, squared / squared.sum()) / shots)
             new = collect_prob_vectors(toy4_model, data, shots=shots, seed=seed)
             assert np.array_equal(new, np.array(old))
+
+
+class TestStatePermutation:
+    """A metamorphic relation: relabelling the basis states in the profile
+    and in the probability columns alike moves every cell and corner bit
+    with its state, so the KSC and SCC counts stay. The TSC count stays too
+    unless a row ties at its k-th largest probability, which locate breaks
+    by index."""
+
+    @given(
+        q=st.integers(1, 6),
+        n=st.integers(1, 8),
+        k_cells=st.integers(1, 50),
+        top_k=st.integers(1, 4),
+        mode=st.sampled_from(BOUNDARY_MODES),
+        levels=st.sampled_from([0, 4, 16]),  # 0: exact, else rounded to 1/levels, so ties occur
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_permuted_states_keep_the_counts(self, q, n, k_cells, top_k, mode, levels, seed, data):
+        rng = np.random.default_rng(seed)
+        train, pvs = (rng.dirichlet(np.ones(2**q), size=m) for m in (int(rng.integers(3, 9)), n))
+        if levels:
+            train, pvs = np.round(train * levels) / levels, np.round(pvs * levels) / levels
+        pi = np.array(data.draw(st.permutations(range(2**q))))
+        prof = profile_from_samples(train, confidence=0.9)
+        permuted = StateProfile(*(getattr(prof, f)[pi] for f in
+                                  ("lower", "upper", "sigma", "mad_lower", "mad_upper")))
+        config = CoverageConfig(k_cells, top_k, mode)
+        plain, moved = CoverageTracker(prof, config), CoverageTracker(permuted, config)
+        plain.fold(pvs)
+        moved.fold(pvs[:, pi])
+        assert np.array_equal(moved.cells, plain.cells[pi])
+        assert np.array_equal(moved.corners, plain.corners[pi])
+        top = min(top_k, 2**q)
+        kth = -np.partition(-pvs, top - 1, axis=1)[:, [top - 1]]
+        tie = bool(((pvs >= kth).sum(axis=1) > top).any())
+        a, b = plain.report(), moved.report()
+        assert (a.covered_cells, a.covered_corners) == (b.covered_cells, b.covered_corners)
+        assert tie or np.array_equal(moved.top_states, plain.top_states[pi])
+        assert tie or a.covered_top_states == b.covered_top_states
 
 
 class TestRowBlocks:
@@ -683,7 +743,7 @@ class TestRowBlocks:
         samples = rng.dirichlet(np.ones(s), size=n)
         samples[:, ::3] = np.round(samples[:, ::3] * 200) / 200  # ties, so some MADs are 0
         samples[rng.integers(n, size=s), np.arange(s)] = rng.uniform(0.5, 1.0, s)  # outliers
-        prof = profile_from_samples(samples, confidence=0.99 if n >= 3 else None)
+        prof = profile_from_samples(samples)
         assert np.array_equal(prof.lower, samples.min(axis=0))
         assert np.array_equal(prof.upper, samples.max(axis=0))
         sigma = samples.std(axis=0, ddof=1) if n > 1 else np.zeros(s)
@@ -691,9 +751,12 @@ class TestRowBlocks:
         if n < 3:
             assert prof.mad_lower is None and prof.mad_upper is None
             return
-        lower, upper = mad_bounds_whole(samples)
-        assert np.array_equal(prof.mad_lower, lower) and np.array_equal(prof.mad_upper, upper)
-        assert np.any(prof.mad_upper < prof.upper)
+        # below about 0.5 some state keeps no sample inside the cut
+        for confidence in (*rng.uniform(0, 0.5, 2), *rng.uniform(0.5, 1, 2), 0.99):
+            prof = profile_from_samples(samples, confidence=confidence)
+            lower, upper = mad_bounds_whole(samples, confidence)
+            assert np.array_equal(prof.mad_lower, lower) and np.array_equal(prof.mad_upper, upper)
+            assert np.any(prof.mad_upper < prof.upper)
 
 
 def _traced_peak(fn) -> int:

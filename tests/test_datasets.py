@@ -126,7 +126,7 @@ def test_load_matches_row_by_row_oracle(tmp_path_factory, text):
 def test_save_writes_the_csv_writer_bytes(tmp_path_factory, n, d, block, data):
     """Byte for byte what csv.writer wrote, across write blocks, for any
     float (nan, inf, -0.0) and any int64 label."""
-    import statecov.datasets as datasets
+    import statecov.qnn as qnn
 
     feats = data.draw(st.lists(
         st.lists(st.floats(allow_nan=True), min_size=d, max_size=d), min_size=n, max_size=n
@@ -135,7 +135,7 @@ def test_save_writes_the_csv_writer_bytes(tmp_path_factory, n, d, block, data):
     original = LabeledDataset(np.array(feats, dtype=np.float64).reshape(n, d), labels)
     folder = tmp_path_factory.mktemp("csv")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datasets, "ROWS_PER_WRITE", block)
+        patch.setattr(qnn, "BLOCK_AMPS", block * (d + 1))  # block rows per write
         save_csv(original, folder / "new.csv")
     save_csv_rows(original, folder / "old.csv")
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()

@@ -20,7 +20,6 @@ from statecov.qnn import (
 from statecov.sim import (
     BLOCK_QUBITS,
     SimulationError,
-    _blocks,
     _kernel_sweep,
     adjoint_sweep,
     apply_circuit_batch,
@@ -240,7 +239,7 @@ class TestAdjointSweep:
         # rule, one readout score at a time
         rng = np.random.default_rng(seed)
         model = _random_model(rng, q, num_gates, wide)
-        assume(len(_blocks(model.circuit)) >= 3)
+        assume(len(model.circuit.blocks) >= 3)
         x = rng.uniform(0, 1, q)
         states = encode_batch(model.encoder, x[None, :], q)
         for c in range(model.num_classes):

@@ -29,7 +29,7 @@ from statecov.qnn import (
     z_sign_matrix,
 )
 from statecov.coverage import collect_prob_vectors
-from statecov.sim import BLOCK_QUBITS, Gate, _blocks
+from statecov.sim import BLOCK_QUBITS, Gate
 
 from fixtures import gaussian_blobs
 from oracles import sample_frequencies
@@ -181,7 +181,7 @@ class TestForward:
             min(classes, q), seed=int(rng.integers(1 << 30)),
         )
         if q == 9:  # several dense blocks, one on the lowest qubits, and wide gates
-            widths = [(lo, block.num_qubits) for lo, block in _blocks(model.circuit)]
+            widths = [(lo, block.num_qubits) for lo, block in model.circuit.blocks]
             dense = [(lo, w) for lo, w in widths if w <= BLOCK_QUBITS]
             assert len(dense) > 1 and any(lo + w == q for lo, w in dense)
             assert len(dense) < len(widths)

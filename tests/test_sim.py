@@ -16,8 +16,6 @@ from statecov.sim import (
     GateOp,
     SimulationError,
     _block_matrices,
-    _blocks,
-    _compiled,
     _group,
     adjoint_sweep,
     apply_circuit_batch,
@@ -124,7 +122,7 @@ class TestCompiledKernel:
         # 30 gates on at most 3 qubits leave runs of consecutive gates on one qubit
         rng = np.random.default_rng(seed)
         circuit, params = random_circuit(rng, q, num_gates=30)
-        steps = sum(len(_compiled(block).steps) for _, block in _blocks(circuit))
+        steps = sum(len(block.plan.steps) for _, block in circuit.blocks)
         assert steps == 1 if q == 1 else steps <= len(circuit.gates)
         states = random_rows(rng, 2, q)
         dense = states @ dense_circuit_matrix(circuit, params).T
@@ -171,7 +169,7 @@ class TestCompiledKernel:
         for q in (5, 14):
             circuit = build_ansatz_circuit(AnsatzSpec("layered", layers, entanglement), q)
             entangling = len(circuit.gates) // layers - 3 * q
-            steps = sum(len(_compiled(block).steps) for _, block in _blocks(circuit))
+            steps = sum(len(block.plan.steps) for _, block in circuit.blocks)
             assert steps == layers * (q + entangling)
 
     @given(
@@ -198,8 +196,8 @@ class TestCompiledKernel:
     def test_plan_kept_on_spec_without_changing_equality(self):
         circuit = build_ansatz_circuit(AnsatzSpec("layered", 1, "linear"), 3)
         twin = build_ansatz_circuit(AnsatzSpec("layered", 1, "linear"), 3)
-        plan = _compiled(circuit)
-        assert _compiled(circuit) is plan
+        plan = circuit.plan
+        assert circuit.plan is plan
         assert circuit == twin and hash(circuit) == hash(twin)
 
     def test_empty_batch(self):
@@ -228,10 +226,10 @@ class TestBlocks:
 
     def test_plan_structure(self):
         q14 = build_ansatz_circuit(AnsatzSpec("layered", 2, "linear"), 14)
-        assert len(_blocks(q14)) <= 8
+        assert len(q14.blocks) <= 8
         for entanglement in ("cyclic", "star", "full"):
             circuit = build_ansatz_circuit(AnsatzSpec("layered", 2, entanglement), 12)
-            blocks = _blocks(circuit)
+            blocks = circuit.blocks
             assert sum(len(block.gates) for _, block in blocks) == len(circuit.gates)
             mats = _block_matrices(circuit, np.zeros(circuit.num_params))
             assert max(len(m) for m in mats if m is not None) <= 2**BLOCK_QUBITS
@@ -401,6 +399,14 @@ class TestRelabelling:
         axes = [1 + qubit for qubit in pi]
         return np.moveaxis(rows.reshape((n,) + (2,) * q), range(1, q + 1), axes).reshape(n, -1)
 
+    @staticmethod
+    def _relabelled(circuit, pi):
+        """circuit with qubit i's gates on qubit pi[i]."""
+        return CircuitSpec(circuit.num_qubits, [
+            GateOp(g.kind, pi[g.target], None if g.control is None else pi[g.control], g.param_slot)
+            for g in circuit.gates
+        ], circuit.num_params)
+
     @given(
         q=st.integers(7, 16),
         preset=st.sampled_from(ANSATZ_PRESETS),
@@ -416,10 +422,7 @@ class TestRelabelling:
     ):
         pi = data.draw(st.permutations(range(q)))
         circuit = build_ansatz_circuit(AnsatzSpec(preset, layers, entanglement), q)
-        relabelled = CircuitSpec(q, [
-            GateOp(g.kind, pi[g.target], None if g.control is None else pi[g.control], g.param_slot)
-            for g in circuit.gates
-        ], circuit.num_params)
+        relabelled = self._relabelled(circuit, pi)
         rng = np.random.default_rng(seed)
         params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
         states, costates = random_rows(rng, n, q), random_rows(rng, n, q)
@@ -430,6 +433,92 @@ class TestRelabelling:
         grad_pi, lam0_pi = adjoint_sweep(out_pi, self._moved(costates, pi), relabelled, params)
         assert np.max(np.abs(grad_pi - grad)) <= 1e-12 * np.max(np.abs(grad))
         assert np.max(np.abs(lam0_pi - self._moved(lam0, pi))) < 1e-12
+
+
+class TestRelationsOfTheForwardPass:
+    """Three more metamorphic relations at widths the dense oracle does not
+    reach: a last CNOT sublayer permutes the basis, amplitude encoding
+    ignores a row's scale, and angle features move with their qubits."""
+
+    @staticmethod
+    def _cnot_image(q, pairs):
+        """Where each basis index goes under the CNOTs (control, target) in order."""
+        idx = np.arange(2**q)
+        for control, target in pairs:
+            idx = idx ^ (((idx >> (q - 1 - control)) & 1) << (q - 1 - target))
+        return idx
+
+    @given(
+        q=st.integers(2, 16),
+        preset=st.sampled_from(ANSATZ_PRESETS),
+        entanglement=st.sampled_from(ENTANGLEMENTS),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_circuits_that_differ_in_a_last_cnot_sublayer(
+        self, q, preset, entanglement, n, seed, data
+    ):
+        # both end in G then their own CNOTs, so each equals G's probabilities, moved
+        circuit = build_ansatz_circuit(AnsatzSpec(preset, 1, entanglement), q)
+        pair = st.permutations(range(q)).map(lambda p: tuple(p[:2]))
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(0.0, 2.0 * np.pi, size=circuit.num_params)
+        states = random_rows(rng, n, q)
+        moved = []
+        for _ in range(2):
+            pairs = data.draw(st.lists(pair, max_size=q))
+            last = [GateOp(Gate.CNOT, target=t, control=c) for c, t in pairs]
+            ended = CircuitSpec(q, circuit.gates + tuple(last), circuit.num_params)
+            probs = np.abs(apply_circuit_batch(states, ended, params)) ** 2
+            moved.append(probs[:, self._cnot_image(q, pairs)])
+        assert np.max(np.abs(moved[0] - moved[1])) <= 1e-12 * np.max(moved[0])
+
+    @given(
+        q=st.integers(1, 12),
+        preset=st.sampled_from(ANSATZ_PRESETS),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_amplitude_rows_at_any_positive_scale(self, q, preset, n, seed, data):
+        from statecov.qnn import EncoderSpec, build_model, forward_batch
+
+        d = data.draw(st.integers(1, 2**q))
+        ansatz = AnsatzSpec(preset, 2, "linear")
+        model = build_model(EncoderSpec("amplitude", d), ansatz, q, 1, seed)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0.0, 1.0, (n, d))
+        xs[:, 0] += 0.5 * (xs.max(axis=1) == 0)  # no all-zero row
+        scaled = xs * rng.uniform(0.0, 1.0, (n, 1)) / xs.max(axis=1, keepdims=True)  # c x in [0, 1]
+        probs, probs_scaled = forward_batch(model, xs)[0], forward_batch(model, scaled)[0]
+        assert np.max(np.abs(probs_scaled - probs)) <= 1e-15
+
+    @given(
+        q=st.integers(2, 16),
+        preset=st.sampled_from(ANSATZ_PRESETS),
+        entanglement=st.sampled_from(ENTANGLEMENTS),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_angle_features_permuted_with_the_qubits(self, q, preset, entanglement, n, seed, data):
+        from dataclasses import replace
+
+        from statecov.qnn import EncoderSpec, build_model, forward_batch
+
+        pi = data.draw(st.permutations(range(q)))
+        ansatz = AnsatzSpec(preset, 1, entanglement)
+        model = build_model(EncoderSpec("angle", q), ansatz, q, 1, seed)
+        relabelled = replace(model, circuit=TestRelabelling._relabelled(model.circuit, pi))
+        xs = np.random.default_rng(seed).uniform(0.0, 1.0, (n, q))
+        xs_pi = np.empty_like(xs)
+        xs_pi[:, pi] = xs  # feature i goes with qubit i to pi[i]
+        probs, probs_pi = forward_batch(model, xs)[0], forward_batch(relabelled, xs_pi)[0]
+        assert np.max(np.abs(probs_pi - TestRelabelling._moved(probs, pi))) <= 1e-12
 
 
 class TestGateOpValidation:
