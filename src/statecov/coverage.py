@@ -172,8 +172,11 @@ class CoverageTracker:
         self.profile = prof
         self.config = config
         self.lb, self.ub = resolve_boundaries(prof, config)
-        s = prof.num_states
-        self.cells = np.zeros((s, config.k_cells), dtype=bool)
+        s, k = prof.num_states, config.k_cells
+        try:
+            self.cells = np.zeros((s, k), dtype=bool)
+        except (ValueError, MemoryError) as exc:
+            raise InputError(f"k_cells {k}: cannot make the ({s}, {k}) cell table: {exc}") from None
         self.corners = np.zeros((s, 2), dtype=bool)  # [:, 0] lower, [:, 1] upper
         self.top_states = np.zeros(s, dtype=bool)
         self.num_inputs = 0

@@ -16,12 +16,13 @@ matrix wider than 2^6 is built. That kernel fuses runs of single-qubit gates,
 acts in place on qubit-axis views and builds each U from the identity rows.
 The spec keeps the matrices of the last parameters for the adjoint sweep.
 
-adjoint_sweep walks the blocks backwards (Jones & Gacon 2020,
-arXiv:2009.02823): U^dag undoes a block on the outputs and costates stacked,
-M = sum lam_out psi_in^dag is one matrix product, and the 2x2 kernel's own
-sweep of the block's gates, from U's identity-row outputs with M's columns as
-costates, adds the block's angle gradients: one reverse pass for all of them.
-A wide block has no angles, so the kernel only undoes it.
+One block walk, _walk, runs both passes: forwards for apply_circuit_batch and
+backwards for adjoint_sweep (Jones & Gacon 2020, arXiv:2009.02823), where U^dag
+undoes a block on the outputs and costates stacked, M = sum lam_out psi_in^dag
+is one matrix product, and the 2x2 kernel's own sweep of the block's gates,
+from U's identity-row outputs with M's columns as costates, adds the block's
+angle gradients: one reverse pass for all of them. A wide block has no angles,
+so the kernel only undoes it.
 """
 
 from __future__ import annotations
@@ -337,6 +338,25 @@ def _check(states, circuit: CircuitSpec, params) -> tuple:
     return batch, params
 
 
+def _walk(batch, spare, circuit: CircuitSpec, params, reverse=False, on_block=None):
+    """Run a C-ordered (n, 2^q) complex batch through the circuit's blocks, or
+    backwards through their inverses, swapping it with spare, a second buffer
+    of its shape: a dense block mixes one into the other (U^T, or conj(U)
+    backwards), a wide block runs in place with the other as scratch.
+    on_block(out, inp, lo, block, u_t), if given, sees both sides of each
+    dense block. Returns the buffer that holds the result."""
+    pairs = list(zip(circuit.blocks, _block_matrices(circuit, params)))
+    for (lo, block), u_t in reversed(pairs) if reverse else pairs:
+        if u_t is None:
+            _evolve(batch, block, params, reverse, scratch=spare)
+            continue
+        _mix(batch, spare, lo, u_t.conj().T if reverse else u_t)
+        if on_block is not None:
+            on_block(*((batch, spare) if reverse else (spare, batch)), lo, block, u_t)
+        batch, spare = spare, batch
+    return batch
+
+
 def apply_circuit_batch(
     states: np.ndarray, circuit: CircuitSpec, params: Sequence[float]
 ) -> np.ndarray:
@@ -345,25 +365,7 @@ def apply_circuit_batch(
     Linear in each row; rows need not be normalized. Returns a new array.
     """
     src, params = _check(states, circuit, params)
-    buffers = []
-
-    def spare(busy):  # a work buffer other than busy, never the caller's batch
-        if all(buf is busy for buf in buffers):
-            buffers.append(np.empty_like(src))
-        return next(buf for buf in buffers if buf is not busy)
-
-    cur = src
-    for (lo, block), u_t in zip(circuit.blocks, _block_matrices(circuit, params)):
-        if u_t is not None:
-            out = spare(cur)
-            _mix(cur, out, lo, u_t)
-            cur = out
-            continue
-        if cur is src:  # the 2x2 kernel works in place
-            cur = spare(src)
-            np.copyto(cur, src)
-        _evolve(cur, block, params, scratch=spare(cur))
-    return src.copy() if cur is src else cur
+    return _walk(src.copy(), np.empty_like(src), circuit, params)
 
 
 def adjoint_sweep(
@@ -384,21 +386,13 @@ def adjoint_sweep(
     n = len(states)
     batch, params = _check(np.concatenate([states, costates]), circuit, params)
     grad = np.zeros(circuit.num_params)
-    buffers = [batch, np.empty_like(batch)]
-    mats = _block_matrices(circuit, params)
-    for (lo, block), u_t in zip(circuit.blocks[::-1], mats[::-1]):
-        out, inp = buffers  # the block's output side, and where its input side goes
-        if u_t is None:  # CNOT and CZ only: undone in place, no angles
-            _evolve(out, block, params, reverse=True, scratch=inp)
-            continue
-        _mix(out, inp, lo, u_t.conj().T)  # (U^dag)^T = conj(U)
-        buffers.reverse()
-        if not any(op.param_slot is not None for op in block.gates):
-            continue
+
+    def add_grad(out, inp, lo, block, u_t):
         # The block U adds 2 Re sum_ab dU_ab conj(M_ab), M = sum lam_out psi_in^dag
         # over rows and outside axes: the 2x2 kernel's sweep of the block circuit
         # from its identity-row outputs U^T with M's columns as costates.
-        local = np.concatenate([u_t, _overlap(inp[:n], out[n:], lo, len(u_t))])
-        grad += _kernel_sweep(local, block, params)
-    return grad, buffers[0][n:]
+        if any(op.param_slot is not None for op in block.gates):
+            local = np.concatenate([u_t, _overlap(inp[:n], out[n:], lo, len(u_t))])
+            grad[:] += _kernel_sweep(local, block, params)
 
+    return grad, _walk(batch, np.empty_like(batch), circuit, params, True, add_grad)[n:]

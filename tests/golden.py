@@ -52,8 +52,8 @@ def chain_data():
     return gaussian_blobs(2, 20, 4, spread=0.1, seed=3)
 
 
-def run_chain(data_csv, root) -> list:
-    """Every subcommand, once, under root; the relative paths of the files written."""
+def chain_runs(data_csv, root) -> dict:
+    """{stage name: argv} of every subcommand, each writing to root / name."""
     model, prof = str(root / "train" / "model.json"), str(root / "profile" / "profile.json")
     runs = {
         "train": ["train", "--dataset", str(data_csv), "--epochs", "5", "--seed", "3"],
@@ -73,8 +73,13 @@ def run_chain(data_csv, root) -> list:
                         "--max-iterations", "60", "--seed", "6"],
         "diversity": ["diversity", "--model", model, "--suite", str(data_csv), "--seed", "7"],
     }
-    for name, argv in runs.items():
-        assert main([*argv, "--out-dir", str(root / name)]) == 0, name
+    return {name: [*argv, "--out-dir", str(root / name)] for name, argv in runs.items()}
+
+
+def run_chain(data_csv, root) -> list:
+    """Every subcommand, once, under root; the relative paths of the files written."""
+    for name, argv in chain_runs(data_csv, root).items():
+        assert main(argv) == 0, name
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
 

@@ -611,6 +611,9 @@ class TestBoundaryValidation:
             ("profile", ["--shots", "9223372036854775808"], "shots"),
             ("coverage", ["--shots", "10000000000000000000"], "shots"),
             ("attack", ["--kind", "random", "--epsilon", "1e308"], "epsilon"),
+            # a cell table numpy cannot shape: (16, 2^70)
+            ("coverage", ["--k", "1180591620717411303424"], "k_cells"),
+            ("fuzz", ["--k", "1180591620717411303424"], "k_cells"),
         ],
     )
     def test_flag_out_of_range(

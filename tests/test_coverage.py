@@ -20,6 +20,7 @@ from statecov.coverage import (
     profile_from_samples,
     resolve_boundaries,
 )
+from statecov.files import InputError
 from statecov.qnn import (
     BLOCK_AMPS,
     AnsatzSpec,
@@ -321,6 +322,22 @@ class TestTracker:
                 tracker.add_input(suite[i])
             reports.append(tracker.report())
         assert reports[0] == reports[1] == reports[2]
+
+    def test_cell_table_without_memory_names_k_cells(self, monkeypatch):
+        # a stand-in for np.zeros raises the MemoryError, never a real
+        # allocation; test_cli's test_flag_out_of_range covers the ValueError
+        # of a shape numpy refuses outright
+        zeros, k = np.zeros, 10**9
+
+        def refusing(shape, *args, **kwargs):
+            if shape == (4, k):
+                raise MemoryError(f"Unable to allocate 3.73 GiB for an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refusing)
+        prof, _ = random_profile_and_suite(np.random.default_rng(12), 2, 3)
+        with pytest.raises(InputError, match=rf"^k_cells {k}: cannot make the \(4, {k}\) cell table"):
+            CoverageTracker(prof, CoverageConfig(k_cells=k))
 
     def test_peek_does_not_mutate(self):
         rng = np.random.default_rng(11)

@@ -224,6 +224,32 @@ class TestBlocks:
         out = apply_circuit_batch(states, circuit, params)
         assert np.max(np.abs(out - dense_circuit_apply(circuit, params, states))) < 1e-10
 
+    @given(
+        q=st.integers(7, 10),
+        n=st.integers(1, 4),
+        num_gates=st.integers(0, 30),
+        wide=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arguments_unchanged_when_a_wide_block_comes_first(self, q, n, num_gates, wide, seed):
+        # a wide block runs in place, so a walk that began on the caller's
+        # rows would overwrite them
+        rng = np.random.default_rng(seed)
+        circuit, params = random_circuit(rng, q, num_gates, wide)
+        rest = list(circuit.gates)
+        wide_at = [g.control is not None and abs(g.control - g.target) >= BLOCK_QUBITS for g in rest]
+        first = rest.pop(wide_at.index(True))
+        circuit = CircuitSpec(q, (first, *rest), circuit.num_params)
+        assert circuit.blocks[0][1].num_qubits == q > BLOCK_QUBITS
+        states, costates = random_rows(rng, n, q), random_rows(rng, n, q)
+        before = states.copy(), costates.copy()
+        out = apply_circuit_batch(states, circuit, params)
+        assert np.array_equal(states, before[0])
+        out_before = out.copy()
+        adjoint_sweep(out, costates, circuit, params)
+        assert np.array_equal(out, out_before) and np.array_equal(costates, before[1])
+
     def test_plan_structure(self):
         q14 = build_ansatz_circuit(AnsatzSpec("layered", 2, "linear"), 14)
         assert len(q14.blocks) <= 8

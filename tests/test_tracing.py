@@ -11,9 +11,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import statecov.cli  # noqa: F401 - loads every module the tracer wraps
+from statecov.cli import main  # loads every module the tracer wraps
 from statecov.coverage import CoverageTracker
+from statecov.datasets import save_csv
 from statecov.fuzz import FuzzOutcome
+
+import golden
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -116,3 +119,30 @@ def test_fuzz_hooks_read_outcome_fields():
             read |= results.get(name, set())
     assert read == {"iterations", "reenqueue_rate"}
     assert read <= {f.name for f in fields(FuzzOutcome)}
+
+
+def test_traced_chain_runs_every_hook_on_real_results(tmp_path, capsys):
+    """The golden chain's stages in process, as the benchmark runs them: with
+    the tracer installed and active, every hook reads real arguments and
+    results (attack_suite's result[1], the fuzz outcomes, ...). The one stage
+    that fails is diversity, on the stale num_haar_samples read named in
+    test_every_argument_a_hook_reads_is_a_parameter; once the benchmark drops
+    it, this test fails and the exception goes."""
+    tracing = _load_tracing()
+    data_csv = tmp_path / "data.csv"
+    save_csv(golden.chain_data(), data_csv)
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    codes, errors = {}, {}
+    try:
+        for name, argv in golden.chain_runs(data_csv, tmp_path).items():
+            codes[name] = main(argv)
+            errors[name] = capsys.readouterr().err
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert codes == {**dict.fromkeys(codes, 0), "diversity": 1}
+    assert "'num_haar_samples' is not in list" in errors["diversity"]
+    assert not any(err for name, err in errors.items() if name != "diversity")
+    assert tracing.layer_metrics(tracer.spans, tracer.counts)["sim.passes"] == 28
